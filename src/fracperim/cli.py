@@ -422,17 +422,14 @@ def _base_setup(n_cells: int, h: float, v0: float):
 @click.option("--h", "h", type=float, default=0.125, show_default=True)
 @click.option("--v0", type=float, default=0.0, show_default=True)
 @click.option("--t-schedule", "tsched", required=True, help="comma list, increasing")
-@click.option("--threads", type=int, default=None)
 @click.option("--output", default=None)
 @_guard
-def cylinder_scan(s, n_cells, h, v0, tsched, threads, output):
+def cylinder_scan(s, n_cells, h, v0, tsched, output):
     """Nonlocal tail divergence rows (T, lower bound, value) plus slope."""
     base, v = _base_setup(n_cells, h, v0)
     ob = full_window(base)
-    amb = GridSpec(2, base.origin + (-2.0,), base.extent + (int(4.0 / h),), h)
-    table = build_table(amb, KernelParams(s, 2), max_offset=max(amb.extent) - 1)
     Ts = [float(t) for t in tsched.split(",")]
-    rows = cyl.nonlocal_divergence_scan(v, ob, Ts, table)
+    rows = cyl.nonlocal_divergence_scan(v, ob, Ts, KernelParams(s, 2))
     slope = cyl.fit_tail_slope(rows)
     lines = _config_lines(command="cylinder-scan", s=s, n=n_cells, h=h,
                           v0=v0, t_schedule=tsched)
@@ -461,10 +458,8 @@ def sector_scan(s, sigma, m_bound, n_cells, h, v0, tsched, output):
     """Sector-restricted divergence rows and slope."""
     base, v = _base_setup(n_cells, h, v0)
     ob = full_window(base)
-    amb = GridSpec(2, base.origin + (-2.0,), base.extent + (int(4.0 / h),), h)
-    table = build_table(amb, KernelParams(s, 2), max_offset=max(amb.extent) - 1)
     Ts = [float(t) for t in tsched.split(",")]
-    rows = cyl.sector_divergence_scan(v, sigma, m_bound, ob, Ts, table)
+    rows = cyl.sector_divergence_scan(v, sigma, m_bound, ob, Ts, KernelParams(s, 2))
     slope = cyl.fit_tail_slope(rows)
     lines = _config_lines(command="sector-scan", s=s, sigma=sigma, n=n_cells,
                           h=h, t_schedule=tsched)

@@ -361,13 +361,13 @@ def _cross_tail_interaction(intervals_a, intervals_b, T: float, p: float) -> flo
 
 
 def _scan_common(omega_base: DomainWindow, k: float, T_schedule,
-                 table: InteractionTable, directions: tuple[int, ...]):
+                 params: KernelParams, directions: tuple[int, ...]):
     Ts = [float(T) for T in T_schedule]
     if any(b <= a for a, b in zip(Ts, Ts[1:])):
         raise InvalidSequence("T schedule must be strictly increasing")
     n = omega_base.spec.dim
-    p = n + 1 + table.params.s
-    s = table.params.s
+    p = n + 1 + params.s
+    s = params.s
     omega = _omega_intervals(omega_base)
     if not omega:
         raise HypothesisViolated("empty base window")
@@ -399,23 +399,24 @@ def _scan_common(omega_base: DomainWindow, k: float, T_schedule,
 
 
 def nonlocal_divergence_scan(v: ScalarField, omega_base: DomainWindow,
-                             T_schedule, table: InteractionTable) -> list[ScanRow]:
+                             T_schedule, params: KernelParams) -> list[ScanRow]:
     """Tail interaction L_s(Omega x (-inf,-T), (B_T \\ B_R) x (T, inf)).
 
     Each row carries the closed-form lower bound; the values grow like
-    T^(1-s), which the tail slope fit recovers.
+    T^(1-s), which the tail slope fit recovers.  The rows are closed forms
+    and quadratures in the exponent s of ``params``; no table is needed.
     """
     if not np.all(np.isfinite(v.values)):
         raise HypothesisViolated("graph heights must be bounded")
     k = float(np.max(np.abs(v.values)))
     if isinstance(v.exterior, (int, float)):
         k = max(k, abs(float(v.exterior)))
-    return _scan_common(omega_base, k, T_schedule, table, directions=(-1, 1))
+    return _scan_common(omega_base, k, T_schedule, params, directions=(-1, 1))
 
 
 def sector_divergence_scan(u: ScalarField, sector_fraction: float, M: float,
                            omega_base: DomainWindow, T_schedule,
-                           table: InteractionTable) -> list[ScanRow]:
+                           params: KernelParams) -> list[ScanRow]:
     """Divergence scan restricted to a fraction of the directions.
 
     On a 1D base the direction sphere has two points, so the admissible
@@ -431,7 +432,7 @@ def sector_divergence_scan(u: ScalarField, sector_fraction: float, M: float,
         raise HypothesisViolated(
             "1D direction sphere admits sector fractions 1/2 and 1 only"
         )
-    return _scan_common(omega_base, float(M), T_schedule, table, directions=dirs)
+    return _scan_common(omega_base, float(M), T_schedule, params, directions=dirs)
 
 
 def fit_tail_slope(rows: list[ScanRow]) -> float:

@@ -79,16 +79,6 @@ def _corr_counts(A: np.ndarray, B: np.ndarray, exact: bool) -> np.ndarray:
     return c[rev]
 
 
-def _weight_block(table: InteractionTable, reaches: tuple[int, ...]) -> np.ndarray:
-    k = table.max_offset
-    if max(reaches) > k:
-        raise ValueError(
-            f"table max_offset {k} too small for required reach {reaches}"
-        )
-    sl = tuple(slice(k - r, k + r + 1) for r in reaches)
-    return table.weights[sl]
-
-
 def _pair_sum(A: np.ndarray, B: np.ndarray, table: InteractionTable,
               exact: bool | None = None) -> float:
     """Sum of w(j - i) over i in A, j in B (A, B boolean, same shape)."""
@@ -97,8 +87,7 @@ def _pair_sum(A: np.ndarray, B: np.ndarray, table: InteractionTable,
     if exact is None:
         exact = A.size <= _DIRECT_LIMIT
     counts = _corr_counts(A, B, exact)
-    reaches = tuple(s - 1 for s in A.shape)
-    w = _weight_block(table, reaches)
+    w = table.block(tuple(s - 1 for s in A.shape))
     return math.fsum((w * counts).ravel())
 
 

@@ -222,14 +222,18 @@ class InteractionTable:
         idx = tuple(int(o) + self.max_offset for o in np.atleast_1d(offset))
         return float(self.weights[idx])
 
-    def block(self, reach: int) -> np.ndarray:
-        """Centered sub-array of weights covering offsets up to ``reach``."""
-        if reach > self.max_offset:
+    def block(self, reach) -> np.ndarray:
+        """Centered sub-array of weights covering offsets up to ``reach``.
+
+        ``reach`` is one int for every axis or a tuple with one per axis.
+        """
+        reaches = (reach,) * self.spec.dim if np.ndim(reach) == 0 else tuple(reach)
+        if max(reaches) > self.max_offset:
             raise ValueError(
                 f"table max_offset {self.max_offset} < requested reach {reach}"
             )
         k = self.max_offset
-        sl = tuple(slice(k - reach, k + reach + 1) for _ in range(self.spec.dim))
+        sl = tuple(slice(k - r, k + r + 1) for r in reaches)
         return self.weights[sl]
 
     # -- cache file ---------------------------------------------------------

@@ -27,6 +27,7 @@ __all__ = [
     "EquivalenceReport",
     "solve_relaxed",
     "threshold_minimizer",
+    "solve_and_threshold",
     "brute_force_minimum",
     "check_minimality_equivalence",
     "solve_locally_minimal",
@@ -94,12 +95,10 @@ class _Condensed:
 
     def __init__(self, p: MinimizationProblem):
         self.problem = p
-        spec = p.window.spec
         table = p.table
-        self.engine = eng = PairEngine(spec, p.window.complement_policy, table)
+        eng = PairEngine(p.window.spec, p.window.complement_policy, table)
         om = eng.embed(p.window.omega)
         occ0 = eng.occupancy(p.exterior_data)
-        self.om = om
         self.free_idx = np.argwhere(om)  # (m, dim) in padded universe
         m = len(self.free_idx)
         self.m = m
@@ -113,52 +112,38 @@ class _Condensed:
         else:
             self.W = np.zeros((0, 0))
 
-        # linear terms: interaction with the frozen exterior occupancy
-        fixed_e = (occ0 & ~om).astype(float)
-        fixed_c = (~occ0 & ~om).astype(float)
-        shape = om.shape
-        reaches = tuple(n - 1 for n in shape)
-        if max(reaches) > K:
-            raise ValueError("table max_offset too small for universe")
-        block = _block_for(table, reaches)
-        conv_e = signal.convolve(fixed_e, block, mode="same", method="direct")
-        conv_c = signal.convolve(fixed_c, block, mode="same", method="direct")
-        sel = tuple(self.free_idx.T)
-        self.p = conv_e[sel]
-        self.q = conv_c[sel]
+        # linear terms: interaction with the frozen exterior occupancy; the
+        # weight block is symmetric, so convolving with it is correlating
+        block = table.block(tuple(n - 1 for n in om.shape))
+        fixed = np.stack([occ0 & ~om, ~occ0 & ~om]).astype(float)
+        axes = tuple(range(1, om.ndim + 1))
+        conv = signal.fftconvolve(fixed, block[None], mode="same", axes=axes)
+        sel = (slice(None),) + tuple(self.free_idx.T)
+        self.p, self.q = conv[sel]
         if eng.analytic_rays:
             mass_e, mass_c = eng.ray_masses(p.exterior_data.exterior)
             box_sel = tuple(np.argwhere(p.window.omega).T)
             self.p = self.p + mass_e[box_sel]
             self.q = self.q + mass_c[box_sel]
 
-    def energy(self, x: np.ndarray) -> float:
-        pair = 0.5 * float(np.sum(self.W * np.abs(x[:, None] - x[None, :])))
-        lin = float(self.p @ (1.0 - x) + self.q @ x)
-        return pair + lin
+    def energy_and_pair_gradient(self, x: np.ndarray) -> tuple[float, np.ndarray]:
+        """F(x) and g = (W * sign(x_a - x_b)).sum(1) from one pass over W:
+        the pair energy equals x @ g."""
+        g = (self.W * np.sign(x[:, None] - x[None, :])).sum(axis=1)
+        return float(x @ g + self.p @ (1.0 - x) + self.q @ x), g
 
     def energies_binary(self, X: np.ndarray) -> np.ndarray:
         """Vectorized energy of a batch of binary assignments (B, m)."""
         X = X.astype(float)
         r = self.W.sum(axis=1)
-        quad = np.einsum("bi,ij,bj->b", X, self.W, X)
+        quad = np.einsum("bi,bi->b", X @ self.W, X)
         return float(self.p.sum()) + X @ (self.q - self.p + r) - quad
-
-    def subgradient(self, x: np.ndarray) -> np.ndarray:
-        S = np.sign(x[:, None] - x[None, :])
-        return (self.W * S).sum(axis=1) + (self.q - self.p)
 
     def set_from(self, x_binary: np.ndarray) -> CellSet:
         spec = self.problem.window.spec
         inside = self.problem.exterior_data.inside.copy()
         inside[self.problem.window.omega] = x_binary.astype(bool)
         return CellSet(spec, inside, self.problem.exterior_data.exterior)
-
-
-def _block_for(table: InteractionTable, reaches) -> np.ndarray:
-    k = table.max_offset
-    sl = tuple(slice(k - r, k + r + 1) for r in reaches)
-    return table.weights[sl]
 
 
 # ---------------------------------------------------------------------------
@@ -172,32 +157,40 @@ def _initial_point(p: MinimizationProblem) -> np.ndarray:
     return np.clip(u0.values[p.window.omega], 0.0, 1.0)
 
 
-def _solve_relaxed(p: MinimizationProblem, tol: float, max_iter: int):
-    cond = _Condensed(p)
+def _solve_relaxed(cond: _Condensed, tol: float, max_iter: int):
+    """Projected subgradient descent on a built energy.
+
+    One pass over W per iterate gives both its energy and the subgradient
+    of the next step.  The stall window counts only once an iterate has
+    beaten the starting point, so a slow start is not taken for a stall.
+    """
+    p = cond.problem
     if cond.m == 0:
         field = ScalarField(
             p.window.spec,
             p.exterior_data.inside.astype(float),
             p.exterior_data.exterior,
         )
-        return field, cond, 0
+        return field, 0
+    lin_grad = cond.q - cond.p
     x = _initial_point(p)
-    best_x = x.copy()
-    best_f = cond.energy(x)
+    f0, g = cond.energy_and_pair_gradient(x)
+    best_x = x
+    best_f = f0
     history = [best_f]
-    scale = float(np.max(cond.W.sum(axis=1) + np.abs(cond.q - cond.p))) or 1.0
+    scale = float(np.max(cond.W.sum(axis=1) + np.abs(lin_grad))) or 1.0
     c0 = 1.0 / scale
     converged = False
     it = 0
     for it in range(1, max_iter + 1):
-        g = cond.subgradient(x)
-        x = np.clip(x - (c0 / math.sqrt(it)) * g, 0.0, 1.0)
-        f = cond.energy(x)
+        x = np.clip(x - (c0 / math.sqrt(it)) * (g + lin_grad), 0.0, 1.0)
+        f, g = cond.energy_and_pair_gradient(x)
         if f < best_f:
             best_f = f
-            best_x = x.copy()
+            best_x = x
         history.append(best_f)
-        if it >= _STALL_WINDOW and history[-_STALL_WINDOW] - best_f < tol:
+        if (it >= _STALL_WINDOW and history[-_STALL_WINDOW] < f0
+                and history[-_STALL_WINDOW] - best_f < tol):
             converged = True
             break
     vals = p.exterior_data.inside.astype(float)
@@ -209,7 +202,7 @@ def _solve_relaxed(p: MinimizationProblem, tol: float, max_iter: int):
             best=field,
             iterations=it,
         )
-    return field, cond, it
+    return field, it
 
 
 def solve_relaxed(p: MinimizationProblem, tol: float = 1e-9,
@@ -217,11 +210,38 @@ def solve_relaxed(p: MinimizationProblem, tol: float = 1e-9,
     """Minimize the relaxed convex energy by projected subgradient descent.
 
     Free-cell values move with step c/sqrt(k) and the best iterate is
-    tracked; the loop stops once the best energy stalls for 50 iterations
-    within ``tol``.
+    tracked; once the best energy is below the starting energy, the loop
+    stops when it stalls for 50 iterations within ``tol``.
     """
-    field, _, _ = _solve_relaxed(p, tol, max_iter)
+    field, _ = _solve_relaxed(_Condensed(p), tol, max_iter)
     return field
+
+
+def _threshold(cond: _Condensed, u: ScalarField, iterations: int) -> SolverReport:
+    p = cond.problem
+    if cond.m == 0:
+        E = CellSet(p.window.spec, p.exterior_data.inside, p.exterior_data.exterior)
+        e = perimeter(E, p.window, p.table).total
+        return SolverReport(e, 0.5, E, e, iterations, 0.0)
+    x = np.clip(u.values[p.window.omega], 0.0, 1.0)
+    relaxed, g = cond.energy_and_pair_gradient(x)
+    vals = np.unique(x)
+    cuts = [vals[0] - 1.0]
+    cuts += [0.5 * (a + b) for a, b in zip(vals[:-1], vals[1:])]
+    cuts.append(vals[-1] + 1.0)
+    bits = x[None, :] > np.asarray(cuts)[:, None]
+    energies = cond.energies_binary(bits)
+    best = None
+    for t, b, e in zip(cuts, bits, energies):
+        cand = (float(e), tuple(b.astype(int)), float(min(max(t, 0.0), 1.0)), b)
+        if best is None or (cand[0] - best[0] < -1e-12) or (
+            abs(cand[0] - best[0]) <= 1e-12 and cand[1] < best[1]
+        ):
+            best = cand
+    minimizer = cond.set_from(best[3])
+    energy = perimeter(minimizer, p.window, p.table).total
+    kkt = float(np.max(np.abs(g + cond.q - cond.p)))
+    return SolverReport(relaxed, best[2], minimizer, energy, iterations, kkt)
 
 
 def threshold_minimizer(u: ScalarField, p: MinimizationProblem,
@@ -233,47 +253,23 @@ def threshold_minimizer(u: ScalarField, p: MinimizationProblem,
     exceeds the relaxed energy.  Ties break toward the lexicographically
     smallest bitmask.
     """
-    cond = _Condensed(p)
-    omega = p.window.omega
-    if cond.m == 0:
-        E = CellSet(p.window.spec, p.exterior_data.inside, p.exterior_data.exterior)
-        e = perimeter(E, p.window, p.table).total
-        return SolverReport(e, 0.5, E, e, iterations, 0.0)
-    x = np.clip(u.values[omega], 0.0, 1.0)
-    relaxed = cond.energy(x)
-    vals = np.unique(x)
-    cuts = [vals[0] - 1.0]
-    cuts += [0.5 * (a + b) for a, b in zip(vals[:-1], vals[1:])]
-    cuts.append(vals[-1] + 1.0)
-    best = None
-    for t in cuts:
-        bits = x > t
-        e = float(cond.energies_binary(bits[None, :])[0])
-        key = tuple(bits.astype(int))
-        cand = (e, key, float(min(max(t, 0.0), 1.0)), bits)
-        if best is None or (cand[0] - best[0] < -1e-12) or (
-            abs(cand[0] - best[0]) <= 1e-12 and cand[1] < best[1]
-        ):
-            best = cand
-    minimizer = cond.set_from(best[3])
-    energy = perimeter(minimizer, p.window, p.table).total
-    kkt = float(np.max(np.abs(cond.subgradient(x)))) if cond.m else 0.0
-    return SolverReport(relaxed, best[2], minimizer, energy, iterations, kkt)
+    return _threshold(_Condensed(p), u, iterations)
 
 
 def solve_and_threshold(p: MinimizationProblem, tol: float = 1e-9,
                         max_iter: int = 2000) -> SolverReport:
-    """Relaxed solve followed by thresholding.
+    """Relaxed solve followed by thresholding, on one built energy.
 
     Thresholding snaps to a binary minimizer long before the relaxed
     values settle, so an exhausted iteration budget is not fatal here:
     the best iterate carried by the failure is thresholded instead.
     """
+    cond = _Condensed(p)
     try:
-        field, _, iters = _solve_relaxed(p, tol, max_iter)
+        field, iters = _solve_relaxed(cond, tol, max_iter)
     except ConvergenceFailure as err:
         field, iters = err.best, err.iterations
-    return threshold_minimizer(field, p, iterations=iters)
+    return _threshold(cond, field, iters)
 
 
 # ---------------------------------------------------------------------------
@@ -281,14 +277,33 @@ def solve_and_threshold(p: MinimizationProblem, tol: float = 1e-9,
 # ---------------------------------------------------------------------------
 
 
-def _enumerate_bits(m: int, batch: int = 1 << 16):
+def _enumerate_bits(m: int, batch: int = 1 << 14):
     """Yield batches of all binary vectors of length m, cell 0 most
-    significant, so ascending integer order is lexicographic bit order."""
+    significant, so ascending integer order is lexicographic bit order.
+
+    A batch of 2^14 rows keeps the float copies that ``energies_binary``
+    makes of it small: it bounds the oracle's peak memory."""
     total = 1 << m
     shifts = np.arange(m - 1, -1, -1, dtype=np.uint64)
     for start in range(0, total, batch):
         ints = np.arange(start, min(start + batch, total), dtype=np.uint64)
         yield start, ((ints[:, None] >> shifts[None, :]) & 1).astype(bool)
+
+
+def _exhaustive_minimum(cond: _Condensed) -> tuple[np.ndarray, float]:
+    """Best bit vector over all 2^m assignments and its energy."""
+    m = cond.m
+    if m > _ORACLE_LIMIT:
+        raise OracleTooLarge(f"{m} free cells exceed the oracle limit {_ORACLE_LIMIT}")
+    best_e = math.inf
+    best_bits = None
+    for _, X in _enumerate_bits(m):
+        E = cond.energies_binary(X)
+        i = int(np.argmin(E))
+        if E[i] < best_e - 1e-15:
+            best_e = float(E[i])
+            best_bits = X[i]
+    return best_bits, best_e
 
 
 def brute_force_minimum(p: MinimizationProblem) -> tuple[CellSet, float]:
@@ -298,21 +313,11 @@ def brute_force_minimum(p: MinimizationProblem) -> tuple[CellSet, float]:
     in C order, first cell most significant).
     """
     cond = _Condensed(p)
-    m = cond.m
-    if m > _ORACLE_LIMIT:
-        raise OracleTooLarge(f"{m} free cells exceed the oracle limit {_ORACLE_LIMIT}")
-    if m == 0:
+    if cond.m == 0:
         E = CellSet(p.window.spec, p.exterior_data.inside, p.exterior_data.exterior)
         return E, perimeter(E, p.window, p.table).total
-    best_e = math.inf
-    best_bits = None
-    for _, X in _enumerate_bits(m):
-        E = cond.energies_binary(X)
-        i = int(np.argmin(E))
-        if E[i] < best_e - 1e-15:
-            best_e = float(E[i])
-            best_bits = X[i]
-    return cond.set_from(best_bits), best_e
+    bits, best = _exhaustive_minimum(cond)
+    return cond.set_from(bits), best
 
 
 # ---------------------------------------------------------------------------
@@ -323,15 +328,11 @@ def brute_force_minimum(p: MinimizationProblem) -> tuple[CellSet, float]:
 def _is_minimal_on(E: CellSet, window: DomainWindow, table: InteractionTable,
                    rel_tol: float = 1e-9) -> bool:
     """Whether E attains the exhaustive minimum on the given window."""
-    prob = MinimizationProblem(window, E, table)
-    cond = _Condensed(prob)
-    if cond.m > _ORACLE_LIMIT:
-        raise OracleTooLarge(
-            f"{cond.m} free cells exceed the oracle limit {_ORACLE_LIMIT}"
-        )
-    x = E.inside[window.omega].astype(float)
-    own = float(cond.energies_binary(x[None, :].astype(bool))[0])
-    _, best = brute_force_minimum(prob)
+    cond = _Condensed(MinimizationProblem(window, E, table))
+    if cond.m == 0:
+        return True
+    _, best = _exhaustive_minimum(cond)
+    own = float(cond.energies_binary(E.inside[window.omega][None, :])[0])
     return own <= best + rel_tol * (1.0 + abs(best))
 
 

@@ -111,45 +111,43 @@ class TestDivergenceScans:
     def _scan_setup(self, s=0.5):
         base = _base(8, 0.25, origin=-1.0)  # omega = (-1, 1)
         v = _graph(base, np.zeros(8))
-        amb = GridSpec(2, (-1.0, -2.0), (8, 16), 0.25)
-        table = build_table(amb, KernelParams(s, 2), max_offset=1)
-        return base, v, table
+        return base, v, KernelParams(s, 2)
 
     def test_values_increase_and_dominate_bound(self):
-        base, v, table = self._scan_setup()
-        rows = nonlocal_divergence_scan(v, full_window(base), [2, 4, 8, 16], table)
+        base, v, params = self._scan_setup()
+        rows = nonlocal_divergence_scan(v, full_window(base), [2, 4, 8, 16], params)
         vals = [r.value for r in rows]
         assert all(b > a for a, b in zip(vals, vals[1:]))
         assert all(r.lower_bound <= r.value for r in rows)
 
     def test_tail_slope_near_one_minus_s(self):
-        base, v, table = self._scan_setup(s=0.5)
+        base, v, params = self._scan_setup(s=0.5)
         Ts = [float(T) for T in 2.0 ** np.arange(1, 8)]
-        rows = nonlocal_divergence_scan(v, full_window(base), Ts, table)
+        rows = nonlocal_divergence_scan(v, full_window(base), Ts, params)
         slope = fit_tail_slope(rows)
         assert abs(slope - 0.5) <= 0.1
 
     def test_schedule_validation(self):
-        base, v, table = self._scan_setup()
+        base, v, params = self._scan_setup()
         with pytest.raises(InvalidSequence):
-            nonlocal_divergence_scan(v, full_window(base), [4, 2], table)
+            nonlocal_divergence_scan(v, full_window(base), [4, 2], params)
         with pytest.raises(InvalidSequence):
-            nonlocal_divergence_scan(v, full_window(base), [0.5, 2], table)
+            nonlocal_divergence_scan(v, full_window(base), [0.5, 2], params)
 
     def test_sector_fractions(self):
-        base, v, table = self._scan_setup()
-        full = sector_divergence_scan(v, 1.0, 0.5, full_window(base), [4, 8], table)
-        half = sector_divergence_scan(v, 0.5, 0.5, full_window(base), [4, 8], table)
+        base, v, params = self._scan_setup()
+        full = sector_divergence_scan(v, 1.0, 0.5, full_window(base), [4, 8], params)
+        half = sector_divergence_scan(v, 0.5, 0.5, full_window(base), [4, 8], params)
         for f, hrow in zip(full, half):
             assert hrow.value == pytest.approx(0.5 * f.value, rel=1e-6)
         with pytest.raises(HypothesisViolated):
-            sector_divergence_scan(v, 0.25, 0.5, full_window(base), [4, 8], table)
+            sector_divergence_scan(v, 0.25, 0.5, full_window(base), [4, 8], params)
 
     def test_unbounded_graph_rejected(self):
-        base, v, table = self._scan_setup()
+        base, v, params = self._scan_setup()
         big = _graph(base, np.full(8, 2.0))
         with pytest.raises(HypothesisViolated):
-            sector_divergence_scan(big, 1.0, 0.5, full_window(base), [4, 8], table)
+            sector_divergence_scan(big, 1.0, 0.5, full_window(base), [4, 8], params)
 
 
 class TestConfinement:

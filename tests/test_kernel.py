@@ -113,6 +113,16 @@ class TestTable2D:
         ratio = 0.25 ** (2 - 0.35)
         assert np.allclose(t2.weights, t1.weights * ratio, rtol=1e-14)
 
+    def test_block_per_axis_reaches(self):
+        spec = GridSpec(2, (0.0, 0.0), (4, 4), 1.0)
+        t = build_table(spec, KernelParams(0.5, 2), max_offset=3)
+        assert np.array_equal(t.block(2), t.weights[1:6, 1:6])
+        assert np.array_equal(t.block((1, 3)), t.weights[2:5, :])
+        with pytest.raises(ValueError):
+            t.block((1, 4))
+        with pytest.raises(ValueError):
+            t.block(4)
+
     def test_touching_pair_against_reference(self):
         spec = GridSpec(2, (0.0, 0.0), (3, 3), 1.0)
         t = build_table(spec, KernelParams(0.5, 2), max_offset=2)

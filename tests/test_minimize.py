@@ -2,13 +2,18 @@
 
 import numpy as np
 import pytest
+from scipy import signal
 
+from fracperim import minimize
 from fracperim.errors import NotNested, OracleTooLarge
+from fracperim.functional import PairEngine
 from fracperim.grid import (
     AnalyticTail,
     CellSet,
     DomainWindow,
     GridSpec,
+    HalfSpaceExterior,
+    TruncateAtRadius,
     cellset_from_shape,
 )
 from fracperim.minimize import (
@@ -31,16 +36,50 @@ def _problem_1d(n=12, free=slice(4, 9), level=0.5):
     return MinimizationProblem(win, E0, table)
 
 
-def _problem_2d(rng, n=6, s=0.5):
+def _problem_2d(rng, n=6, s=0.5, policy=AnalyticTail()):
     spec = GridSpec(2, (0.0, 0.0), (n, n), 1.0 / n)
     E0 = CellSet(spec, rng.random(spec.extent) < 0.5)
     omega = np.zeros(spec.extent, dtype=bool)
     omega[1:-1, 1:-1] = rng.random((n - 2, n - 2)) < 0.7
     if not omega.any():
         omega[2, 2] = True
-    win = DomainWindow(spec, omega, AnalyticTail())
-    table = table_for(spec, s, AnalyticTail())
+    win = DomainWindow(spec, omega, policy)
+    table = table_for(spec, s, policy)
     return MinimizationProblem(win, E0, table)
+
+
+def _direct_linear_terms(p):
+    """p and q by direct convolution over the padded universe (the
+    reference for the FFT assembly)."""
+    eng = PairEngine(p.window.spec, p.window.complement_policy, p.table)
+    om = eng.embed(p.window.omega)
+    occ = eng.occupancy(p.exterior_data)
+    block = p.table.block(tuple(n - 1 for n in om.shape))
+    sel = tuple(np.argwhere(om).T)
+    lin = []
+    for fixed, ray in zip((occ & ~om, ~occ & ~om),
+                          eng.ray_masses(p.exterior_data.exterior)):
+        conv = signal.convolve(fixed.astype(float), block, mode="same",
+                               method="direct")
+        lin.append(conv[sel] + ray[tuple(np.argwhere(p.window.omega).T)])
+    return lin
+
+
+def _stalled_problem():
+    """s = 0.3 on a 10^2 grid: a 54-cell ball window over wavy half-space
+    data, whose relaxed iterates need more than 50 steps to beat the
+    mollified start."""
+    spec = GridSpec(2, (0.0, 0.0), (10, 10), 0.1)
+    omega = np.zeros(spec.extent, dtype=bool)
+    for i, (lo, hi) in enumerate([(3, 7), (2, 8), (1, 9), (1, 9), (1, 9),
+                                  (1, 9), (1, 8), (2, 7)], start=1):
+        omega[i, lo:hi] = True
+    inside = np.zeros(spec.extent, dtype=bool)
+    inside[:7, :5] = True
+    inside[7:, :6] = True
+    E0 = CellSet(spec, inside, HalfSpaceExterior(1, 0.45066584242031227))
+    win = DomainWindow(spec, omega, AnalyticTail())
+    return MinimizationProblem(win, E0, table_for(spec, 0.3, AnalyticTail()))
 
 
 class TestSolver:
@@ -76,6 +115,13 @@ class TestSolver:
         assert np.array_equal(a.minimizer.inside, b.minimizer.inside)
         assert a.energy == b.energy
 
+    def test_default_tolerance_does_not_stop_before_first_descent(self):
+        p = _stalled_problem()
+        assert p.n_free == 54
+        full = solve_and_threshold(p, tol=0.0)
+        rep = solve_and_threshold(p)
+        assert rep.energy <= full.energy + 1e-9 * (1.0 + abs(full.energy))
+
     def test_empty_window(self):
         spec = GridSpec(1, (0.0,), (6,), 1.0 / 6)
         E0 = cellset_from_shape(spec, {"shape": "halfspace", "axis": 0, "level": 0.5})
@@ -83,6 +129,56 @@ class TestSolver:
         p = MinimizationProblem(win, E0, table_for(spec, 0.5, AnalyticTail()))
         rep = solve_and_threshold(p)
         assert np.array_equal(rep.minimizer.inside, E0.inside)
+
+
+class TestCondensedEnergy:
+    @pytest.mark.parametrize("case", ["1d_rays", "2d_analytic", "2d_truncate",
+                                      "empty"])
+    def test_fft_linear_terms_match_direct_convolution(self, case, rng):
+        if case == "1d_rays":
+            p = _problem_1d()
+        elif case == "2d_analytic":
+            p = _problem_2d(rng)
+        elif case == "2d_truncate":
+            p = _problem_2d(rng, policy=TruncateAtRadius(0.5))
+        else:
+            base = _problem_2d(rng)
+            win = DomainWindow(base.window.spec,
+                               np.zeros(base.window.spec.extent, dtype=bool),
+                               AnalyticTail())
+            p = MinimizationProblem(win, base.exterior_data, base.table)
+        cond = minimize._Condensed(p)
+        ref_p, ref_q = _direct_linear_terms(p)
+        assert cond.p.shape == ref_p.shape == (p.n_free,)
+        scale = max(np.abs(ref_p).max(initial=0.0), np.abs(ref_q).max(initial=0.0))
+        assert np.abs(cond.p - ref_p).max(initial=0.0) <= 1e-12 * scale
+        assert np.abs(cond.q - ref_q).max(initial=0.0) <= 1e-12 * scale
+
+    def test_energies_binary_matches_explicit_energy(self, rng):
+        cond = minimize._Condensed(_problem_2d(rng))
+        X = rng.random((32, cond.m)) < 0.5
+        batch = cond.energies_binary(X)
+        for x, e in zip(X.astype(float), batch):
+            pair = 0.5 * np.sum(cond.W * np.abs(x[:, None] - x[None, :]))
+            ref = pair + cond.p @ (1.0 - x) + cond.q @ x
+            assert e == pytest.approx(ref, rel=1e-12)
+            assert cond.energy_and_pair_gradient(x)[0] == pytest.approx(ref, rel=1e-12)
+
+    def test_one_build_per_solve_and_per_window_check(self, rng, monkeypatch):
+        builds = []
+
+        class Counting(minimize._Condensed):
+            def __init__(self, p):
+                builds.append(p)
+                super().__init__(p)
+
+        monkeypatch.setattr(minimize, "_Condensed", Counting)
+        p = _problem_2d(rng)
+        rep = solve_and_threshold(p)
+        assert len(builds) == 1
+        del builds[:]
+        assert minimize._is_minimal_on(rep.minimizer, p.window, p.table)
+        assert len(builds) == 1
 
 
 class TestOracle:
