@@ -15,13 +15,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import signal
 
-from .errors import DegenerateDomain, EpsilonBelowResolution, InvalidSchedule
-from .functional import InteractionTable, PerimeterBreakdown, perimeter
+from .errors import EpsilonBelowResolution, InvalidSchedule
+from .functional import InteractionTable, PerimeterBreakdown, perimeter, superlevel
 from .grid import (
     CellSet,
     DomainWindow,
-    EmptyExterior,
-    FullExterior,
     GridSpec,
     ScalarField,
     signed_distance,
@@ -90,18 +88,6 @@ def mollify(u, m: MollifierSpec) -> ScalarField:
     padded = field.values_on(spec.padded(reach))
     out = signal.convolve(padded, kern, mode="valid", method="direct")
     return ScalarField(spec, out, field.exterior)
-
-
-def superlevel(u: ScalarField, t: float) -> CellSet:
-    """Superlevel set {u > t}, inheriting the field's exterior model."""
-    ext = u.exterior
-    if isinstance(ext, (int, float)):
-        model = FullExterior() if float(ext) > t else EmptyExterior()
-    else:
-        model = ext if 0.0 <= t < 1.0 else (
-            FullExterior() if t < 0.0 else EmptyExterior()
-        )
-    return CellSet(u.spec, u.values > t, model)
 
 
 def boundary_cells(E: CellSet) -> np.ndarray:

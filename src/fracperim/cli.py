@@ -20,9 +20,8 @@ import numpy as np
 from . import approx as approx_mod
 from . import cylinder as cyl
 from . import minimize as min_mod
-from .errors import ConvergenceFailure, FracPerimError
+from .errors import FracPerimError
 from .functional import (
-    PairEngine,
     coarea_check,
     decomposition_check,
     divergence_probe_1d,
@@ -31,11 +30,11 @@ from .functional import (
     log_square_beta,
     perimeter,
     strip_exponent,
+    table_for,
 )
 from .grid import (
     AnalyticTail,
     CellSet,
-    DomainWindow,
     GridSpec,
     ScalarField,
     TruncateAtRadius,
@@ -51,7 +50,6 @@ from .kernel import KernelParams, build_table, unit_ball_volume
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_PROPERTY = 2
-EXIT_NUMERICAL = 3
 
 
 def _fmt(x: float) -> str:
@@ -101,12 +99,6 @@ def _guard(fn):
     def wrapper(*args, **kwargs):
         try:
             return fn(*args, **kwargs)
-        except ConvergenceFailure as err:
-            click.echo(
-                json.dumps({"error": type(err).__name__, "message": str(err)}),
-                err=True,
-            )
-            sys.exit(EXIT_NUMERICAL)
         except (FracPerimError, ValueError, OSError, json.JSONDecodeError) as err:
             _fail_config(str(err), kind=type(err).__name__)
 
@@ -121,12 +113,6 @@ def _policy_from(policy: str):
     if policy.startswith("truncate:"):
         return TruncateAtRadius(float(policy.split(":", 1)[1]))
     raise ValueError(f"policy must be 'analytic' or 'truncate:<radius>', got {policy!r}")
-
-
-def _auto_table(spec: GridSpec, s: float, policy) -> "InteractionTable":
-    eng = PairEngine(spec, policy, build_table(spec, KernelParams(s, spec.dim), 1))
-    k = max(eng.padded_spec.extent) - 1
-    return build_table(spec, KernelParams(s, spec.dim), max_offset=k)
 
 
 def _load_set(grid: str | None, shape: str | None, extent, h, origin) -> CellSet:
@@ -172,7 +158,7 @@ def compute(s, grid, shape, extent, h, origin, omega, policy, output):
         if omega
         else full_window(E.spec, pol)
     )
-    table = _auto_table(E.spec, s, pol)
+    table = table_for(E.spec, s, pol)
     bd = perimeter(E, win, table)
     result = {
         "s": s,
@@ -209,7 +195,7 @@ def approx_cmd(s, grid, eps_list, omega, policy, lipschitz, output):
         else full_window(E.spec, pol)
     )
     schedule = [float(v) for v in eps_list.split(",")]
-    table = _auto_table(E.spec, s, pol)
+    table = table_for(E.spec, s, pol)
     run = approx_mod.approximate_set_lipschitz if lipschitz else approx_mod.approximate_set
     steps = run(E, win, schedule, table)
     lines = _config_lines(
@@ -240,15 +226,17 @@ def approx_cmd(s, grid, eps_list, omega, policy, lipschitz, output):
 @click.option("--origin", default=None)
 @click.option("--omega", required=True, help="window shape DSL JSON")
 @click.option("--policy", default="analytic", show_default=True)
-@click.option("--tol", type=float, default=1e-9, show_default=True)
-@click.option("--max-iter", type=int, default=2000, show_default=True)
+@click.option("--tol", type=float, default=1e-9, show_default=True,
+              help="certified gap tolerance, relative to 1 + |energy|")
+@click.option("--max-iter", type=int, default=2000, show_default=True,
+              help="cap on the max-flow refinement rounds")
 @click.option("--oracle", is_flag=True, help="verify against exhaustive search")
 @click.option("--out-grid", default=None, help="write the minimizer as a grid file")
 @click.option("--output", default=None)
 @_guard
 def minimize_cmd(s, grid, exterior, extent, h, origin, omega, policy, tol,
                  max_iter, oracle, out_grid, output):
-    """Relaxation + thresholding; solver report as JSON."""
+    """Exact minimum cut with a certified gap; solver report as JSON."""
     E0 = _load_set(grid, exterior, extent, h, origin)
     if grid and exterior:
         # bitmask from the file, exterior model from the DSL
@@ -256,7 +244,7 @@ def minimize_cmd(s, grid, exterior, extent, h, origin, omega, policy, tol,
         E0 = CellSet(E0.spec, E0.inside, model)
     pol = _policy_from(policy)
     win = window_from_shape(E0.spec, json.loads(omega), pol)
-    table = _auto_table(E0.spec, s, pol)
+    table = table_for(E0.spec, s, pol)
     prob = min_mod.MinimizationProblem(win, E0, table)
     rep = min_mod.solve_and_threshold(prob, tol=tol, max_iter=max_iter)
     result = {
@@ -265,7 +253,7 @@ def minimize_cmd(s, grid, exterior, extent, h, origin, omega, policy, tol,
         "threshold": rep.threshold,
         "energy": rep.energy,
         "iterations": rep.iterations,
-        "kkt_residual": rep.kkt_residual,
+        "gap": rep.gap,
     }
     status = EXIT_OK
     if oracle:
@@ -304,7 +292,7 @@ def coarea_cmd(s, extent, h, levels, seed, policy, tol, output):
     u = ScalarField(spec, vals.astype(float), 0.0)
     pol = _policy_from(policy)
     win = full_window(spec, pol)
-    table = _auto_table(spec, s, pol)
+    table = table_for(spec, s, pol)
     lhs, rhs = coarea_check(u, win, table)
     residual = abs(lhs - rhs) / (1.0 + abs(lhs))
     result = {"s": s, "lhs": lhs, "rhs": rhs, "residual": residual, "seed": seed}
@@ -327,7 +315,7 @@ def decomposition_cmd(s, grid, inner, outer, policy, tol, output):
     pol = _policy_from(policy)
     wi = window_from_shape(E.spec, json.loads(inner), pol)
     wo = window_from_shape(E.spec, json.loads(outer), pol)
-    table = _auto_table(E.spec, s, pol)
+    table = table_for(E.spec, s, pol)
     res = decomposition_check(E, wi, wo, table)
     po = perimeter(E, wo, table).total
     rel = res / (1.0 + abs(po))

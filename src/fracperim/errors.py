@@ -41,18 +41,6 @@ class InvalidSchedule(FracPerimError):
     """Schedule must be monotone."""
 
 
-class ConvergenceFailure(FracPerimError):
-    """Iteration budget exhausted before the tolerance was met.
-
-    Carries the best iterate found so far in ``best``.
-    """
-
-    def __init__(self, message, best=None, iterations=0):
-        super().__init__(message)
-        self.best = best
-        self.iterations = iterations
-
-
 class OracleTooLarge(FracPerimError):
     """Too many free cells for exhaustive enumeration."""
 

@@ -39,6 +39,8 @@ from .grid import (
 )
 from .kernel import (
     InteractionTable,
+    KernelParams,
+    build_table,
     interval_pair_exact,
     interval_ray_exact,
     tail_mass,
@@ -47,11 +49,13 @@ from .kernel import (
 __all__ = [
     "PerimeterBreakdown",
     "PairEngine",
+    "table_for",
     "interaction",
     "perimeter",
     "decomposition_check",
     "relaxed_energy",
     "coarea_check",
+    "superlevel",
     "divergence_probe_1d",
     "geometric_ratio",
     "strip_exponent",
@@ -172,6 +176,26 @@ def _ray_masses_1d(spec: GridSpec, exterior, s: float):
 # ---------------------------------------------------------------------------
 
 
+def _pad_cells(spec: GridSpec, policy) -> int:
+    """Cells the complement policy pads onto each side of the box."""
+    if isinstance(policy, AnalyticTail):
+        if spec.dim == 1:
+            return 0
+        radius = policy.fallback_radius
+        if radius is None:
+            radius = 2.0 * max(spec.extent) * spec.h
+        return int(math.ceil(radius / spec.h))
+    if isinstance(policy, TruncateAtRadius):
+        return int(math.ceil(policy.radius / spec.h))
+    raise SpecMismatch(f"unknown complement policy {policy!r}")
+
+
+def table_for(spec: GridSpec, s: float, policy) -> InteractionTable:
+    """Table whose reach spans the universe the policy pads the box to."""
+    reach = max(spec.extent) + 2 * _pad_cells(spec, policy) - 1
+    return build_table(spec, KernelParams(s, spec.dim), max_offset=reach)
+
+
 class PairEngine:
     """Shared machinery for evaluating interactions on a padded universe.
 
@@ -187,20 +211,8 @@ class PairEngine:
         self.spec = spec
         self.policy = policy
         self.table = table
-        self.analytic_rays = False
-        if isinstance(policy, AnalyticTail):
-            if spec.dim == 1:
-                self.pad = 0
-                self.analytic_rays = True
-            else:
-                radius = policy.fallback_radius
-                if radius is None:
-                    radius = 2.0 * max(spec.extent) * spec.h
-                self.pad = int(math.ceil(radius / spec.h))
-        elif isinstance(policy, TruncateAtRadius):
-            self.pad = int(math.ceil(policy.radius / spec.h))
-        else:
-            raise SpecMismatch(f"unknown complement policy {policy!r}")
+        self.pad = _pad_cells(spec, policy)
+        self.analytic_rays = isinstance(policy, AnalyticTail) and spec.dim == 1
         self.padded_spec = spec.padded(self.pad) if self.pad else spec
 
     def occupancy(self, cellset: CellSet) -> np.ndarray:
@@ -404,14 +416,14 @@ def coarea_check(u: ScalarField, window: DomainWindow,
     levels = sorted(level_values)
     parts = []
     for t_low, t_high in zip(levels[:-1], levels[1:]):
-        sup = _superlevel_set(u, t_low)
+        sup = superlevel(u, t_low)
         p = perimeter(sup, window, table, engine=eng).total
         parts.append((t_high - t_low) * p)
     return lhs, math.fsum(parts)
 
 
-def _superlevel_set(u: ScalarField, t: float) -> CellSet:
-    """Superlevel set {u > t} with the matching exterior model."""
+def superlevel(u: ScalarField, t: float) -> CellSet:
+    """Superlevel set {u > t}, inheriting the field's exterior model."""
     ext = u.exterior
     if isinstance(ext, (int, float)):
         model = FullExterior() if float(ext) > t else EmptyExterior()

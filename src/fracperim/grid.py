@@ -8,7 +8,6 @@ box is described by an explicit exterior model, never silently truncated.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 
 import numpy as np

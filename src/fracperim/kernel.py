@@ -9,7 +9,6 @@ is integrable across touching faces for s < 1).
 
 from __future__ import annotations
 
-import io
 import itertools
 import math
 import struct

@@ -2,9 +2,11 @@
 
 The perimeter restricted to competitors that agree with the exterior data
 outside the window is an affine-plus-pairwise function of the free cell
-values; relaxing those values to [0,1] gives a convex piecewise-linear
-energy whose minimizers threshold to binary minimizers (coarea bang-bang).
-A vectorized exhaustive oracle guards correctness at small sizes.
+values with nonnegative weights, so it is a cut function (Kolmogorov-Zabih,
+TPAMI 2004): an s-t minimum cut minimizes it exactly, and the cut's 0/1
+indicator also minimizes its convex [0,1] relaxation (Chambolle-Darbon,
+IJCV 2009).  The flow certifies the cut's gap to the minimum.  A
+vectorized exhaustive oracle guards correctness at small sizes.
 """
 
 from __future__ import annotations
@@ -14,11 +16,12 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import signal
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import breadth_first_order, maximum_flow
 
-from .approx import MollifierSpec, mollify
-from .errors import ConvergenceFailure, InvalidSchedule, NotNested, OracleTooLarge
+from .errors import InvalidSchedule, NotNested, OracleTooLarge
 from .functional import PairEngine, perimeter
-from .grid import CellSet, DomainWindow, ScalarField, signed_distance, sublevel_window
+from .grid import CellSet, DomainWindow, ScalarField, signed_distance
 from .kernel import InteractionTable
 
 __all__ = [
@@ -34,7 +37,7 @@ __all__ = [
 ]
 
 _ORACLE_LIMIT = 24
-_STALL_WINDOW = 50
+_INT32_MAX = 2**31 - 1  # SciPy's max-flow takes int32 capacities only
 
 
 @dataclass(frozen=True)
@@ -60,14 +63,20 @@ class MinimizationProblem:
 
 @dataclass(frozen=True)
 class SolverReport:
-    """Outcome of relaxation plus thresholding, with independent recompute."""
+    """Outcome of a solve, with the minimizer's energy recomputed
+    independently.
+
+    ``gap`` bounds how far the condensed energy of the minimizer lies
+    above the minimum (nan when no dual bound is known); ``iterations``
+    counts max-flow rounds.
+    """
 
     relaxed_energy: float
     threshold: float
     minimizer: CellSet
     energy: float
     iterations: int
-    kkt_residual: float
+    gap: float
 
 
 @dataclass(frozen=True)
@@ -147,84 +156,89 @@ class _Condensed:
 
 
 # ---------------------------------------------------------------------------
-# Relaxed solve and thresholding.
+# Exact solve by minimum cut, and thresholding.
 # ---------------------------------------------------------------------------
 
 
-def _initial_point(p: MinimizationProblem) -> np.ndarray:
-    eps = 2.0 * p.window.spec.h
-    u0 = mollify(p.exterior_data, MollifierSpec(eps))
-    return np.clip(u0.values[p.window.omega], 0.0, 1.0)
+def _min_cut(W: np.ndarray, p: np.ndarray, q: np.ndarray, tol: float,
+             max_rounds: int) -> tuple[np.ndarray, float, int]:
+    """Minimize sum_{a<b} W_ab |x_a - x_b| + sum_a p_a (1 - x_a) + q_a x_a
+    over x in {0,1}^m by an s-t minimum cut; W, p, q >= 0, W symmetric.
 
+    Nodes are the m cells, a source (the side x = 1) and a sink; edges are
+    source -> a (p_a), a -> sink (q_a) and a <-> b (W_ab).  The float
+    capacities are refined in int32 rounds: round k floors the float
+    residual at the quantum C_max 2^(-20-10k), clips it to 2^31 - 1 and
+    subtracts the round's maximum flow, which is feasible for it.  The
+    summed flow is a lower bound on the minimum, so the energy of the cut
+    minus the flow is a certified gap.  Rounds stop once that gap is at
+    most tol (1 + |energy|), when the next quantum would fall below
+    C_max 2^-52, or after ``max_rounds``.
 
-def _solve_relaxed(cond: _Condensed, tol: float, max_iter: int):
-    """Projected subgradient descent on a built energy.
-
-    One pass over W per iterate gives both its energy and the subgradient
-    of the next step.  The stall window counts only once an iterate has
-    beaten the starting point, so a slow start is not taken for a stall.
+    The minimizer is the set reachable from the source in the last
+    integer residual graph: the inclusion-minimal minimizer of that
+    graph, hence also its lexicographically smallest.  Returns
+    (bits, flow, rounds).
     """
-    p = cond.problem
-    if cond.m == 0:
-        field = ScalarField(
-            p.window.spec,
-            p.exterior_data.inside.astype(float),
-            p.exterior_data.exterior,
-        )
-        return field, 0
-    lin_grad = cond.q - cond.p
-    x = _initial_point(p)
-    f0, g = cond.energy_and_pair_gradient(x)
-    best_x = x
-    best_f = f0
-    history = [best_f]
-    scale = float(np.max(cond.W.sum(axis=1) + np.abs(lin_grad))) or 1.0
-    c0 = 1.0 / scale
-    converged = False
-    it = 0
-    for it in range(1, max_iter + 1):
-        x = np.clip(x - (c0 / math.sqrt(it)) * (g + lin_grad), 0.0, 1.0)
-        f, g = cond.energy_and_pair_gradient(x)
-        if f < best_f:
-            best_f = f
-            best_x = x
-        history.append(best_f)
-        if (it >= _STALL_WINDOW and history[-_STALL_WINDOW] < f0
-                and history[-_STALL_WINDOW] - best_f < tol):
-            converged = True
-            break
-    vals = p.exterior_data.inside.astype(float)
-    vals[p.window.omega] = best_x
-    field = ScalarField(p.window.spec, vals, p.exterior_data.exterior)
-    if not converged:
-        raise ConvergenceFailure(
-            f"no stall after {max_iter} iterations (best {best_f!r})",
-            best=field,
-            iterations=it,
-        )
-    return field, it
+    m = len(p)
+    s, t = m, m + 1
+    residual = np.zeros((m + 2, m + 2))
+    residual[:m, :m] = W
+    residual[s, :m] = p
+    residual[:m, t] = q
+    c_max = float(residual.max(initial=0.0))
+    if not c_max > 0.0:
+        return np.zeros(m, dtype=bool), 0.0, 0
+    quantum = c_max / 2.0**30
+    flow = 0.0
+    rounds = 0
+    while True:
+        # the lower clip absorbs residuals a rounding left an ulp below 0
+        caps = np.clip(np.floor(residual / quantum), 0, _INT32_MAX).astype(np.int32)
+        res = maximum_flow(csr_matrix(caps), s, t, method="dinic")
+        f = res.flow.toarray()  # skew-symmetric net flow
+        residual -= quantum * f
+        flow += quantum * float(res.flow_value)
+        rounds += 1
+        reach = breadth_first_order(csr_matrix(caps > f), s,
+                                    return_predecessors=False)
+        bits = np.zeros(m + 2, dtype=bool)
+        bits[reach] = True
+        x = bits[:m].astype(float)
+        energy = float(p.sum() + x @ (q - p) + x @ W @ (1.0 - x))
+        quantum /= 2.0**10
+        if (energy - flow <= tol * (1.0 + abs(energy))
+                or quantum < c_max * 2.0**-52 or rounds >= max_rounds):
+            return bits[:m], flow, rounds
 
 
 def solve_relaxed(p: MinimizationProblem, tol: float = 1e-9,
                   max_iter: int = 5000) -> ScalarField:
-    """Minimize the relaxed convex energy by projected subgradient descent.
+    """Minimizer of the relaxed convex energy: the 0/1 indicator of the
+    minimum cut (``tol`` and ``max_iter`` as in ``solve_and_threshold``)."""
+    cond = _Condensed(p)
+    bits, _, _ = _min_cut(cond.W, cond.p, cond.q, tol, max_iter)
+    E = cond.set_from(bits)
+    return ScalarField(p.window.spec, E.inside.astype(float), E.exterior)
 
-    Free-cell values move with step c/sqrt(k) and the best iterate is
-    tracked; once the best energy is below the starting energy, the loop
-    stops when it stalls for 50 iterations within ``tol``.
+
+def threshold_minimizer(u: ScalarField, p: MinimizationProblem,
+                        iterations: int = 0) -> SolverReport:
+    """Best superlevel set of a relaxed field, with independent recompute.
+
+    Scans thresholds between consecutive distinct free values (plus both
+    extremes); by the coarea identity the best superlevel energy never
+    exceeds the relaxed energy.  Ties break toward the lexicographically
+    smallest bitmask.  An arbitrary field carries no dual bound, so the
+    reported ``gap`` is nan.
     """
-    field, _ = _solve_relaxed(_Condensed(p), tol, max_iter)
-    return field
-
-
-def _threshold(cond: _Condensed, u: ScalarField, iterations: int) -> SolverReport:
-    p = cond.problem
+    cond = _Condensed(p)
     if cond.m == 0:
-        E = CellSet(p.window.spec, p.exterior_data.inside, p.exterior_data.exterior)
+        E = cond.set_from(np.zeros(0, dtype=bool))
         e = perimeter(E, p.window, p.table).total
-        return SolverReport(e, 0.5, E, e, iterations, 0.0)
+        return SolverReport(e, 0.5, E, e, iterations, math.nan)
     x = np.clip(u.values[p.window.omega], 0.0, 1.0)
-    relaxed, g = cond.energy_and_pair_gradient(x)
+    relaxed, _ = cond.energy_and_pair_gradient(x)
     vals = np.unique(x)
     cuts = [vals[0] - 1.0]
     cuts += [0.5 * (a + b) for a, b in zip(vals[:-1], vals[1:])]
@@ -240,36 +254,24 @@ def _threshold(cond: _Condensed, u: ScalarField, iterations: int) -> SolverRepor
             best = cand
     minimizer = cond.set_from(best[3])
     energy = perimeter(minimizer, p.window, p.table).total
-    kkt = float(np.max(np.abs(g + cond.q - cond.p)))
-    return SolverReport(relaxed, best[2], minimizer, energy, iterations, kkt)
-
-
-def threshold_minimizer(u: ScalarField, p: MinimizationProblem,
-                        iterations: int = 0) -> SolverReport:
-    """Best superlevel set of a relaxed iterate, with independent recompute.
-
-    Scans thresholds between consecutive distinct free values (plus both
-    extremes); by the coarea identity the best superlevel energy never
-    exceeds the relaxed energy.  Ties break toward the lexicographically
-    smallest bitmask.
-    """
-    return _threshold(_Condensed(p), u, iterations)
+    return SolverReport(relaxed, best[2], minimizer, energy, iterations, math.nan)
 
 
 def solve_and_threshold(p: MinimizationProblem, tol: float = 1e-9,
                         max_iter: int = 2000) -> SolverReport:
-    """Relaxed solve followed by thresholding, on one built energy.
+    """Exact minimizer by an s-t minimum cut, with a certified gap.
 
-    Thresholding snaps to a binary minimizer long before the relaxed
-    values settle, so an exhausted iteration budget is not fatal here:
-    the best iterate carried by the failure is thresholded instead.
+    Max-flow rounds refine the capacities until the gap is at most
+    ``tol`` (1 + |energy|), down to the finest quantum (``tol=0`` runs
+    them all: three rounds), or for at most ``max_iter`` rounds.  The cut
+    is 0/1, so any threshold in [0, 1) reproduces it; 0.5 is reported.
     """
     cond = _Condensed(p)
-    try:
-        field, iters = _solve_relaxed(cond, tol, max_iter)
-    except ConvergenceFailure as err:
-        field, iters = err.best, err.iterations
-    return _threshold(cond, field, iters)
+    bits, flow, rounds = _min_cut(cond.W, cond.p, cond.q, tol, max_iter)
+    relaxed = float(cond.energies_binary(bits[None, :])[0])
+    minimizer = cond.set_from(bits)
+    energy = perimeter(minimizer, p.window, p.table).total
+    return SolverReport(relaxed, 0.5, minimizer, energy, rounds, relaxed - flow)
 
 
 # ---------------------------------------------------------------------------
@@ -287,23 +289,7 @@ def _enumerate_bits(m: int, batch: int = 1 << 14):
     shifts = np.arange(m - 1, -1, -1, dtype=np.uint64)
     for start in range(0, total, batch):
         ints = np.arange(start, min(start + batch, total), dtype=np.uint64)
-        yield start, ((ints[:, None] >> shifts[None, :]) & 1).astype(bool)
-
-
-def _exhaustive_minimum(cond: _Condensed) -> tuple[np.ndarray, float]:
-    """Best bit vector over all 2^m assignments and its energy."""
-    m = cond.m
-    if m > _ORACLE_LIMIT:
-        raise OracleTooLarge(f"{m} free cells exceed the oracle limit {_ORACLE_LIMIT}")
-    best_e = math.inf
-    best_bits = None
-    for _, X in _enumerate_bits(m):
-        E = cond.energies_binary(X)
-        i = int(np.argmin(E))
-        if E[i] < best_e - 1e-15:
-            best_e = float(E[i])
-            best_bits = X[i]
-    return best_bits, best_e
+        yield ((ints[:, None] >> shifts[None, :]) & 1).astype(bool)
 
 
 def brute_force_minimum(p: MinimizationProblem) -> tuple[CellSet, float]:
@@ -313,11 +299,18 @@ def brute_force_minimum(p: MinimizationProblem) -> tuple[CellSet, float]:
     in C order, first cell most significant).
     """
     cond = _Condensed(p)
-    if cond.m == 0:
-        E = CellSet(p.window.spec, p.exterior_data.inside, p.exterior_data.exterior)
-        return E, perimeter(E, p.window, p.table).total
-    bits, best = _exhaustive_minimum(cond)
-    return cond.set_from(bits), best
+    m = cond.m
+    if m > _ORACLE_LIMIT:
+        raise OracleTooLarge(f"{m} free cells exceed the oracle limit {_ORACLE_LIMIT}")
+    best_e = math.inf
+    best_bits = None
+    for X in _enumerate_bits(m):
+        E = cond.energies_binary(X)
+        i = int(np.argmin(E))
+        if E[i] < best_e - 1e-15:
+            best_e = float(E[i])
+            best_bits = X[i]
+    return cond.set_from(best_bits), best_e
 
 
 # ---------------------------------------------------------------------------
@@ -327,11 +320,11 @@ def brute_force_minimum(p: MinimizationProblem) -> tuple[CellSet, float]:
 
 def _is_minimal_on(E: CellSet, window: DomainWindow, table: InteractionTable,
                    rel_tol: float = 1e-9) -> bool:
-    """Whether E attains the exhaustive minimum on the given window."""
+    """Whether E attains the minimum on the given window, by the exact
+    cut (``tol=0`` refines down to the finest quantum)."""
     cond = _Condensed(MinimizationProblem(window, E, table))
-    if cond.m == 0:
-        return True
-    _, best = _exhaustive_minimum(cond)
+    bits, _, _ = _min_cut(cond.W, cond.p, cond.q, 0.0, 3)
+    best = float(cond.energies_binary(bits[None, :])[0])
     own = float(cond.energies_binary(E.inside[window.omega][None, :])[0])
     return own <= best + rel_tol * (1.0 + abs(best))
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from fracperim.functional import PairEngine
+from fracperim import functional
 from fracperim.grid import AnalyticTail, GridSpec, TruncateAtRadius
 from fracperim.kernel import InteractionTable, KernelParams, build_table
 
@@ -28,12 +28,7 @@ def table_for(spec: GridSpec, s: float, policy) -> InteractionTable:
     """Table whose reach covers the padded universe of the policy."""
     key = (spec, float(s), _policy_key(policy))
     if key not in _TABLE_CACHE:
-        probe = build_table(spec, KernelParams(float(s), spec.dim), 1)
-        eng = PairEngine(spec, policy, probe)
-        k = max(eng.padded_spec.extent) - 1
-        _TABLE_CACHE[key] = build_table(
-            spec, KernelParams(float(s), spec.dim), max_offset=k
-        )
+        _TABLE_CACHE[key] = functional.table_for(spec, float(s), policy)
     return _TABLE_CACHE[key]
 
 

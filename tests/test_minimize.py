@@ -2,7 +2,8 @@
 
 import numpy as np
 import pytest
-from scipy import signal
+from scipy import optimize, signal, sparse
+from scipy.sparse.csgraph import maximum_flow
 
 from fracperim import minimize
 from fracperim.errors import NotNested, OracleTooLarge
@@ -11,10 +12,12 @@ from fracperim.grid import (
     AnalyticTail,
     CellSet,
     DomainWindow,
+    EmptyExterior,
     GridSpec,
     HalfSpaceExterior,
     TruncateAtRadius,
     cellset_from_shape,
+    window_from_shape,
 )
 from fracperim.minimize import (
     MinimizationProblem,
@@ -131,6 +134,131 @@ class TestSolver:
         assert np.array_equal(rep.minimizer.inside, E0.inside)
 
 
+def _random_small_problem(seed):
+    """At most 20 random free cells in 1D or 2D, over random data with an
+    empty or a half-space exterior."""
+    rng = np.random.default_rng(3000 + seed)
+    dim = 1 + seed % 2
+    n = 20 if dim == 1 else 6
+    spec = GridSpec(dim, (0.0,) * dim, (n,) * dim, 1.0 / n)
+    exterior = EmptyExterior()
+    if seed % 4 >= 2:
+        exterior = HalfSpaceExterior(int(rng.integers(dim)),
+                                     float(rng.uniform(0.2, 0.8)))
+    E0 = CellSet(spec, rng.random(spec.extent) < 0.5, exterior)
+    omega = np.zeros(spec.n_cells, dtype=bool)
+    omega[rng.choice(spec.n_cells, int(rng.integers(1, 21)), replace=False)] = True
+    win = DomainWindow(spec, omega.reshape(spec.extent), AnalyticTail())
+    s = float(rng.choice([0.3, 0.5, 0.7]))
+    return MinimizationProblem(win, E0, table_for(spec, s, AnalyticTail()))
+
+
+def _lp_minimum(cond):
+    """HiGHS optimum of min sum W_ab t_ab + sum (q_a - p_a) x_a + sum p_a
+    subject to t_ab >= +-(x_a - x_b), x in [0,1]^m."""
+    m = cond.m
+    a, b = np.triu_indices(m, 1)
+    keep = cond.W[a, b] > 0.0
+    a, b = a[keep], b[keep]
+    k = len(a)
+    rows = np.tile(np.arange(k), 3)
+    cols = np.concatenate([a, b, m + np.arange(k)])
+    ones = np.ones(k)
+    A = sparse.vstack([
+        sparse.csr_matrix((np.concatenate([ones, -ones, -ones]), (rows, cols)),
+                          shape=(k, m + k)),
+        sparse.csr_matrix((np.concatenate([-ones, ones, -ones]), (rows, cols)),
+                          shape=(k, m + k)),
+    ])
+    c = np.concatenate([cond.q - cond.p, cond.W[a, b]])
+    res = optimize.linprog(c, A_ub=A, b_ub=np.zeros(2 * k),
+                           bounds=[(0.0, 1.0)] * m + [(0.0, None)] * k,
+                           method="highs")
+    assert res.status == 0, res.message
+    return res.fun + float(cond.p.sum())
+
+
+class TestMinCut:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_matches_oracle_bits(self, seed):
+        p = _random_small_problem(seed)
+        cond = minimize._Condensed(p)
+        energies = np.concatenate(
+            [cond.energies_binary(X) for X in minimize._enumerate_bits(cond.m)]
+        )
+        best_set, best = brute_force_minimum(p)
+        rep = solve_and_threshold(p, tol=0.0)
+        scale = 1.0 + abs(best)
+        assert rep.gap <= 1e-12 * scale
+        assert abs(rep.energy - best) <= 1e-12 * scale
+        runner_up = np.partition(energies, 1)[1]
+        if runner_up - best > 1e-9:
+            assert np.array_equal(rep.minimizer.inside, best_set.inside)
+
+    @pytest.mark.parametrize("case", ["1d", "2d_ball", "2d_box"])
+    def test_matches_linprog(self, case):
+        if case == "1d":
+            spec = GridSpec(1, (0.0,), (128,), 1.0 / 128)
+            E0 = cellset_from_shape(spec, {"shape": "halfspace", "axis": 0,
+                                           "level": 0.45})
+            omega = np.zeros(spec.extent, dtype=bool)
+            omega[20:120] = True
+            win = DomainWindow(spec, omega, AnalyticTail())
+        else:
+            spec = GridSpec(2, (0.0, 0.0), (16, 16), 1.0 / 16)
+            E0 = cellset_from_shape(spec, {"shape": "ball",
+                                           "center": [0.45, 0.55], "radius": 0.3})
+            if case == "2d_ball":
+                omega = window_from_shape(spec, {"shape": "ball", "center": [0.5, 0.5],
+                                                 "radius": 0.3}).omega
+            else:
+                omega = np.zeros(spec.extent, dtype=bool)
+                omega[1:-1, 1:-1] = True
+            win = DomainWindow(spec, omega, TruncateAtRadius(0.25))
+        p = MinimizationProblem(win, E0, table_for(spec, 0.4, win.complement_policy))
+        rep = solve_and_threshold(p, tol=0.0)
+        lp = _lp_minimum(minimize._Condensed(p))
+        scale = 1.0 + abs(lp)
+        assert p.n_free >= 60
+        assert abs(rep.energy - lp) <= 1e-9 * scale
+        assert rep.gap <= 1e-12 * (1.0 + abs(rep.relaxed_energy))
+
+    def test_scale_invariant_with_int32_capacities(self, monkeypatch):
+        seen = []
+
+        def recording(graph, *args, **kwargs):
+            seen.append((graph.dtype, int(graph.data.max(initial=0))))
+            return maximum_flow(graph, *args, **kwargs)
+
+        monkeypatch.setattr(minimize, "maximum_flow", recording)
+        cond = minimize._Condensed(_problem_2d(np.random.default_rng(7)))
+        ref, ref_flow, _ = minimize._min_cut(cond.W, cond.p, cond.q, 0.0, 3)
+        for c in (1e-12, 1e12):
+            bits, flow, rounds = minimize._min_cut(c * cond.W, c * cond.p,
+                                                   c * cond.q, 0.0, 3)
+            assert rounds == 3
+            assert np.array_equal(bits, ref)
+            assert flow == pytest.approx(c * ref_flow, rel=1e-12)
+        assert all(dtype == np.int32 for dtype, _ in seen)
+        assert max(cap for _, cap in seen) == 2**31 - 1  # clipped, not wrapped
+
+    def test_optimal_data_stops_after_few_rounds(self):
+        # the 1D minimize example of the cli_cold benchmark workload: the
+        # data already minimize, and a few rounds must certify that
+        spec = GridSpec(1, (0.0,), (8,), 0.125)
+        E0 = cellset_from_shape(spec, {"shape": "halfspace", "axis": 0, "level": 0.5})
+        win = window_from_shape(spec, {"shape": "ball", "center": [0.5],
+                                       "radius": 0.2}, AnalyticTail())
+        p = MinimizationProblem(win, E0, table_for(spec, 0.5, AnalyticTail()))
+        rep = solve_and_threshold(p)
+        assert rep.iterations <= 3
+        assert rep.gap <= 1e-9 * (1.0 + abs(rep.energy))
+        _, best = brute_force_minimum(p)
+        assert rep.energy <= best + 1e-12 * (1.0 + abs(best))
+        u = minimize.solve_relaxed(p)
+        assert set(np.unique(u.values)) <= {0.0, 1.0}
+
+
 class TestCondensedEnergy:
     @pytest.mark.parametrize("case", ["1d_rays", "2d_analytic", "2d_truncate",
                                       "empty"])
@@ -231,6 +359,23 @@ class TestEquivalence:
         assert not eq_bad.global_ok
         assert not eq_bad.compact_ok
         assert not eq_bad.local_ok
+
+    def test_minimality_beyond_the_oracle_limit(self):
+        spec = GridSpec(2, (0.0, 0.0), (8, 8), 0.125)
+        E0 = cellset_from_shape(spec, {"shape": "halfspace", "axis": 0, "level": 0.5})
+        omega = np.zeros(spec.extent, dtype=bool)
+        omega[1:7, 1:7] = True
+        win = DomainWindow(spec, omega, AnalyticTail())
+        p = MinimizationProblem(win, E0, table_for(spec, 0.5, AnalyticTail()))
+        assert p.n_free > minimize._ORACLE_LIMIT
+        rep = solve_and_threshold(p)
+        eq = check_minimality_equivalence(rep.minimizer, win, p.table)
+        assert eq.global_ok and eq.compact_ok and eq.local_ok
+        assert not eq.degenerate
+        flipped = rep.minimizer.inside.copy()
+        flipped[3, 3] = ~flipped[3, 3]
+        bad = CellSet(spec, flipped, rep.minimizer.exterior)
+        assert not check_minimality_equivalence(bad, win, p.table).global_ok
 
 
 class TestExhaustion:
