@@ -1,19 +1,20 @@
 """Quadrature of the singular interaction kernel |x-y|^(-n-s).
 
 Pairwise cell weights are translation invariant, so the whole table is a
-map offset -> weight.  1D weights use the closed-form antiderivative; in
-higher dimensions far pairs use a Richardson-corrected midpoint rule and
-near pairs a recursive dyadic subdivision (convergent because the kernel
-is integrable across touching faces for s < 1).
+map offset -> weight.  1D weights use the closed-form antiderivative.  In
+dimensions 2 and 3 the unit-cell pair weight is int rho(v) |v|^(-n-s) dv
+over the support of the overlap density rho, which is a product of linear
+factors on each of its 2^n unit pieces.  A piece with a corner at the
+origin gets the Duffy map, whose radial integral is closed-form; every
+other piece is smooth and gets tensor Gauss-Legendre.  Both are exact to
+rounding and cheap, so each table computes its weights afresh and nothing
+is cached.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
-import struct
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -33,7 +34,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class KernelParams:
-    """Kernel exponent parameters: s in (0,1), ambient dimension, depth."""
+    """Kernel exponent parameters: s in (0,1) and the ambient dimension.
+
+    ``near_field_order`` is accepted for compatibility and has no effect;
+    the pair weights have no depth parameter.
+    """
 
     s: float
     dim: int
@@ -83,118 +88,111 @@ def interval_ray_exact(a: float, b: float, c: float, s: float) -> float:
 # Unit-cell pair integrals in dimension >= 2 (h = 1; scaling is exact).
 # ---------------------------------------------------------------------------
 
+_DUFFY_NODES = 20  # per axis of the (n-1)-dimensional Duffy rule
+_NEAR_NODES, _FAR_NODES = 12, 6  # per axis on pieces nearer/farther than:
+_FAR_DISTANCE = 7.0
+# every weight up to offset 30 (2D) and 14 (3D) is within 1e-14 relative
+# of 40-node rules at s in {0.05, 0.5, 0.95}
+_CHUNK = 1 << 18  # integrand values evaluated at once (2 MB of float64)
 
-def _midpoint_richardson(delta: np.ndarray, n: int, s: float) -> np.ndarray:
-    """Midpoint value with one Richardson step for unit-cell pairs at offsets.
 
-    ``delta`` is (m, n) float offsets between cell centers, |delta|_inf >= 2
-    recommended.  Combines the coarse midpoint with the 2x-subdivided
-    midpoint to cancel the leading error term.
+def _gauss_legendre(q: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the q-point Gauss-Legendre rule on [0, 1]."""
+    x, w = np.polynomial.legendre.leggauss(q)
+    return 0.5 * (x + 1.0), 0.5 * w
+
+
+def _corner_integrals(n: int, s: float) -> np.ndarray:
+    """C[j-1] = int over [0,1]^n of u_1..u_j (1-u_{j+1})..(1-u_n) |u|^(-n-s).
+
+    On the pyramid where u_i is the largest coordinate, u = t * e with
+    e_i = 1, the other e_a = w_a in [0,1]^(n-1), and Jacobian t^(n-1)
+    (Duffy).  The density is a polynomial sum_k c_k(w) t^k with c_0 = 0,
+    because j >= 1 factors vanish at the origin, so the t-integral is
+    sum_k c_k(w) / (k-s) |e|^(-n-s).  What is left is smooth in w.
     """
-    delta = np.atleast_2d(np.asarray(delta, dtype=float))
-    p = n + s
-    coarse = (np.sum(delta**2, axis=1)) ** (-p / 2.0)
-    # subdividing both cells once yields per-axis center displacements in
-    # {-1/2, 0, 1/2} with binomial multiplicities (1, 2, 1)/4
-    shifts = [(-0.5, 1.0), (0.0, 2.0), (0.5, 1.0)]
-    fine = np.zeros(len(delta))
-    for combo in itertools.product(shifts, repeat=n):
-        mult = 1.0
-        off = np.zeros(n)
-        for axx, (dv, m) in enumerate(combo):
-            off[axx] = dv
-            mult *= m / 4.0
-        d2 = np.sum((delta + off) ** 2, axis=1)
-        fine += mult * d2 ** (-p / 2.0)
-    return (4.0 * fine - coarse) / 3.0
+    x, w = _gauss_legendre(_DUFFY_NODES)
+    grid = np.meshgrid(*([x] * (n - 1)), indexing="ij")
+    pts = np.stack([g.ravel() for g in grid])
+    wts = np.prod(np.meshgrid(*([w] * (n - 1)), indexing="ij"), axis=0).ravel()
+    radial = wts * (1.0 + np.sum(pts**2, axis=0)) ** (-0.5 * (n + s))
+    moments = 1.0 / (np.arange(n + 1) - s)
+    out = np.zeros(n)
+    for j in range(1, n + 1):
+        for i in range(n):
+            e = np.insert(pts, i, 1.0, axis=0)
+            poly = np.ones((1, pts.shape[1]))
+            for a in range(n):
+                # coefficients of the factor t e_a (a < j) or 1 - t e_a
+                c0, c1 = (0.0, e[a]) if a < j else (1.0, -e[a])
+                grown = np.zeros((len(poly) + 1, pts.shape[1]))
+                grown[:-1] += c0 * poly
+                grown[1:] += c1 * poly
+                poly = grown
+            out[j - 1] += float(radial @ (moments @ poly))
+    return out
 
 
-@lru_cache(maxsize=None)
-def _near_class_integral(offset: tuple, n: int, s: float) -> float:
-    """Exact pair integral for nearby unit cubes at the given offset.
+def _piece_integrals(lower: np.ndarray, rising, n: int, s: float,
+                     q: int) -> np.ndarray:
+    """int over lower + [0,1]^n of prod_a l_a(x_a) |lower + x|^(-n-s) dx.
 
-    Switching to the difference coordinate v = y - x turns the cell-pair
-    integral into int rho(v) |v|^(-n-s) dv where rho is the overlap
-    density prod_a max(0, 1 - |v_a - delta_a|).  The density vanishes
-    linearly on the faces through the origin, so the integrand is bounded
-    by |v|^(1-n-s) there and adaptive quadrature converges.
+    l_a(x) = x where ``rising[a]``, else 1 - x.  Tensor Gauss-Legendre
+    with q nodes per axis; every piece lies at distance >= 1 from the
+    origin, where the integrand is smooth.
     """
-    import warnings
-
-    from scipy import integrate
-
-    p = n + s
-    delta = np.asarray(offset, dtype=float)
-
-    def density(v):
-        return float(np.prod(np.maximum(0.0, 1.0 - np.abs(v - delta))))
-
-    lo, hi = delta - 1.0, delta + 1.0
-    with warnings.catch_warnings():
-        # roundoff warnings fire while the extrapolation table saturates
-        # well past the accuracy we keep; the values are stable
-        warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        if n == 2:
-            val, _ = integrate.dblquad(
-                lambda y, x: density(np.array([x, y]))
-                * (x * x + y * y) ** (-p / 2.0),
-                lo[0], hi[0], lo[1], hi[1], epsabs=1e-12, epsrel=1e-11,
-            )
-        elif n == 3:
-            val, _ = integrate.tplquad(
-                lambda z, y, x: density(np.array([x, y, z]))
-                * (x * x + y * y + z * z) ** (-p / 2.0),
-                lo[0], hi[0], lo[1], hi[1], lo[2], hi[2],
-                epsabs=1e-10, epsrel=1e-9,
-            )
-        else:
-            raise ValueError(
-                f"touching-cell quadrature implemented for n in (2, 3), got {n}")
-    return val
+    x, w = _gauss_legendre(q)
+    wt = np.ones(())
+    for r in rising:
+        wt = np.multiply.outer(wt, w * (x if r else 1.0 - x))
+    wt = wt.ravel()
+    out = np.empty(len(lower))
+    step = max(1, _CHUNK // q**n)
+    for lo in range(0, len(lower), step):
+        blk = lower[lo:lo + step]
+        r2 = 0.0
+        for a in range(n):
+            shape = [len(blk)] + [1] * n
+            shape[a + 1] = q
+            r2 = r2 + ((blk[:, a, None] + x) ** 2).reshape(shape)
+        out[lo:lo + step] = (r2 ** (-0.5 * (n + s))).reshape(len(blk), -1) @ wt
+    return out
 
 
-@lru_cache(maxsize=None)
-def _canonical_near_weight(offset: tuple, n: int, s: float, depth: int) -> float:
-    """Unit-cell pair integral for a nearby offset by dyadic subdivision.
+def _unit_weights(offsets, n: int, s: float) -> np.ndarray:
+    """Pair integrals of unit cubes at nonzero integer offsets, shape (m, n).
 
-    Both cells split in half along every axis; sub-pairs that are again
-    nearby (|offset|_inf <= 2 in sub-cell units) recurse, the rest use
-    the Richardson-corrected midpoint.  Translation and reflection
-    symmetry collapse the recursion onto a handful of canonical offset
-    classes, so each (class, depth) state is evaluated once.  At depth 0
-    the cached per-class quadrature closes the recursion.
+    The weight at offset delta is int rho(v) |v|^(-n-s) dv with overlap
+    density rho(v) = prod_a max(0, 1 - |v_a - delta_a|).  Its support
+    delta + [-1,1]^n splits into 2^n unit pieces with lower corners
+    delta - e, e in {0,1}^n, on which rho is prod_a (x_a if e_a else
+    1 - x_a) in local coordinates x.  The weight depends on |delta| up to
+    order, so offsets are first sorted into descending |delta_a|.  A piece
+    touches the origin only when every delta_a is 0 or 1; reflected onto
+    [0,1]^n it is the corner integral with one rising factor per
+    delta_a = 1, and there are 2^(n - j) of them for j such axes.
     """
-    if depth == 0:
-        return _near_class_integral(offset, n, s)
-    base = 2 * np.asarray(offset, dtype=int)
-    near_classes: dict[tuple, int] = {}
-    far_offsets = []
-    for d in itertools.product((-1, 0, 1), repeat=n):
-        # sub-cell offsets 2*offset + (o2 - o1) with per-axis multiplicity
-        # 1, 2, 1 for the half-cell shift differences -1, 0, +1
-        mult = 1
-        for dv in d:
-            mult *= 2 if dv == 0 else 1
-        off = base + np.asarray(d, dtype=int)
-        if np.max(np.abs(off)) <= 2:
-            cls = tuple(sorted(np.abs(off).tolist(), reverse=True))
-            near_classes[cls] = near_classes.get(cls, 0) + mult
-        else:
-            far_offsets.extend([off] * mult)
-    total = 0.0
-    for cls, mult in sorted(near_classes.items()):
-        total += mult * _canonical_near_weight(cls, n, s, depth - 1)
-    if far_offsets:
-        w = _midpoint_richardson(np.asarray(far_offsets, dtype=float), n, s)
-        total += float(np.sum(w))
-    return 0.5 ** (n - s) * total
+    d = np.sort(np.abs(np.asarray(offsets, dtype=np.int64)), axis=1)[:, ::-1]
+    if not d[:, 0].all():
+        raise ValueError("the zero offset has no finite pair weight")
+    out = np.zeros(len(d))
+    touching = d[:, 0] == 1
+    j = d[touching].sum(axis=1)
+    out[touching] = _corner_integrals(n, s)[j - 1] * 2.0 ** (n - j)
+    for e in np.ndindex((2,) * n):
+        lower = d - np.asarray(e)
+        smooth = np.any((lower > 0) | (lower < -1), axis=1)
+        gap2 = np.sum(np.maximum(lower, -1 - lower) ** 2, axis=1)
+        near = gap2 < _FAR_DISTANCE**2
+        for q, sel in ((_NEAR_NODES, smooth & near), (_FAR_NODES, smooth & ~near)):
+            if sel.any():
+                out[sel] += _piece_integrals(lower[sel].astype(float), e, n, s, q)
+    return out
 
 
 # ---------------------------------------------------------------------------
 # Interaction table.
 # ---------------------------------------------------------------------------
-
-_CACHE_MAGIC = b"FRACTBL1"
 
 
 @dataclass(frozen=True)
@@ -202,8 +200,8 @@ class InteractionTable:
     """Symmetric pairwise cell weights indexed by integer offset.
 
     ``weights`` has shape (2K+1,)*dim with K = max_offset; entry at index
-    offset + K approximates the double integral of the kernel over a cell
-    pair at that offset.  The zero offset carries weight 0 (same-cell
+    offset + K is the double integral of the kernel over a cell pair at
+    that offset, to rounding.  The zero offset carries weight 0 (same-cell
     pairs never contribute for piecewise-constant fields).
     """
 
@@ -235,35 +233,6 @@ class InteractionTable:
         sl = tuple(slice(k - r, k + r + 1) for r in reaches)
         return self.weights[sl]
 
-    # -- cache file ---------------------------------------------------------
-
-    def save(self, path) -> None:
-        header = struct.pack(
-            "<8sqqqdd",
-            _CACHE_MAGIC,
-            self.spec.dim,
-            self.max_offset,
-            self.params.near_field_order,
-            self.params.s,
-            self.spec.h,
-        )
-        with open(path, "wb") as f:
-            f.write(header)
-            f.write(self.weights.astype("<f8").tobytes(order="C"))
-
-    @staticmethod
-    def load(path, spec: GridSpec) -> "InteractionTable":
-        with open(path, "rb") as f:
-            head = f.read(struct.calcsize("<8sqqqdd"))
-            magic, dim, max_offset, depth, s, h = struct.unpack("<8sqqqdd", head)
-            if magic != _CACHE_MAGIC:
-                raise ValueError("not a fracperim table cache file")
-            count = (2 * max_offset + 1) ** dim
-            data = np.frombuffer(f.read(count * 8), dtype="<f8").copy()
-        params = KernelParams(s=s, dim=dim, near_field_order=depth)
-        shape = (2 * max_offset + 1,) * dim
-        return InteractionTable(spec, params, max_offset, data.reshape(shape))
-
 
 def build_table(spec: GridSpec, params: KernelParams, max_offset: int) -> InteractionTable:
     """Precompute pairwise cell weights for all offsets up to max_offset.
@@ -277,41 +246,21 @@ def build_table(spec: GridSpec, params: KernelParams, max_offset: int) -> Intera
     s = params.s
     K = max_offset
     shape = (2 * K + 1,) * n
-    weights = np.zeros(shape)
     scale = spec.h ** (n - s)
 
     if n == 1:
+        weights = np.zeros(shape)
         for d in range(1, K + 1):
             w = interval_pair_exact(0.0, 1.0, float(d), float(d + 1.0), s) * scale
             weights[K + d] = w
             weights[K - d] = w
         return InteractionTable(spec, params, K, weights)
 
-    # canonical offsets: sorted non-increasing, nonnegative
-    canon = {}
-    rng = range(0, K + 1)
-    far_list = []
-    for off in itertools.product(rng, repeat=n):
-        if all(o == 0 for o in off):
-            continue
-        if any(off[i] < off[i + 1] for i in range(n - 1)):
-            continue
-        if max(off) <= 2:
-            canon[off] = _canonical_near_weight(off, n, s, params.near_field_order)
-        else:
-            far_list.append(off)
-    if far_list:
-        vals = _midpoint_richardson(np.asarray(far_list, dtype=float), n, s)
-        for off, v in zip(far_list, vals):
-            canon[off] = float(v)
-
-    # mirror over the hyperoctahedral group
-    idx = np.indices(shape).reshape(n, -1).T - K  # all offsets
-    mags = np.sort(np.abs(idx), axis=1)[:, ::-1]
-    flat = weights.reshape(-1)
-    keys = [tuple(m) for m in mags]
-    for i, key in enumerate(keys):
-        if all(k == 0 for k in key):
-            continue
-        flat[i] = canon[key] * scale
-    return InteractionTable(spec, params, K, weights)
+    # canonical offsets (descending, nonzero) fill a (K+1)^n array, which
+    # the descending-sorted |offset| of every table entry then indexes
+    canon = np.indices((K + 1,) * n).reshape(n, -1).T
+    canon = canon[np.all(canon[:, :-1] >= canon[:, 1:], axis=1) & (canon[:, 0] > 0)]
+    unit = np.zeros((K + 1,) * n)
+    unit[tuple(canon.T)] = _unit_weights(canon, n, s)
+    mags = np.sort(np.abs(np.indices(shape) - K), axis=0)[::-1]
+    return InteractionTable(spec, params, K, unit[tuple(mags)] * scale)

@@ -341,6 +341,8 @@ def check_minimality_equivalence(E: CellSet, window: DomainWindow,
     """
     spec = window.spec
     global_ok = _is_minimal_on(E, window, table)
+    if not window.omega.any():
+        return EquivalenceReport(global_ok, True, True, True)
 
     sd = signed_distance(window).values
     h = spec.h

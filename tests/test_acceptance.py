@@ -60,6 +60,7 @@ from fracperim.minimize import (
     solve_and_threshold,
 )
 from tests.conftest import table_for
+from tests.test_kernel import _near_class_integral
 
 
 def _report(tag: str, ok: bool, detail: str = "") -> None:
@@ -161,16 +162,21 @@ def test_a2_kernel_oracle():
     spec = GridSpec(2, (0.0, 0.0), (4, 4), 0.25)
     t6 = build_table(spec, KernelParams(0.5, 2, near_field_order=6), max_offset=2)
     t8 = build_table(spec, KernelParams(0.5, 2, near_field_order=8), max_offset=2)
+    scale = spec.h ** (2 - 0.5)
     worst_near = 0.0
+    worst_dblquad = 0.0
     for off in [(0, 1), (1, 1), (0, 2), (1, 2), (2, 2)]:
         w6 = t6.weight(off)
         w8 = t8.weight(off)
         worst_near = max(worst_near, abs(w8 - w6) / abs(w8))
+        ref = scale * _near_class_integral(off, 0.5)
+        worst_dblquad = max(worst_dblquad, abs(w8 - ref) / abs(ref))
 
-    ok = worst_pair <= 1e-8 and worst_near < 0.01
+    ok = worst_pair <= 1e-8 and worst_near == 0.0 and worst_dblquad <= 1e-10
     _report("A2", ok,
             f"pair vs quadrature {worst_pair:.2e}, "
-            f"near-field depth 6->8 change {worst_near:.2%}")
+            f"near-field depth 6->8 change {worst_near:.2%}, "
+            f"near field vs dblquad {worst_dblquad:.2e}")
     assert ok
 
 
@@ -258,6 +264,19 @@ def test_a3_strip_scaling():
         + ".  The rows match the independent reference, so the fault lies "
         "in the exponent estimator."
     )
+
+
+def test_strip_rows_match_reference():
+    # with exact cell-pair weights the rows equal the continuum strip
+    # interaction up to the reference's own accuracy (about 1e-6)
+    res = CliRunner().invoke(cli_main, ["strip-scan", "--deltas", "0.25,0.125,0.0625"])
+    rows = [ln.split(",") for ln in res.output.splitlines()
+            if ln and not ln.startswith("#") and not ln.startswith("s,")]
+    assert len(rows) == 9, res.output
+    for r in rows:
+        s, delta, measured = float(r[0]), float(r[1]), float(r[2])
+        ref = _strip_reference(s, delta)
+        assert abs(measured / ref - 1.0) <= 1e-6, (s, delta, measured, ref)
     assert res.exit_code == 0, res.output
 
 

@@ -2,18 +2,28 @@
 
 import itertools
 import math
+import time
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import integrate
+from scipy import integrate, special
 
+from fracperim import functional
 from fracperim.errors import InvalidInterval, InvalidRadius
-from fracperim.grid import GridSpec
+from fracperim.grid import (
+    AnalyticTail,
+    CellSet,
+    DomainWindow,
+    GridSpec,
+    TruncateAtRadius,
+    full_window,
+)
 from fracperim.kernel import (
-    InteractionTable,
     KernelParams,
+    _unit_weights,
     build_table,
     interval_pair_exact,
     interval_ray_exact,
@@ -25,6 +35,58 @@ from fracperim.kernel import (
 # computed by reducing the pair integral to a one-dimensional hyperbolic
 # substitution evaluated to 12+ digits
 _TOUCHING_2D_S05 = 3.647087515502968
+
+
+def _near_class_integral(offset, s):
+    """Adaptive-quadrature reference for the 2D unit-cell pair weight.
+
+    int rho(v) |v|^(-2-s) dv with rho(v) = prod_a max(0, 1 - |v_a - d_a|),
+    by ``dblquad`` on each of the four unit pieces of the support.  Each
+    piece is split at the diagonal through its corner nearest the origin,
+    so that a singular corner is a triangle vertex; one ``dblquad`` over
+    the whole support stalls about 1.5e-10 off at (1, 0) and s = 0.95.
+    """
+    p = 2.0 + s
+    d = np.asarray(offset, dtype=float)
+
+    def integrand(x, y):
+        rho = max(0.0, 1.0 - abs(x - d[0])) * max(0.0, 1.0 - abs(y - d[1]))
+        return rho * (x * x + y * y) ** (-p / 2.0)
+
+    total = 0.0
+    with warnings.catch_warnings():
+        # roundoff warnings fire while the extrapolation table saturates
+        # well past the accuracy we keep; the values are stable
+        warnings.simplefilter("ignore", integrate.IntegrationWarning)
+        for lo in itertools.product(*[(di - 1.0, di) for di in d]):
+            cx, cy = (lo_a if abs(lo_a) <= abs(lo_a + 1.0) else lo_a + 1.0
+                      for lo_a in lo)
+            sx, sy = (1.0 if c == lo_a else -1.0 for c, lo_a in zip((cx, cy), lo))
+            below, _ = integrate.dblquad(
+                lambda b, a: integrand(cx + sx * a, cy + sy * b),
+                0.0, 1.0, 0.0, lambda a: a, epsabs=1e-14, epsrel=1e-13)
+            above, _ = integrate.dblquad(
+                lambda a, b: integrand(cx + sx * a, cy + sy * b),
+                0.0, 1.0, 0.0, lambda b: b, epsabs=1e-14, epsrel=1e-13)
+            total += below + above
+    return total
+
+
+def _gauss_legendre_pair(offset, s, nodes=24):
+    """Tensor Gauss-Legendre on each unit piece of the support of rho, for
+    offsets whose pieces all stay at distance >= 1 from the origin."""
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    x, w = 0.5 * (x + 1.0), 0.5 * w
+    n = len(offset)
+    total = 0.0
+    for lo in itertools.product(*[(d - 1, d) for d in offset]):
+        v = np.meshgrid(*[a + x for a in lo], indexing="ij")
+        rho = np.ones_like(v[0])
+        for va, d in zip(v, offset):
+            rho *= 1.0 - np.abs(va - d)
+        wt = np.prod(np.meshgrid(*([w] * n), indexing="ij"), axis=0)
+        total += np.sum(wt * rho * sum(va**2 for va in v) ** (-(n + s) / 2.0))
+    return total
 
 
 def _quad_pair(a, b, c, d, s):
@@ -126,15 +188,21 @@ class TestTable2D:
     def test_touching_pair_against_reference(self):
         spec = GridSpec(2, (0.0, 0.0), (3, 3), 1.0)
         t = build_table(spec, KernelParams(0.5, 2), max_offset=2)
-        assert t.weight([1, 0]) == pytest.approx(_TOUCHING_2D_S05, rel=1e-3)
+        assert t.weight([1, 0]) == pytest.approx(_TOUCHING_2D_S05, rel=1e-12)
 
-    def test_near_field_self_convergence(self):
-        spec = GridSpec(2, (0.0, 0.0), (3, 3), 1.0)
-        lo = build_table(spec, KernelParams(0.5, 2, near_field_order=6), 2)
-        hi = build_table(spec, KernelParams(0.5, 2, near_field_order=8), 2)
-        for off in ((1, 0), (1, 1), (2, 0), (2, 1), (2, 2)):
-            a, b = lo.weight(off), hi.weight(off)
-            assert abs(a - b) / abs(b) < 0.01
+    @pytest.mark.parametrize("s", [0.05, 0.3, 0.5, 0.7, 0.95])
+    def test_near_classes_match_dblquad(self, s):
+        offsets = [(1, 0), (1, 1), (2, 0), (2, 1), (2, 2)]
+        got = _unit_weights(np.array(offsets), 2, s)
+        for off, w in zip(offsets, got):
+            assert w == pytest.approx(_near_class_integral(off, s), rel=1e-10), off
+
+    @pytest.mark.parametrize("s", [0.1, 0.5, 0.9])
+    def test_far_offsets_match_gauss_legendre(self, s):
+        offsets = [(3, 0), (5, 2), (11, 0), (40, 17)]
+        got = _unit_weights(np.array(offsets), 2, s)
+        for off, w in zip(offsets, got):
+            assert w == pytest.approx(_gauss_legendre_pair(off, s), rel=1e-12), off
 
     def test_far_field_matches_point_kernel(self):
         spec = GridSpec(2, (0.0, 0.0), (20, 20), 1.0)
@@ -149,23 +217,45 @@ class TestTable2D:
         assert t.weight([15, 8]) == pytest.approx(point, rel=5e-3)
 
 
-class TestCache:
-    def test_save_load_round_trip(self, tmp_path):
-        spec = GridSpec(2, (0.0, 0.0), (4, 4), 0.5)
-        t = build_table(spec, KernelParams(0.45, 2), max_offset=3)
-        path = tmp_path / "weights.fractbl"
-        t.save(path)
-        back = InteractionTable.load(path, spec)
-        assert back.max_offset == t.max_offset
-        assert back.params == t.params
-        assert np.array_equal(back.weights, t.weights)
+class TestTable3D:
+    @pytest.mark.parametrize("s", [0.1, 0.5, 0.9])
+    def test_marginal_is_beta_times_2d_weight(self, s):
+        # summing rho over the third axis gives 1, and the kernel's line
+        # integral is B(1/2, 1+s/2) |v'|^(-2-s); the weights beyond |d| = K
+        # are |d|^(-3-s) to O(K^-2) relative, summed by the midpoint rule
+        K = 400
+        d = np.arange(-K, K + 1)
+        for off in ((1, 0), (1, 1), (2, 1)):
+            offsets = np.column_stack([np.full_like(d, off[0]),
+                                       np.full_like(d, off[1]), d])
+            total = math.fsum(_unit_weights(offsets, 3, s))
+            total += 2.0 * (K + 0.5) ** (-2.0 - s) / (2.0 + s)
+            w2 = _unit_weights(np.array([off]), 2, s)[0]
+            expect = special.beta(0.5, 1.0 + 0.5 * s) * w2
+            assert total == pytest.approx(expect, rel=1e-9), off
 
-    def test_load_rejects_foreign_file(self, tmp_path):
-        path = tmp_path / "junk.fractbl"
-        path.write_bytes(b"NOTATBL1" + b"\x00" * 64)
-        spec = GridSpec(2, (0.0, 0.0), (4, 4), 0.5)
-        with pytest.raises(ValueError):
-            InteractionTable.load(path, spec)
+    def test_analytic_tail_table_builds_fast(self):
+        spec = GridSpec(3, (0.0,) * 3, (8, 8, 8), 0.125)
+        start = time.perf_counter()
+        t = functional.table_for(spec, 0.5, AnalyticTail())
+        assert time.perf_counter() - start < 10.0
+        assert t.weights.shape == (2 * t.max_offset + 1,) * 3
+        assert t.weight([1, 0, 0]) == t.weight([0, 0, -1]) > t.weight([1, 1, 0])
+
+    def test_complement_and_decomposition_identities(self, rng):
+        spec = GridSpec(3, (0.0,) * 3, (6, 6, 6), 1.0 / 6)
+        policy = TruncateAtRadius(0.5)
+        table = functional.table_for(spec, 0.5, policy)
+        E = CellSet(spec, rng.random(spec.extent) < 0.5)
+        outer = full_window(spec, policy)
+        p = functional.perimeter(E, outer, table).total
+        p_c = functional.perimeter(E.complement(), outer, table).total
+        assert abs(p - p_c) <= 1e-10 * (1.0 + p)
+        sub = np.zeros(spec.extent, dtype=bool)
+        sub[1:5, 2:5, 1:4] = True
+        inner = DomainWindow(spec, sub, policy)
+        res = functional.decomposition_check(E, inner, outer, table)
+        assert res <= 1e-10 * (1.0 + p)
 
 
 class TestBallVolume:

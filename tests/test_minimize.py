@@ -360,6 +360,14 @@ class TestEquivalence:
         assert not eq_bad.compact_ok
         assert not eq_bad.local_ok
 
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_empty_window_is_degenerate(self, dim):
+        spec = GridSpec(dim, (0.0,) * dim, (6,) * dim, 1.0 / 6)
+        E0 = cellset_from_shape(spec, {"shape": "halfspace", "axis": 0, "level": 0.5})
+        win = DomainWindow(spec, np.zeros(spec.extent, dtype=bool), AnalyticTail())
+        eq = check_minimality_equivalence(E0, win, table_for(spec, 0.5, AnalyticTail()))
+        assert eq == minimize.EquivalenceReport(True, True, True, True)
+
     def test_minimality_beyond_the_oracle_limit(self):
         spec = GridSpec(2, (0.0, 0.0), (8, 8), 0.125)
         E0 = cellset_from_shape(spec, {"shape": "halfspace", "axis": 0, "level": 0.5})
