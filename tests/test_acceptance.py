@@ -264,6 +264,7 @@ def test_a3_strip_scaling():
         + ".  The rows match the independent reference, so the fault lies "
         "in the exponent estimator."
     )
+    assert res.exit_code == 0, res.output
 
 
 def test_strip_rows_match_reference():
