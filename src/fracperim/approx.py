@@ -13,10 +13,15 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import signal
 
 from .errors import EpsilonBelowResolution, InvalidSchedule
-from .functional import InteractionTable, PerimeterBreakdown, perimeter, superlevel
+from .functional import (
+    InteractionTable,
+    PairEngine,
+    PerimeterBreakdown,
+    perimeter,
+    superlevel,
+)
 from .grid import (
     CellSet,
     DomainWindow,
@@ -86,7 +91,8 @@ def mollify(u, m: MollifierSpec) -> ScalarField:
     kern = m.sampled(spec)
     reach = (kern.shape[0] - 1) // 2
     padded = field.values_on(spec.padded(reach))
-    out = signal.convolve(padded, kern, mode="valid", method="direct")
+    windows = np.lib.stride_tricks.sliding_window_view(padded, kern.shape)
+    out = np.tensordot(windows, np.flip(kern), axes=kern.ndim)
     return ScalarField(spec, out, field.exterior)
 
 
@@ -155,12 +161,12 @@ _THRESHOLD_GRID = np.linspace(0.01, 0.99, 99)
 
 
 def _pick_threshold(u: ScalarField, target: float, window: DomainWindow,
-                    table: InteractionTable) -> tuple[float, CellSet]:
+                    engine: PairEngine) -> tuple[float, CellSet]:
     """Threshold whose superlevel perimeter is closest to the target.
 
     Distinct thresholds produce only finitely many sets, so the scan
     groups the 99-point grid by resulting bitmask; ties break toward
-    t = 1/2.
+    t = 1/2.  Every perimeter of the scan shares ``engine``.
     """
     best = None
     seen = {}
@@ -170,7 +176,7 @@ def _pick_threshold(u: ScalarField, target: float, window: DomainWindow,
         if key in seen:
             gap = seen[key]
         else:
-            gap = abs(perimeter(sup, window, table).total - target)
+            gap = abs(perimeter(sup, window, engine.table, engine=engine).total - target)
             seen[key] = gap
         cand = (gap, abs(t - 0.5), float(t), sup)
         if best is None or (cand[0], cand[1]) < (best[0], best[1]):
@@ -197,13 +203,14 @@ def approximate_set(E: CellSet, window: DomainWindow, eps_schedule,
     the boundary of E.
     """
     eps_list = _validate_schedule(eps_schedule, E.spec.h)
-    target = perimeter(E, window, table).total
+    eng = PairEngine(window.spec, window.complement_policy, table)
+    target = perimeter(E, window, table, engine=eng).total
     bdist = _boundary_distance(E)
     steps = []
     for eps in eps_list:
         u = mollify(E, MollifierSpec(eps))
-        t_star, approx = _pick_threshold(u, target, window, table)
-        bd = perimeter(approx, window, table)
+        t_star, approx = _pick_threshold(u, target, window, eng)
+        bd = perimeter(approx, window, table, engine=eng)
         contained = _containment(approx, bdist, eps, exclude=None)
         steps.append(ApproxStep(eps, t_star, approx, bd, contained))
     return steps
@@ -221,7 +228,8 @@ def approximate_set_lipschitz(E: CellSet, window: DomainWindow, eps_schedule,
     shrinking collar the strict neighborhood containment is enforced.
     """
     eps_list = _validate_schedule(eps_schedule, E.spec.h)
-    target = perimeter(E, window, table).total
+    eng = PairEngine(window.spec, window.complement_policy, table)
+    target = perimeter(E, window, table, engine=eng).total
     bdist = _boundary_distance(E)
     omega = window.omega
     if omega.any() and not omega.all():
@@ -235,8 +243,8 @@ def approximate_set_lipschitz(E: CellSet, window: DomainWindow, eps_schedule,
             vals = vals * (wdist >= 2.0 * eps)
         u0 = ScalarField(E.spec, vals, E.exterior)
         u = mollify(u0, MollifierSpec(eps))
-        t_star, approx = _pick_threshold(u, target, window, table)
-        bd = perimeter(approx, window, table)
+        t_star, approx = _pick_threshold(u, target, window, eng)
+        bd = perimeter(approx, window, table, engine=eng)
         exclude = None if wdist is None else (wdist < 3.0 * eps)
         contained = _containment(approx, bdist, eps, exclude=exclude)
         steps.append(ApproxStep(eps, t_star, approx, bd, contained))

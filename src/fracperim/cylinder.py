@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import integrate
 
 from .errors import (
     ConfinementUndetermined,
@@ -23,9 +22,15 @@ from .errors import (
     SpecMismatch,
     WindowTooShort,
 )
-from .functional import PerimeterBreakdown, _pair_sum
+from .functional import (
+    PerimeterBreakdown,
+    _correlate,
+    _pair_sum,
+    _split_sums,
+    _tail_terms,
+)
 from .grid import CellSet, DomainWindow, GridSpec, ScalarField, SubgraphExterior
-from .kernel import InteractionTable, KernelParams, build_table, tail_mass, unit_ball_volume
+from .kernel import InteractionTable, KernelParams, build_table, unit_ball_volume
 
 __all__ = [
     "SubgraphSet",
@@ -118,6 +123,8 @@ def _ray_mass(d: float, gap: float, h: float, p: float) -> float:
     g = gap + 1e-300  # guard the d = 0, gap = 0 corner of the power law
     if d == 0.0:
         return _interval_ray_pow(0.0, h, h + gap, p)
+    from scipy import integrate
+
     body, _ = integrate.quad(
         lambda u: (u - g) * (d * d + u * u) ** (-p / 2.0),
         g, g + h, epsabs=1e-13, epsrel=1e-12,
@@ -220,8 +227,10 @@ def truncated_cylinder_perimeter(E, omega_base: DomainWindow, k: float,
     c_in = ~occ & om
     e_out = occ & ~om
     c_out = ~occ & ~om
-    local = _pair_sum(e_in, c_in, table)
-    nl = [_pair_sum(e_in, c_out, table), _pair_sum(e_out, c_in, table)]
+    spectra: dict = {}
+    local, nl_pairs = _split_sums(e_in, c_in, e_out, c_out,
+                                  lambda A: _correlate(A, table, spectra))
+    nl = [nl_pairs]
 
     # vertical rays: top rays are complement everywhere, bottom rays are E
     p = table.params.dim + table.params.s
@@ -243,15 +252,13 @@ def truncated_cylinder_perimeter(E, omega_base: DomainWindow, k: float,
     nonlocal_ = math.fsum(nl)
 
     # horizontal truncation bound for the omitted far field
-    params = table.params
     pts = uni.centers().reshape(uni.extent + (n_amb,))[om]
     lo = uni.box_lo[:-1]
     hi = uni.box_hi[:-1]
     r = np.minimum(
         (pts[:, :-1] - lo).min(axis=1), (hi - pts[:, :-1]).min(axis=1)
     )
-    r = np.maximum(r, h * 0.5)
-    bound = float(sum(h**n_amb * tail_mass(float(ri), params) for ri in np.sort(r)))
+    bound = float(_tail_terms(r, h, table.params).sum())
 
     return PerimeterBreakdown(
         local=local,
@@ -315,6 +322,8 @@ def _omega_intervals(omega_base: DomainWindow) -> list[tuple[float, float]]:
 
 def _tail_kernel(d: float, T: float, p: float) -> float:
     """int_{2T}^inf (g - 2T) (d^2 + g^2)^(-p/2) dg, exact in the vertical."""
+    from scipy import integrate
+
     val, _ = integrate.quad(
         lambda g: (g - 2.0 * T) * (d * d + g * g) ** (-p / 2.0),
         2.0 * T, np.inf, epsabs=1e-13, epsrel=1e-12,
@@ -329,6 +338,8 @@ def _cross_tail_interaction(intervals_a, intervals_b, T: float, p: float) -> flo
     int lam(d) K(d) dd with lam the overlap density of the two interval
     unions (piecewise linear, trapezoid per interval pair).
     """
+    from scipy import integrate
+
     total = 0.0
     for a0, a1 in intervals_a:
         for b0, b1 in intervals_b:

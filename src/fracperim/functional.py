@@ -8,6 +8,13 @@ universe of cells is the grid box plus an explicit padded margin carrying
 the exterior model; with a fixed universe every set-algebra identity
 (complement invariance, decomposition, coarea) is exact in real
 arithmetic, so residuals are pure floating-point accumulation.
+
+A pair sum L(A, B) is the inner product <B, A (*) w>: one scipy.fft
+correlation of the mask A against the spectrum of the weight block, which
+a PairEngine computes on first use and caches per universe shape.  A
+perimeter takes two such fields.  ``interaction(..., exact=True)``, the
+default up to _DIRECT_LIMIT cells, weighs every cell pair explicitly
+instead and serves as the independent oracle.
 """
 
 from __future__ import annotations
@@ -17,7 +24,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import signal
+from scipy import fft as sfft
 
 from .errors import (
     InvalidSchedule,
@@ -61,7 +68,8 @@ __all__ = [
     "strip_exponent",
 ]
 
-_DIRECT_LIMIT = 256  # cells; beyond this correlation switches to FFT
+_DIRECT_LIMIT = 256  # cells; up to here a default pair sum is explicit
+_PAIR_CHUNK = 1 << 20  # cell pairs weighed at once by the explicit sum
 
 
 @dataclass(frozen=True)
@@ -75,24 +83,82 @@ class PerimeterBreakdown:
     degenerate: bool = False
 
 
-def _corr_counts(A: np.ndarray, B: np.ndarray, exact: bool) -> np.ndarray:
-    """Pair counts per offset: out[delta + (S-1)] = sum_i A[i] B[i+delta]."""
-    method = "direct" if exact else "fft"
-    c = signal.correlate(A.astype(float), B.astype(float), mode="full", method=method)
-    rev = tuple(slice(None, None, -1) for _ in range(A.ndim))
-    return c[rev]
+def _weight_spectrum(table: InteractionTable, shape: tuple[int, ...]):
+    """(fast grid, spectrum of the weight block) for universes of ``shape``.
+
+    The block of offsets up to S-1 per axis sits on a grid of at least
+    2S-1 with offset d at index d mod N, so a circular convolution with it
+    is the linear one on the universe.  The block is even, so its spectrum
+    is real.
+    """
+    fast = tuple(sfft.next_fast_len(2 * n - 1, real=True) for n in shape)
+    wrapped = np.zeros(fast)
+    idx = [np.r_[0:n, f - n + 1:f] for n, f in zip(shape, fast)]
+    wrapped[np.ix_(*idx)] = np.fft.ifftshift(table.block(tuple(n - 1 for n in shape)))
+    return fast, sfft.rfftn(wrapped).real
+
+
+def _correlate(A: np.ndarray, table: InteractionTable, spectra: dict) -> np.ndarray:
+    """f = A (*) w on A's grid: f[j] = sum_i A[i] w(j - i).
+
+    One r2c / c2r round trip against the weight spectrum, which
+    ``spectra`` caches per universe shape.
+    """
+    if A.shape not in spectra:
+        spectra[A.shape] = _weight_spectrum(table, A.shape)
+    fast, spectrum = spectra[A.shape]
+    F = sfft.rfftn(A, fast)
+    F *= spectrum
+    return sfft.irfftn(F, fast)[tuple(slice(n) for n in A.shape)]
+
+
+def _explicit_pair_sum(A: np.ndarray, B: np.ndarray, table: InteractionTable) -> float:
+    """Sum of w(j - i) over i in A, j in B, one table weight per cell pair."""
+    reach = tuple(n - 1 for n in A.shape)
+    w = table.block(reach)
+    a_cells = np.argwhere(A)
+    b_cells = np.argwhere(B) + np.asarray(reach)
+    step = max(1, _PAIR_CHUNK // len(b_cells))
+    parts = []
+    for lo in range(0, len(a_cells), step):
+        d = b_cells[None, :, :] - a_cells[lo:lo + step, None, :]
+        parts.append(math.fsum(w[tuple(np.moveaxis(d, -1, 0))].sum(axis=1)))
+    return math.fsum(parts)
 
 
 def _pair_sum(A: np.ndarray, B: np.ndarray, table: InteractionTable,
-              exact: bool | None = None) -> float:
-    """Sum of w(j - i) over i in A, j in B (A, B boolean, same shape)."""
+              exact: bool | None = None, spectra: dict | None = None) -> float:
+    """Sum of w(j - i) over i in A, j in B (A, B boolean, same shape).
+
+    ``exact`` (the default up to _DIRECT_LIMIT cells) weighs every cell
+    pair; otherwise the sum is <B, A (*) w> by FFT.
+    """
     if not A.any() or not B.any():
         return 0.0
     if exact is None:
         exact = A.size <= _DIRECT_LIMIT
-    counts = _corr_counts(A, B, exact)
-    w = table.block(tuple(s - 1 for s in A.shape))
-    return math.fsum((w * counts).ravel())
+    if exact:
+        return _explicit_pair_sum(A, B, table)
+    return float(_correlate(A, table, {} if spectra is None else spectra)[B].sum())
+
+
+def _split_sums(e_in, c_in, e_out, c_out, field) -> tuple[float, float]:
+    """(L(e_in, c_in), L(e_in, c_out) + L(e_out, c_in)) from the two
+    fields ``field(e_in)`` and ``field(e_out)``."""
+    local = nonlocal_ = 0.0
+    if e_in.any():
+        f_in = field(e_in)
+        local = float(f_in[c_in].sum())
+        nonlocal_ = float(f_in[c_out].sum())
+    if e_out.any() and c_in.any():
+        nonlocal_ += float(field(e_out)[c_in].sum())
+    return local, nonlocal_
+
+
+def _tail_terms(dist: np.ndarray, h: float, params: KernelParams) -> np.ndarray:
+    """Per cell, h^n times the point tail mass beyond ``dist`` (>= h/2)."""
+    r = np.maximum(dist, 0.5 * h)
+    return h**params.dim * tail_mass(1.0, params) * r ** -params.s
 
 
 def interaction(A: np.ndarray, B: np.ndarray, table: InteractionTable,
@@ -202,7 +268,8 @@ class PairEngine:
     The policy decides how exterior mass is handled: TruncateAtRadius pads
     the box by ceil(R/h) cells and reports the neglected tail mass;
     AnalyticTail is exact in 1D (ray closed forms, zero pad) and falls back
-    to a generous pad otherwise.
+    to a generous pad otherwise.  Weight spectra are computed on first use
+    and kept per universe shape, so building an engine costs nothing.
     """
 
     def __init__(self, spec: GridSpec, policy, table: InteractionTable):
@@ -214,6 +281,8 @@ class PairEngine:
         self.pad = _pad_cells(spec, policy)
         self.analytic_rays = isinstance(policy, AnalyticTail) and spec.dim == 1
         self.padded_spec = spec.padded(self.pad) if self.pad else spec
+        self._spectra: dict = {}
+        self._tails = None
 
     def occupancy(self, cellset: CellSet) -> np.ndarray:
         if cellset.spec != self.spec:
@@ -230,8 +299,12 @@ class PairEngine:
         out[(slice(self.pad, -self.pad),) * self.spec.dim] = box_mask
         return out
 
+    def field(self, A: np.ndarray) -> np.ndarray:
+        """A (*) w on the universe: the interaction of every cell with A."""
+        return _correlate(A, self.table, self._spectra)
+
     def ls(self, A: np.ndarray, B: np.ndarray, exact: bool | None = None) -> float:
-        return _pair_sum(A, B, self.table, exact)
+        return _pair_sum(A, B, self.table, exact, self._spectra)
 
     def ray_masses(self, exterior):
         """(mass to E rays, mass to complement rays) per box cell; 1D only."""
@@ -240,23 +313,28 @@ class PairEngine:
             return z, z
         return _ray_masses_1d(self.spec, exterior, self.table.params.s)
 
-    def truncation_bound(self, omega_box: np.ndarray) -> float:
-        """Neglected-mass bound: per-cell volume times the point tail mass."""
+    def truncation_bound(self, omega_box: np.ndarray, E: CellSet) -> float:
+        """Neglected-mass bound: per-cell volume times the point tail mass.
+
+        Only window cells whose phase can differ from the exterior beyond
+        the universe lose mass there: E's cells under EmptyExterior, its
+        complement's under FullExterior, every cell otherwise.
+        """
         if self.analytic_rays:
             return 0.0
-        spec = self.spec
-        pts = spec.centers()[np.asarray(omega_box, dtype=bool).ravel()]
-        if len(pts) == 0:
-            return 0.0
-        lo = self.padded_spec.box_lo
-        hi = self.padded_spec.box_hi
-        r = np.minimum((pts - lo).min(axis=1), (hi - pts).min(axis=1))
-        r = np.maximum(r, spec.h * 0.5)
-        vols = spec.h**spec.dim
-        params = self.table.params
-        return float(
-            sum(vols * tail_mass(float(ri), params) for ri in np.sort(r))
-        )
+        cells = np.asarray(omega_box, dtype=bool)
+        if isinstance(E.exterior, EmptyExterior):
+            cells = cells & E.inside
+        elif isinstance(E.exterior, FullExterior):
+            cells = cells & ~E.inside
+        if self._tails is None:
+            pts = self.spec.centers()
+            lo = self.padded_spec.box_lo
+            hi = self.padded_spec.box_hi
+            r = np.minimum((pts - lo).min(axis=1), (hi - pts).min(axis=1))
+            self._tails = _tail_terms(r, self.spec.h, self.table.params).reshape(
+                self.spec.extent)
+        return float(self._tails[cells].sum())
 
 
 def _engine_for(window: DomainWindow, table: InteractionTable) -> PairEngine:
@@ -270,7 +348,13 @@ def _engine_for(window: DomainWindow, table: InteractionTable) -> PairEngine:
 
 def perimeter(E: CellSet, window: DomainWindow, table: InteractionTable,
               engine: PairEngine | None = None) -> PerimeterBreakdown:
-    """s-perimeter of E in the window: local + nonlocal three-term sum."""
+    """s-perimeter of E in the window: local + nonlocal three-term sum.
+
+    With f_in = e_in (*) w and f_out = e_out (*) w, local is the sum of
+    f_in over the window's complement cells and nonlocal that of f_in over
+    the complement outside the window plus f_out over the window's
+    complement cells: two FFT correlations in all.
+    """
     if E.spec != window.spec:
         raise SpecMismatch("cell set and window specs differ")
     eng = engine if engine is not None else _engine_for(window, table)
@@ -280,20 +364,18 @@ def perimeter(E: CellSet, window: DomainWindow, table: InteractionTable,
     c_in = ~occ & om
     e_out = occ & ~om
     c_out = ~occ & ~om
-    local = eng.ls(e_in, c_in)
-    nl_parts = [eng.ls(e_in, c_out), eng.ls(e_out, c_in)]
+    local, nonlocal_ = _split_sums(e_in, c_in, e_out, c_out, eng.field)
     if eng.analytic_rays:
         mass_e, mass_c = eng.ray_masses(E.exterior)
-        nl_parts.append(math.fsum(mass_c[e_in.ravel()]))
-        nl_parts.append(math.fsum(mass_e[c_in.ravel()]))
-    nonlocal_ = math.fsum(nl_parts)
+        nonlocal_ = math.fsum([nonlocal_, math.fsum(mass_c[e_in.ravel()]),
+                               math.fsum(mass_e[c_in.ravel()])])
     total = local + nonlocal_
     degenerate = not om.any()
     return PerimeterBreakdown(
         local=local,
         nonlocal_=nonlocal_,
         total=total,
-        truncation_error_bound=eng.truncation_bound(window.omega),
+        truncation_error_bound=eng.truncation_bound(window.omega, E),
         degenerate=degenerate,
     )
 

@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import signal
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import breadth_first_order, maximum_flow
 
@@ -121,14 +120,10 @@ class _Condensed:
         else:
             self.W = np.zeros((0, 0))
 
-        # linear terms: interaction with the frozen exterior occupancy; the
-        # weight block is symmetric, so convolving with it is correlating
-        block = table.block(tuple(n - 1 for n in om.shape))
-        fixed = np.stack([occ0 & ~om, ~occ0 & ~om]).astype(float)
-        axes = tuple(range(1, om.ndim + 1))
-        conv = signal.fftconvolve(fixed, block[None], mode="same", axes=axes)
-        sel = (slice(None),) + tuple(self.free_idx.T)
-        self.p, self.q = conv[sel]
+        # linear terms: interaction with the frozen exterior occupancy
+        sel = tuple(self.free_idx.T)
+        self.p = eng.field(occ0 & ~om)[sel]
+        self.q = eng.field(~occ0 & ~om)[sel]
         if eng.analytic_rays:
             mass_e, mass_c = eng.ray_masses(p.exterior_data.exterior)
             box_sel = tuple(np.argwhere(p.window.omega).T)

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy import signal
 
 from fracperim.approx import (
     MollifierSpec,
@@ -46,6 +47,17 @@ class TestMollify:
         m = mollify(u, MollifierSpec(0.2))
         assert m.values.min() >= -1e-12
         assert m.values.max() <= 1.0 + 1e-12
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_matches_direct_convolution(self, rng, dim):
+        n = 24
+        spec = GridSpec(dim, (0.0,) * dim, (n,) * dim, 1.0 / n)
+        u = ScalarField(spec, rng.random(spec.extent), 0.3)
+        m = MollifierSpec(0.2)
+        kern = m.sampled(spec)
+        padded = u.values_on(spec.padded((kern.shape[0] - 1) // 2))
+        ref = signal.convolve(padded, kern, mode="valid", method="direct")
+        assert np.max(np.abs(mollify(u, m).values - ref)) <= 1e-15
 
     def test_eps_below_resolution_raises(self):
         E = _ball()

@@ -1,5 +1,7 @@
 """Perimeter functionals and their exact structural identities."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from fracperim.errors import (
     SpecMismatch,
 )
 from fracperim.functional import (
+    PairEngine,
     coarea_check,
     decomposition_check,
     divergence_probe_1d,
@@ -28,6 +31,7 @@ from fracperim.grid import (
     GridSpec,
     ScalarField,
     TruncateAtRadius,
+    cellset_from_shape,
     full_window,
 )
 from tests.conftest import table_for
@@ -134,6 +138,78 @@ class TestInteraction:
         d = interaction(A, B, table, exact=True)
         f = interaction(A, B, table, exact=False)
         assert d == pytest.approx(f, rel=1e-11)
+
+
+class TestExplicitOracle:
+    """FFT correlations against the explicit sum over cell pairs, on
+    universes above the size where the explicit sum is the default."""
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_perimeter_and_decomposition_terms(self, rng, dim):
+        n = 300 if dim == 1 else 20
+        spec = GridSpec(dim, (0.0,) * dim, (n,) * dim, 1.0 / n)
+        E = CellSet(spec, rng.random(spec.extent) < 0.5)
+        policy = AnalyticTail()
+        table = table_for(spec, 0.4, policy)
+        outer = np.zeros(spec.extent, dtype=bool)
+        outer[(slice(n // 8, n - n // 10),) * dim] = True
+        inner = np.zeros(spec.extent, dtype=bool)
+        inner[(slice(n // 4, n // 2),) * dim] = True
+        eng = PairEngine(spec, policy, table)
+        assert eng.padded_spec.n_cells > 256
+        occ = eng.occupancy(E)
+        om = eng.embed(outer)
+
+        def exact(A, B):
+            return interaction(A, B, table, exact=True)
+
+        local = exact(occ & om, ~occ & om)
+        nl = [exact(occ & om, ~occ & ~om), exact(occ & ~om, ~occ & om)]
+        if eng.analytic_rays:
+            mass_e, mass_c = eng.ray_masses(E.exterior)
+            nl += [math.fsum(mass_c[(occ & om).ravel()]),
+                   math.fsum(mass_e[(~occ & om).ravel()])]
+        bd = perimeter(E, DomainWindow(spec, outer, policy), table)
+        assert bd.local == pytest.approx(local, rel=1e-12)
+        assert bd.nonlocal_ == pytest.approx(math.fsum(nl), rel=1e-12)
+        assert bd.total == pytest.approx(local + math.fsum(nl), rel=1e-12)
+
+        strip = eng.embed(outer & ~inner)
+        for A, B in ((occ & strip, ~occ & ~eng.embed(inner)), (occ & ~om, ~occ & strip)):
+            assert interaction(A, B, table) == pytest.approx(exact(A, B), rel=1e-12)
+        res = decomposition_check(E, DomainWindow(spec, inner, policy),
+                                  DomainWindow(spec, outer, policy), table)
+        assert res <= 1e-12 * bd.total
+
+
+class TestTruncationBound:
+    @staticmethod
+    def _ball(n):
+        spec = GridSpec(2, (0.0, 0.0), (n, n), 1.0 / n)
+        return cellset_from_shape(
+            spec, {"shape": "ball", "center": [0.5, 0.5], "radius": 0.3})
+
+    @pytest.mark.parametrize("s", [0.2, 0.5])
+    def test_bound_covers_larger_radius(self, s):
+        E = self._ball(16)
+        bds = []
+        for F in (E, E.complement()):
+            win = full_window(E.spec, AnalyticTail())
+            bds.append(perimeter(F, win, table_for(E.spec, s, AnalyticTail())))
+        far = TruncateAtRadius(12.0)
+        ref = perimeter(E, full_window(E.spec, far), table_for(E.spec, s, far)).total
+        bd = bds[0]
+        assert ref > bd.total
+        assert bd.truncation_error_bound >= ref - bd.total
+        # E's cells under an empty exterior are its complement's cells
+        # under a full one
+        assert bds[1].truncation_error_bound == bd.truncation_error_bound
+
+    def test_bound_below_perimeter(self):
+        E = self._ball(64)
+        bd = perimeter(E, full_window(E.spec, AnalyticTail()),
+                       table_for(E.spec, 0.5, AnalyticTail()))
+        assert 0.0 < bd.truncation_error_bound < bd.total
 
 
 class TestDecomposition:

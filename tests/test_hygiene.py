@@ -1,6 +1,10 @@
-"""Source hygiene: every name a module imports is used by that module."""
+"""Source hygiene: every name a module imports is used by that module, and
+the command line loads no SciPy module it does not need."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -32,3 +36,12 @@ def _unused_imports(tree: ast.Module) -> list[str]:
 def test_no_unused_imports(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     assert _unused_imports(tree) == [], f"{path.name} imports names it never uses"
+
+
+def test_cli_import_skips_signal_and_integrate():
+    code = ("import sys, fracperim.cli; "
+            "print(*(m for m in ('scipy.signal', 'scipy.integrate') if m in sys.modules))")
+    path = os.pathsep.join(p for p in (str(SRC.parent), os.environ.get("PYTHONPATH")) if p)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=path), check=True, timeout=120)
+    assert out.stdout.split() == []
