@@ -192,18 +192,17 @@ class TestTruncationBound:
     @pytest.mark.parametrize("s", [0.2, 0.5])
     def test_bound_covers_larger_radius(self, s):
         E = self._ball(16)
-        bds = []
-        for F in (E, E.complement()):
-            win = full_window(E.spec, AnalyticTail())
-            bds.append(perimeter(F, win, table_for(E.spec, s, AnalyticTail())))
+        win = full_window(E.spec, AnalyticTail())
+        table = table_for(E.spec, s, AnalyticTail())
+        bd = perimeter(E, win, table)
         far = TruncateAtRadius(12.0)
         ref = perimeter(E, full_window(E.spec, far), table_for(E.spec, s, far)).total
-        bd = bds[0]
         assert ref > bd.total
         assert bd.truncation_error_bound >= ref - bd.total
         # E's cells under an empty exterior are its complement's cells
         # under a full one
-        assert bds[1].truncation_error_bound == bd.truncation_error_bound
+        bd_c = perimeter(E.complement(), win, table)
+        assert bd_c.truncation_error_bound == bd.truncation_error_bound
 
     def test_bound_below_perimeter(self):
         E = self._ball(64)
