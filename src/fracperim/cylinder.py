@@ -207,21 +207,12 @@ def truncated_cylinder_perimeter(E, omega_base: DomainWindow, k: float,
     pad = int(math.ceil(pad_radius / h))
 
     # pad the base axes only; the vertical axis is covered by ray masses
-    uni = GridSpec(
-        n_amb,
-        tuple(o - pad * h for o in spec.origin[:-1]) + (spec.origin[-1],),
-        tuple(n + 2 * pad for n in spec.extent[:-1]) + (spec.extent[-1],),
-        h,
-    )
+    uni = spec.padded((pad,) * (n_amb - 1) + (0,))
     occ = cell.occupancy_on(uni)
-    centers_z = uni.origin[-1] + (np.arange(uni.extent[-1]) + 0.5) * h
-    z_in = np.abs(centers_z) < k
-    base_slice = (
-        (slice(pad, -pad),) * (n_amb - 1) if pad else (slice(None),) * (n_amb - 1)
-    )
-    base_mask = np.zeros(uni.extent[:-1], dtype=bool)
-    base_mask[base_slice] = omega_base.omega
-    om = base_mask[..., None] & z_in
+    nz = uni.extent[-1]
+    pts = uni.centers().reshape(-1, nz, n_amb)  # [column, row, axis]
+    z_in = np.abs(pts[0, :, -1]) < k
+    om = np.pad(omega_base.omega, pad)[..., None] & z_in
 
     e_in = occ & om
     c_in = ~occ & om
@@ -234,13 +225,7 @@ def truncated_cylinder_perimeter(E, omega_base: DomainWindow, k: float,
 
     # vertical rays: top rays are complement everywhere, bottom rays are E
     p = table.params.dim + table.params.s
-    base_axes = [
-        uni.origin[a] + (np.arange(uni.extent[a]) + 0.5) * h
-        for a in range(n_amb - 1)
-    ]
-    grids = np.meshgrid(*base_axes, indexing="ij")
-    base_positions = np.stack([g.ravel() for g in grids], axis=-1)
-    nz = uni.extent[-1]
+    base_positions = pts[:, 0, :-1]
     z_rows = np.nonzero(z_in)[0]
     top = _column_ray_masses(uni, base_positions, p, z_rows)  # [row, col]
     bot = _column_ray_masses(uni, base_positions, p, nz - 1 - z_rows)
@@ -252,12 +237,10 @@ def truncated_cylinder_perimeter(E, omega_base: DomainWindow, k: float,
     nonlocal_ = math.fsum(nl)
 
     # horizontal truncation bound for the omitted far field
-    pts = uni.centers().reshape(uni.extent + (n_amb,))[om]
+    base_pts = pts[om.reshape(ncols, nz)][:, :-1]
     lo = uni.box_lo[:-1]
     hi = uni.box_hi[:-1]
-    r = np.minimum(
-        (pts[:, :-1] - lo).min(axis=1), (hi - pts[:, :-1]).min(axis=1)
-    )
+    r = np.minimum((base_pts - lo).min(axis=1), (hi - base_pts).min(axis=1))
     bound = float(_tail_terms(r, h, table.params).sum())
 
     return PerimeterBreakdown(
@@ -540,9 +523,8 @@ def graph_area_asymptotics(u_of_spec, omega_of_spec, k: float, s_schedule,
         sg = SubgraphSet(base_spec, u, k + 1.0)
         cell = sg.cellset()
         amb = cell.spec
-        om = np.zeros(amb.extent, dtype=bool)
         z_centers = amb.origin[-1] + (np.arange(amb.extent[-1]) + 0.5) * amb.h
-        om[...] = omega_base.omega[..., None] & (np.abs(z_centers) < k + 1.0)
+        om = omega_base.omega[..., None] & (np.abs(z_centers) < k + 1.0)
         for s in s_schedule:
             params = KernelParams(float(s), n + 1)
             table = build_table(amb, params, max_offset=max(amb.extent) - 1)

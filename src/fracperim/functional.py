@@ -280,24 +280,18 @@ class PairEngine:
         self.table = table
         self.pad = _pad_cells(spec, policy)
         self.analytic_rays = isinstance(policy, AnalyticTail) and spec.dim == 1
-        self.padded_spec = spec.padded(self.pad) if self.pad else spec
+        self.padded_spec = spec.padded(self.pad)
         self._spectra: dict = {}
         self._tails = None
 
     def occupancy(self, cellset: CellSet) -> np.ndarray:
         if cellset.spec != self.spec:
             raise SpecMismatch("cell set built on a different grid spec")
-        if self.pad == 0:
-            return cellset.inside.copy()
         return cellset.occupancy_on(self.padded_spec)
 
     def embed(self, box_mask: np.ndarray) -> np.ndarray:
         """Box-level bitmask placed in the padded universe (pad cells False)."""
-        if self.pad == 0:
-            return np.asarray(box_mask, dtype=bool).copy()
-        out = np.zeros(self.padded_spec.extent, dtype=bool)
-        out[(slice(self.pad, -self.pad),) * self.spec.dim] = box_mask
-        return out
+        return np.pad(np.asarray(box_mask, dtype=bool), self.pad)
 
     def field(self, A: np.ndarray) -> np.ndarray:
         """A (*) w on the universe: the interaction of every cell with A."""
@@ -423,7 +417,7 @@ def relaxed_energy(u: ScalarField, window: DomainWindow, table: InteractionTable
     if u.spec != window.spec:
         raise SpecMismatch("field and window specs differ")
     eng = engine if engine is not None else _engine_for(window, table)
-    vals = u.values_on(eng.padded_spec) if eng.pad else u.values.copy()
+    vals = u.values_on(eng.padded_spec)
     om = eng.embed(window.omega)
     shape = vals.shape
     reaches = tuple(s - 1 for s in shape)
@@ -485,7 +479,7 @@ def coarea_check(u: ScalarField, window: DomainWindow,
     eng = _engine_for(window, table)
     lhs = relaxed_energy(u, window, table, engine=eng)
 
-    vals = u.values_on(eng.padded_spec) if eng.pad else u.values
+    vals = u.values_on(eng.padded_spec)
     level_values = set(np.unique(vals).tolist())
     if eng.analytic_rays:
         ext = _field_exterior_model(u)

@@ -78,14 +78,38 @@ class GridSpec:
         grids = np.meshgrid(*axes, indexing="ij")
         return np.stack([g.ravel() for g in grids], axis=-1)
 
-    def padded(self, pad_cells: int) -> "GridSpec":
-        """Spec enlarged by ``pad_cells`` cells on every side."""
+    def padded(self, pad_cells) -> "GridSpec":
+        """Spec enlarged by ``pad_cells`` cells on both sides of each axis.
+
+        ``pad_cells`` is one int for every axis or a tuple with one per axis.
+        """
+        pads = (pad_cells,) * self.dim if np.ndim(pad_cells) == 0 else tuple(pad_cells)
         return GridSpec(
             self.dim,
-            tuple(o - pad_cells * self.h for o in self.origin),
-            tuple(n + 2 * pad_cells for n in self.extent),
+            tuple(o - k * self.h for o, k in zip(self.origin, pads)),
+            tuple(n + 2 * k for n, k in zip(self.extent, pads)),
             self.h,
         )
+
+
+def _sample_padded(spec: GridSpec, box: np.ndarray, exterior, target: GridSpec) -> np.ndarray:
+    """``box`` (on ``spec``) placed into ``target``, the box padded by whole
+    cells; the pad holds ``exterior``, a constant or an exterior model
+    evaluated at the pad's cell centers.
+
+    Raises SpecMismatch unless ``target == spec.padded(k)`` for some
+    non-negative per-axis cell counts k.
+    """
+    pads = tuple(round((o - t) / spec.h) for o, t in zip(spec.origin, target.origin))
+    if target.dim != spec.dim or min(pads) < 0 or spec.padded(pads) != target:
+        raise SpecMismatch(f"{target} is not {spec} padded by whole cells")
+    if isinstance(exterior, (int, float)):
+        out = np.full(target.extent, float(exterior))
+    else:
+        out = exterior.contains(target.centers()).astype(box.dtype, copy=False)
+        out = out.reshape(target.extent)
+    out[tuple(slice(k, k + n) for k, n in zip(pads, spec.extent))] = box
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -191,19 +215,8 @@ class CellSet:
         return CellSet(self.spec, ~self.inside, self.exterior.complement())
 
     def occupancy_on(self, spec: GridSpec) -> np.ndarray:
-        """Occupancy sampled on another (usually padded) grid of the same h."""
-        if spec is self.spec or spec == self.spec:
-            return self.inside.copy()
-        pts = spec.centers()
-        out = self.exterior.contains(pts)
-        lo = self.spec.box_lo
-        idx = np.floor((pts - lo) / self.spec.h + 1e-9).astype(int)
-        inbox = np.all(idx >= 0, axis=1) & np.all(
-            idx < np.asarray(self.spec.extent), axis=1
-        )
-        if inbox.any():
-            out[inbox] = self.inside[tuple(idx[inbox].T)]
-        return out.reshape(spec.extent)
+        """Occupancy on ``spec``, the box padded by whole cells."""
+        return _sample_padded(self.spec, self.inside, self.exterior, spec)
 
 
 @dataclass(frozen=True)
@@ -228,21 +241,8 @@ class ScalarField:
         object.__setattr__(self, "values", arr)
 
     def values_on(self, spec: GridSpec) -> np.ndarray:
-        """Field values sampled on a padded grid of the same h."""
-        if spec == self.spec:
-            return self.values.copy()
-        pts = spec.centers()
-        if isinstance(self.exterior, (int, float)):
-            out = np.full(len(pts), float(self.exterior))
-        else:
-            out = self.exterior.contains(pts).astype(float)
-        idx = np.floor((pts - self.spec.box_lo) / self.spec.h + 1e-9).astype(int)
-        inbox = np.all(idx >= 0, axis=1) & np.all(
-            idx < np.asarray(self.spec.extent), axis=1
-        )
-        if inbox.any():
-            out[inbox] = self.values[tuple(idx[inbox].T)]
-        return out.reshape(spec.extent)
+        """Field values on ``spec``, the box padded by whole cells."""
+        return _sample_padded(self.spec, self.values, self.exterior, spec)
 
 
 @dataclass(frozen=True)

@@ -15,8 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import breadth_first_order, maximum_flow
 
 from .errors import InvalidSchedule, NotNested, OracleTooLarge
 from .functional import PairEngine, perimeter
@@ -130,11 +128,10 @@ class _Condensed:
             self.p = self.p + mass_e[box_sel]
             self.q = self.q + mass_c[box_sel]
 
-    def energy_and_pair_gradient(self, x: np.ndarray) -> tuple[float, np.ndarray]:
-        """F(x) and g = (W * sign(x_a - x_b)).sum(1) from one pass over W:
-        the pair energy equals x @ g."""
-        g = (self.W * np.sign(x[:, None] - x[None, :])).sum(axis=1)
-        return float(x @ g + self.p @ (1.0 - x) + self.q @ x), g
+    def energy(self, x: np.ndarray) -> float:
+        """F(x) at a point x of [0, 1]^m."""
+        pair = 0.5 * float(np.sum(self.W * np.abs(x[:, None] - x[None, :])))
+        return pair + float(self.p @ (1.0 - x) + self.q @ x)
 
     def energies_binary(self, X: np.ndarray) -> np.ndarray:
         """Vectorized energy of a batch of binary assignments (B, m)."""
@@ -175,6 +172,9 @@ def _min_cut(W: np.ndarray, p: np.ndarray, q: np.ndarray, tol: float,
     graph, hence also its lexicographically smallest.  Returns
     (bits, flow, rounds).
     """
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import breadth_first_order, maximum_flow
+
     m = len(p)
     s, t = m, m + 1
     residual = np.zeros((m + 2, m + 2))
@@ -233,7 +233,7 @@ def threshold_minimizer(u: ScalarField, p: MinimizationProblem,
         e = perimeter(E, p.window, p.table).total
         return SolverReport(e, 0.5, E, e, iterations, math.nan)
     x = np.clip(u.values[p.window.omega], 0.0, 1.0)
-    relaxed, _ = cond.energy_and_pair_gradient(x)
+    relaxed = cond.energy(x)
     vals = np.unique(x)
     cuts = [vals[0] - 1.0]
     cuts += [0.5 * (a + b) for a, b in zip(vals[:-1], vals[1:])]

@@ -20,7 +20,8 @@ from fracperim.errors import (
     InvalidSequence,
     WindowTooShort,
 )
-from fracperim.grid import GridSpec, ScalarField, full_window
+from fracperim.functional import interaction
+from fracperim.grid import DomainWindow, GridSpec, ScalarField, full_window
 from fracperim.kernel import KernelParams, build_table
 
 _PAD_RADIUS = 1.0
@@ -105,6 +106,30 @@ class TestTruncatedPerimeter:
                                           pad_radius=_PAD_RADIUS)
         bound = local_part_bound(full_window(base), k, bd.local, 0.5)
         assert bd.local <= bound
+
+    @pytest.mark.parametrize("pad_radius", [0.0, _PAD_RADIUS])
+    def test_local_part_matches_explicit_pair_sum(self, pad_radius):
+        base = _base()
+        k = 1.0
+        sg = SubgraphSet(base, _graph(base, 0.2 * np.cos(np.arange(8)), 0.1), k + 1.0)
+        mask = np.zeros(8, dtype=bool)
+        mask[2:7] = True
+        table = _ambient_table(sg, 0.5)
+        bd = truncated_cylinder_perimeter(sg, DomainWindow(base, mask), k, table,
+                                          pad_radius=pad_radius)
+        # the universe by hand: base cells -pad .. n+pad-1, the vertical box
+        amb = sg.ambient_spec()
+        pad = int(np.ceil(pad_radius / amb.h))
+        cols = np.arange(-pad, 8 + pad)
+        x = amb.origin[0] + (cols + 0.5) * amb.h
+        t = amb.origin[1] + (np.arange(amb.extent[1]) + 0.5) * amb.h
+        X, T = np.meshgrid(x, t, indexing="ij")
+        occ = sg.exterior().contains(np.stack([X.ravel(), T.ravel()], axis=1))
+        occ = occ.reshape(X.shape)
+        in_window = np.array([0 <= c < 8 and mask[c] for c in cols])
+        om = in_window[:, None] & (np.abs(T) < k)
+        ref = interaction(occ & om, ~occ & om, table, exact=True)
+        assert bd.local == pytest.approx(ref, rel=1e-12)
 
 
 class TestDivergenceScans:

@@ -10,7 +10,12 @@ from fracperim.grid import (
     AnalyticTail,
     CellSet,
     DomainWindow,
+    EmptyExterior,
+    FullExterior,
     GridSpec,
+    HalfSpaceExterior,
+    ScalarField,
+    SubgraphExterior,
     cellset_from_shape,
     full_window,
     read_grid_file,
@@ -48,6 +53,13 @@ class TestGridSpec:
         padded = pad.centers().reshape(10, 10, 2)[3:-3, 3:-3].reshape(-1, 2)
         assert np.allclose(orig, padded)
 
+    def test_padded_per_axis(self):
+        spec = GridSpec(2, (1.0, -1.0), (3, 2), 0.5)
+        pad = spec.padded((2, 0))
+        assert pad == GridSpec(2, (0.0, -1.0), (7, 2), 0.5)
+        assert spec.padded((3, 3)) == spec.padded(3)
+        assert spec.padded(0) == spec
+
     def test_box_corners(self):
         spec = GridSpec(1, (2.0,), (4,), 0.25)
         assert np.allclose(spec.box_lo, [2.0])
@@ -73,6 +85,67 @@ class TestCellSet:
         occ = E.occupancy_on(spec.padded(2))
         # pad cells left of the box are inside the half space, right are not
         assert occ.tolist() == [True, True, True, True, False, False, False, False]
+
+    _SPEC = GridSpec(2, (-0.5, 0.25), (5, 4), 0.25)
+    _TARGETS = [0, 1, 3, (2, 0), (0, 3), (1, 2)]
+
+    @staticmethod
+    def _reference(spec, box, exterior, target):
+        """Per target cell: the box value of the box cell with the same
+        center, otherwise the exterior at the cell's own center."""
+        out = np.empty(target.extent, dtype=box.dtype)
+        for idx in np.ndindex(*target.extent):
+            c = np.asarray(target.origin) + (np.asarray(idx) + 0.5) * target.h
+            j = np.rint((c - spec.box_lo) / spec.h - 0.5).astype(int)
+            if np.all(j >= 0) and np.all(j < spec.extent):
+                assert np.allclose(spec.box_lo + (j + 0.5) * spec.h, c)
+                out[idx] = box[tuple(j)]
+            elif isinstance(exterior, float):
+                out[idx] = exterior
+            else:
+                out[idx] = exterior.contains(c[None, :])[0]
+        return out
+
+    @pytest.mark.parametrize("exterior", [
+        EmptyExterior(),
+        FullExterior(),
+        HalfSpaceExterior(1, 0.6),
+        HalfSpaceExterior(0, 0.1, below=False),
+        SubgraphExterior(GridSpec(1, (-0.5,), (5,), 0.25),
+                         (0.3, 0.9, 0.5, 0.1, 0.7), 0.55),
+    ], ids=["empty", "full", "halfspace", "halfspace_above", "subgraph"])
+    @pytest.mark.parametrize("pad", _TARGETS, ids=str)
+    def test_occupancy_on_matches_per_cell_reference(self, exterior, pad, rng):
+        E = CellSet(self._SPEC, rng.random(self._SPEC.extent) < 0.5, exterior)
+        target = self._SPEC.padded(pad)
+        occ = E.occupancy_on(target)
+        assert occ.dtype == bool
+        assert np.array_equal(occ, self._reference(E.spec, E.inside, exterior, target))
+
+    @pytest.mark.parametrize("exterior", [0.0, 1.0, 0.3, HalfSpaceExterior(1, 0.6)],
+                             ids=["zero", "one", "fraction", "halfspace"])
+    @pytest.mark.parametrize("pad", _TARGETS, ids=str)
+    def test_values_on_matches_per_cell_reference(self, exterior, pad, rng):
+        u = ScalarField(self._SPEC, rng.random(self._SPEC.extent), exterior)
+        target = self._SPEC.padded(pad)
+        vals = u.values_on(target)
+        assert np.array_equal(vals, self._reference(u.spec, u.values, exterior, target))
+
+    @pytest.mark.parametrize("target", [
+        GridSpec(2, (-0.5, 0.25), (10, 8), 0.125),  # another h
+        GridSpec(2, (-0.875, 0.0), (7, 6), 0.25),  # half a cell off
+        GridSpec(2, (-0.25, 0.5), (3, 2), 0.25),  # the box shrunk by a cell
+        GridSpec(2, (-0.5, 0.25), (4, 4), 0.25),  # smaller extent
+        GridSpec(2, (-0.75, 0.25), (6, 4), 0.25),  # one side padded only
+        GridSpec(1, (-0.5,), (5,), 0.25),  # another dimension
+    ], ids=["h", "half_cell", "shrunk", "smaller", "one_sided", "dim"])
+    def test_sampling_off_the_padded_lattice_raises(self, target):
+        E = CellSet(self._SPEC, np.ones(self._SPEC.extent, dtype=bool))
+        u = ScalarField(self._SPEC, np.zeros(self._SPEC.extent), 0.3)
+        with pytest.raises(SpecMismatch):
+            E.occupancy_on(target)
+        with pytest.raises(SpecMismatch):
+            u.values_on(target)
 
 
 class TestSignedDistance:

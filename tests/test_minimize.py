@@ -230,7 +230,7 @@ class TestMinCut:
             seen.append((graph.dtype, int(graph.data.max(initial=0))))
             return maximum_flow(graph, *args, **kwargs)
 
-        monkeypatch.setattr(minimize, "maximum_flow", recording)
+        monkeypatch.setattr(sparse.csgraph, "maximum_flow", recording)
         cond = minimize._Condensed(_problem_2d(np.random.default_rng(7)))
         ref, ref_flow, _ = minimize._min_cut(cond.W, cond.p, cond.q, 0.0, 3)
         for c in (1e-12, 1e12):
@@ -290,7 +290,13 @@ class TestCondensedEnergy:
             pair = 0.5 * np.sum(cond.W * np.abs(x[:, None] - x[None, :]))
             ref = pair + cond.p @ (1.0 - x) + cond.q @ x
             assert e == pytest.approx(ref, rel=1e-12)
-            assert cond.energy_and_pair_gradient(x)[0] == pytest.approx(ref, rel=1e-12)
+            assert cond.energy(x) == pytest.approx(ref, rel=1e-12)
+        # a fractional point, pair by pair over a < b
+        x = rng.random(cond.m)
+        a, b = np.triu_indices(cond.m, 1)
+        ref = (np.sum(cond.W[a, b] * np.abs(x[a] - x[b]))
+               + cond.p @ (1.0 - x) + cond.q @ x)
+        assert cond.energy(x) == pytest.approx(ref, rel=1e-12)
 
     def test_one_build_per_solve_and_per_window_check(self, rng, monkeypatch):
         builds = []
