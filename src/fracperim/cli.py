@@ -10,9 +10,7 @@ so the CSV round-trips 64-bit values losslessly.
 from __future__ import annotations
 
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import click
 import numpy as np
@@ -54,24 +52,6 @@ EXIT_PROPERTY = 2
 
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
-
-
-def _threads(requested: int | None) -> int:
-    env = os.environ.get("FRACPERIM_THREADS")
-    if requested is not None:
-        return max(1, requested)
-    if env:
-        return max(1, int(env))
-    return 1
-
-
-def _parallel_map(fn, items, threads: int):
-    """Order-preserving map; the reduction order is fixed regardless of
-    pool size, so outputs are byte-identical across thread counts."""
-    if threads <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
 
 
 def _config_lines(**kv) -> list[str]:
@@ -335,10 +315,9 @@ def decomposition_cmd(s, grid, inner, outer, policy, tol, output):
               help="grid cells across the strip width (resolution per delta)")
 @click.option("--deltas", default="0.25,0.125,0.0625,0.03125,0.015625",
               show_default=True)
-@click.option("--threads", type=int, default=None)
 @click.option("--output", default=None)
 @_guard
-def strip_scan(s_list, strip_cells, deltas, threads, output):
+def strip_scan(s_list, strip_cells, deltas, output):
     """Inner-strip interaction on the unit square with the lemma bound line.
 
     Both sets live inside the square, so no exterior data enters; each
@@ -356,7 +335,6 @@ def strip_scan(s_list, strip_cells, deltas, threads, output):
     svals = [float(v) for v in s_list.split(",")]
     dvals = [float(v) for v in deltas.split(",")]
     geometric_ratio(dvals)  # reject a bad schedule before building tables
-    nthreads = _threads(threads)
 
     geo = {}
     for d in dvals:
@@ -366,8 +344,7 @@ def strip_scan(s_list, strip_cells, deltas, threads, output):
         shrunk = sublevel_window(win, -d)
         geo[d] = (spec, shrunk.omega, win.omega & ~shrunk.omega)
 
-    def one(args):
-        s, delta = args
+    def one(s, delta):
         spec, core, strip = geo[delta]
         table = build_table(spec, KernelParams(s, 2),
                             max_offset=max(spec.extent) - 1)
@@ -376,8 +353,7 @@ def strip_scan(s_list, strip_cells, deltas, threads, output):
         c_const = 2.0 * unit_ball_volume(2) / (s * (1.0 - s)) * 4.0
         return s, delta, val, c_const * delta ** (1.0 - s)
 
-    jobs = [(s, d) for s in svals for d in dvals]
-    rows = _parallel_map(one, jobs, nthreads)
+    rows = [one(s, d) for s in svals for d in dvals]
     lines = _config_lines(command="strip-scan", s=s_list,
                           strip_cells=strip_cells, deltas=deltas)
     lines.append("s,delta,measured,bound")

@@ -95,7 +95,7 @@ class GridSpec:
 def _sample_padded(spec: GridSpec, box: np.ndarray, exterior, target: GridSpec) -> np.ndarray:
     """``box`` (on ``spec``) placed into ``target``, the box padded by whole
     cells; the pad holds ``exterior``, a constant or an exterior model
-    evaluated at the pad's cell centers.
+    evaluated at the pad's cell centers (Empty and Full fill as constants).
 
     Raises SpecMismatch unless ``target == spec.padded(k)`` for some
     non-negative per-axis cell counts k.
@@ -103,8 +103,10 @@ def _sample_padded(spec: GridSpec, box: np.ndarray, exterior, target: GridSpec) 
     pads = tuple(round((o - t) / spec.h) for o, t in zip(spec.origin, target.origin))
     if target.dim != spec.dim or min(pads) < 0 or spec.padded(pads) != target:
         raise SpecMismatch(f"{target} is not {spec} padded by whole cells")
+    if isinstance(exterior, (EmptyExterior, FullExterior)):
+        exterior = isinstance(exterior, FullExterior)
     if isinstance(exterior, (int, float)):
-        out = np.full(target.extent, float(exterior))
+        out = np.full(target.extent, exterior, dtype=box.dtype)
     else:
         out = exterior.contains(target.centers()).astype(box.dtype, copy=False)
         out = out.reshape(target.extent)
@@ -297,75 +299,34 @@ def full_window(spec: GridSpec, policy=None) -> DomainWindow:
 # ---------------------------------------------------------------------------
 
 
-def _boundary_faces(spec: GridSpec, inside: np.ndarray):
-    """Axis-aligned faces separating in-cells from out-cells.
-
-    Cells outside the box count as out, so omega touching the box edge
-    produces boundary faces on the box surface.  Returns per-face (lo, hi)
-    corner arrays; the face is degenerate (lo == hi) along its normal axis.
-    """
-    lo_list, hi_list = [], []
-    ext = np.asarray(spec.extent)
-    origin = spec.box_lo
-    h = spec.h
-    padded = np.zeros(ext + 2, dtype=bool)
-    padded[(slice(1, -1),) * spec.dim] = inside
-    for a in range(spec.dim):
-        shifted = np.roll(padded, -1, axis=a)
-        diff = padded != shifted
-        # face between cell k and k+1 along axis a exists where diff is True
-        idx = np.argwhere(diff)
-        # drop faces entirely outside the closed box
-        keep = np.ones(len(idx), dtype=bool)
-        for b in range(spec.dim):
-            if b == a:
-                keep &= (idx[:, b] >= 0) & (idx[:, b] <= ext[b])
-            else:
-                keep &= (idx[:, b] >= 1) & (idx[:, b] <= ext[b])
-        idx = idx[keep]
-        if len(idx) == 0:
-            continue
-        lo = np.empty((len(idx), spec.dim))
-        hi = np.empty((len(idx), spec.dim))
-        for b in range(spec.dim):
-            if b == a:
-                lo[:, b] = origin[b] + idx[:, b] * h
-                hi[:, b] = lo[:, b]
-            else:
-                lo[:, b] = origin[b] + (idx[:, b] - 1) * h
-                hi[:, b] = lo[:, b] + h
-        lo_list.append(lo)
-        hi_list.append(hi)
-    if not lo_list:
-        return None
-    return np.concatenate(lo_list), np.concatenate(hi_list)
-
-
 def signed_distance(window: DomainWindow) -> ScalarField:
     """Signed distance from the in/out interface, negative inside omega.
 
-    Distances are measured from cell centers to the polygonal boundary
-    made of the faces between in- and out-cells (box faces included where
-    omega touches the box edge).
+    The interface is the boundary of the union of closed in-cells; cells
+    outside the box count as out, so omega touching the box edge measures
+    to the box surface.  The nearest interface point to a cell center has
+    each coordinate either the center's own or on a face plane, so it lies
+    on the half-cell lattice (step h/2): one exact Euclidean distance
+    transform on that lattice, read at the centers, gives the distance.
     """
+    from scipy import ndimage
+
     omega = window.omega
     if not omega.any():
         raise DegenerateDomain("omega must be nonempty")
-    faces = _boundary_faces(window.spec, omega)
-    lo, hi = faces
-    pts = window.spec.centers()  # (N, dim)
-    # distance from each center to each face rectangle, in manageable chunks
-    n = len(pts)
-    dmin = np.full(n, np.inf)
-    chunk = max(1, int(4e6 // max(len(lo), 1)))
-    for start in range(0, n, chunk):
-        p = pts[start : start + chunk][:, None, :]  # (c,1,dim)
-        d = np.maximum(lo[None, :, :] - p, 0.0)
-        d = np.maximum(d, p - hi[None, :, :])
-        dist = np.sqrt((d * d).sum(axis=2)).min(axis=1)
-        dmin[start : start + chunk] = dist
-    sign = np.where(omega.ravel(), -1.0, 1.0)
-    return ScalarField(window.spec, (sign * dmin).reshape(window.spec.extent))
+    cells = np.pad(omega, 1)  # one ring of out-cells beyond the box
+    cube = np.ones((3,) * cells.ndim, dtype=bool)
+
+    def closure(mask):
+        # cell k covers lattice points 2k, 2k+1 (its center) and 2k+2
+        lattice = np.zeros(tuple(2 * n + 1 for n in mask.shape), dtype=bool)
+        lattice[(slice(1, None, 2),) * mask.ndim] = mask
+        return ndimage.binary_dilation(lattice, cube)
+
+    interface = closure(cells) & closure(~cells)
+    dist = ndimage.distance_transform_edt(~interface, sampling=window.spec.h / 2)
+    dist = dist[(slice(3, -3, 2),) * cells.ndim]  # the box's centers
+    return ScalarField(window.spec, np.where(omega, -dist, dist))
 
 
 def sublevel_window(window: DomainWindow, r: float) -> DomainWindow:

@@ -167,7 +167,7 @@ class TestScans:
         self._synthetic_strip(monkeypatch, [0.3, 0.7], deltas, 0.0)
         res = runner.invoke(main, [
             "strip-scan", "--s", "0.3,0.7", "--strip-cells", "1",
-            "--deltas", "0.25,0.125,0.0625,0.03125", "--threads", "1",
+            "--deltas", "0.25,0.125,0.0625,0.03125",
         ])
         assert res.exit_code == 0, res.output
         assert self._fitted(res.output) == pytest.approx([0.7, 0.3], abs=1e-10)
@@ -179,7 +179,7 @@ class TestScans:
         self._synthetic_strip(monkeypatch, [0.5], deltas, offset)
         res = runner.invoke(main, [
             "strip-scan", "--s", "0.5", "--strip-cells", "1",
-            "--deltas", "0.25,0.125,0.0625,0.03125", "--threads", "1",
+            "--deltas", "0.25,0.125,0.0625,0.03125",
         ])
         assert res.exit_code == 2, res.output
         assert self._fitted(res.output) == pytest.approx([0.5 + offset],

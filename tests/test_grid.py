@@ -35,6 +35,38 @@ def _window(spec, mask):
     return DomainWindow(spec, mask, AnalyticTail())
 
 
+def _boundary_faces(spec, inside):
+    """Brute-force reference: the axis-aligned faces separating in-cells
+    from out-cells (cells beyond the box count as out), as per-face (lo, hi)
+    corners; a face is degenerate (lo == hi) along its normal axis."""
+    ext = np.asarray(spec.extent)
+    padded = np.pad(inside, 1)
+    lo_list, hi_list = [], []
+    for a in range(spec.dim):
+        # face between padded cells k and k+1 along axis a
+        idx = np.argwhere(padded != np.roll(padded, -1, axis=a))
+        keep = np.ones(len(idx), dtype=bool)
+        for b in range(spec.dim):
+            first = 0 if b == a else 1
+            keep &= (idx[:, b] >= first) & (idx[:, b] <= ext[b])
+        idx = idx[keep]
+        lo = spec.box_lo + (idx - 1 + np.eye(spec.dim)[a]) * spec.h
+        hi = lo + spec.h
+        hi[:, a] = lo[:, a]
+        lo_list.append(lo)
+        hi_list.append(hi)
+    return np.concatenate(lo_list), np.concatenate(hi_list)
+
+
+def _signed_distance_reference(spec, inside):
+    """Every cell center measured against every boundary face: O(cells x faces)."""
+    lo, hi = _boundary_faces(spec, inside)
+    p = spec.centers()[:, None, :]
+    gap = np.maximum(np.maximum(lo[None] - p, 0.0), p - hi[None])
+    dist = np.sqrt((gap * gap).sum(axis=2)).min(axis=1).reshape(spec.extent)
+    return np.where(inside, -dist, dist)
+
+
 class TestGridSpec:
     def test_centers_shape_and_values(self):
         spec = GridSpec(2, (1.0, -1.0), (3, 2), 0.5)
@@ -122,13 +154,15 @@ class TestCellSet:
         assert occ.dtype == bool
         assert np.array_equal(occ, self._reference(E.spec, E.inside, exterior, target))
 
-    @pytest.mark.parametrize("exterior", [0.0, 1.0, 0.3, HalfSpaceExterior(1, 0.6)],
-                             ids=["zero", "one", "fraction", "halfspace"])
+    @pytest.mark.parametrize("exterior", [0.0, 1.0, 0.3, HalfSpaceExterior(1, 0.6),
+                                          EmptyExterior(), FullExterior()],
+                             ids=["zero", "one", "fraction", "halfspace", "empty", "full"])
     @pytest.mark.parametrize("pad", _TARGETS, ids=str)
     def test_values_on_matches_per_cell_reference(self, exterior, pad, rng):
         u = ScalarField(self._SPEC, rng.random(self._SPEC.extent), exterior)
         target = self._SPEC.padded(pad)
         vals = u.values_on(target)
+        assert vals.dtype == float
         assert np.array_equal(vals, self._reference(u.spec, u.values, exterior, target))
 
     @pytest.mark.parametrize("target", [
@@ -185,6 +219,37 @@ class TestSignedDistance:
         ).reshape(spec.extent)
         realized_inside = interior < box_edge
         assert np.allclose(sd[realized_inside], -sd_c[realized_inside])
+
+    @staticmethod
+    def _cases(rng):
+        """Masks in dims 1-3 on shifted origins and several h: random fills,
+        a mask touching the box edge, a single cell and the full window."""
+        for dim, extent in ((1, (9,)), (2, (7, 5)), (3, (4, 5, 3))):
+            for h in (1.0, 0.25, 1 / 3):
+                spec = GridSpec(dim, tuple(rng.uniform(-2, 2, dim)), extent, h)
+                for fill in (0.2, 0.5, 0.8):
+                    mask = rng.random(extent) < fill
+                    mask.flat[0] = True
+                    yield spec, mask
+                edge = np.zeros(extent, dtype=bool)
+                edge[(slice(None),) * (dim - 1) + (slice(0, 2),)] = True
+                yield spec, edge
+                single = np.zeros(extent, dtype=bool)
+                single[tuple(n // 2 for n in extent)] = True
+                yield spec, single
+                yield spec, np.ones(extent, dtype=bool)
+
+    def test_matches_face_enumeration(self, rng):
+        for spec, mask in self._cases(rng):
+            sd = signed_distance(_window(spec, mask)).values
+            ref = _signed_distance_reference(spec, mask)
+            assert np.array_equal(np.sign(sd), np.sign(ref))
+            assert np.all(np.abs(sd - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
+
+    def test_exact_value_3d_full_window(self):
+        spec = GridSpec(3, (0.5, -1.0, 2.0), (3, 3, 3), 0.25)
+        sd = signed_distance(full_window(spec)).values
+        assert sd[1, 1, 1] == pytest.approx(-1.5 * spec.h, rel=1e-15)
 
     def test_empty_window_raises(self):
         spec = _spec2(4)

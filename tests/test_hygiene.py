@@ -40,8 +40,8 @@ def test_no_unused_imports(path):
 
 def test_cli_import_skips_signal_and_integrate():
     code = ("import sys, fracperim.cli; "
-            "print(*(m for m in ('scipy.signal', 'scipy.integrate', 'scipy.sparse.csgraph')"
-            " if m in sys.modules))")
+            "print(*(m for m in ('scipy.signal', 'scipy.integrate', 'scipy.sparse.csgraph',"
+            " 'scipy.ndimage') if m in sys.modules))")
     path = os.pathsep.join(p for p in (str(SRC.parent), os.environ.get("PYTHONPATH")) if p)
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=dict(os.environ, PYTHONPATH=path), check=True, timeout=120)
