@@ -161,8 +161,9 @@ _THRESHOLD_GRID = np.linspace(0.01, 0.99, 99)
 
 
 def _pick_threshold(u: ScalarField, target: float, window: DomainWindow,
-                    engine: PairEngine) -> tuple[float, CellSet]:
-    """Threshold whose superlevel perimeter is closest to the target.
+                    engine: PairEngine) -> tuple[float, CellSet, PerimeterBreakdown]:
+    """Threshold whose superlevel perimeter is closest to the target, with
+    that superlevel set and its perimeter.
 
     Distinct thresholds produce only finitely many sets, so the scan
     groups the 99-point grid by resulting bitmask; ties break toward
@@ -173,15 +174,13 @@ def _pick_threshold(u: ScalarField, target: float, window: DomainWindow,
     for t in _THRESHOLD_GRID:
         sup = superlevel(u, float(t))
         key = sup.inside.tobytes()
-        if key in seen:
-            gap = seen[key]
-        else:
-            gap = abs(perimeter(sup, window, engine.table, engine=engine).total - target)
-            seen[key] = gap
-        cand = (gap, abs(t - 0.5), float(t), sup)
+        if key not in seen:
+            seen[key] = perimeter(sup, window, engine.table, engine=engine)
+        bd = seen[key]
+        cand = (abs(bd.total - target), abs(t - 0.5), float(t), sup, bd)
         if best is None or (cand[0], cand[1]) < (best[0], best[1]):
             best = cand
-    return best[2], best[3]
+    return best[2], best[3], best[4]
 
 
 def _validate_schedule(eps_schedule, h: float) -> list[float]:
@@ -209,8 +208,7 @@ def approximate_set(E: CellSet, window: DomainWindow, eps_schedule,
     steps = []
     for eps in eps_list:
         u = mollify(E, MollifierSpec(eps))
-        t_star, approx = _pick_threshold(u, target, window, eng)
-        bd = perimeter(approx, window, table, engine=eng)
+        t_star, approx, bd = _pick_threshold(u, target, window, eng)
         contained = _containment(approx, bdist, eps, exclude=None)
         steps.append(ApproxStep(eps, t_star, approx, bd, contained))
     return steps
@@ -243,8 +241,7 @@ def approximate_set_lipschitz(E: CellSet, window: DomainWindow, eps_schedule,
             vals = vals * (wdist >= 2.0 * eps)
         u0 = ScalarField(E.spec, vals, E.exterior)
         u = mollify(u0, MollifierSpec(eps))
-        t_star, approx = _pick_threshold(u, target, window, eng)
-        bd = perimeter(approx, window, table, engine=eng)
+        t_star, approx, bd = _pick_threshold(u, target, window, eng)
         exclude = None if wdist is None else (wdist < 3.0 * eps)
         contained = _containment(approx, bdist, eps, exclude=exclude)
         steps.append(ApproxStep(eps, t_star, approx, bd, contained))

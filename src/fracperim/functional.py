@@ -15,6 +15,11 @@ a PairEngine computes on first use and caches per universe shape.  A
 perimeter takes two such fields.  ``interaction(..., exact=True)``, the
 default up to _DIRECT_LIMIT cells, weighs every cell pair explicitly
 instead and serves as the independent oracle.
+
+The relaxed energy F(u, Omega) is an explicit pair sum too, over (window
+cell, universe cell) pairs in chunks, reading the same weight rows as
+``interaction(exact=True)``.  It never touches the FFT, so the coarea
+identity compares two independent routes.
 """
 
 from __future__ import annotations
@@ -69,7 +74,7 @@ __all__ = [
 ]
 
 _DIRECT_LIMIT = 256  # cells; up to here a default pair sum is explicit
-_PAIR_CHUNK = 1 << 20  # cell pairs weighed at once by the explicit sum
+_PAIR_CHUNK = 1 << 16  # cell pairs (512 KB of float64) per explicit-sum chunk
 
 
 @dataclass(frozen=True)
@@ -112,18 +117,29 @@ def _correlate(A: np.ndarray, table: InteractionTable, spectra: dict) -> np.ndar
     return sfft.irfftn(F, fast)[tuple(slice(n) for n in A.shape)]
 
 
+def _weight_rows(cells: np.ndarray, shape: tuple[int, ...], table: InteractionTable):
+    """Yield (start, rows): the weight rows of ``cells`` in chunks of about
+    _PAIR_CHUNK cell pairs.
+
+    Row k of a chunk holds w(j - a) over every cell j of a universe of
+    ``shape``, flattened, for its cell a.  It is the slice
+    block[reach - a : reach - a + shape] of the weight block, read from
+    one sliding window view of it, so no offset array is formed.
+    """
+    reach = np.asarray(shape) - 1
+    windows = np.lib.stride_tricks.sliding_window_view(table.block(tuple(reach)), shape)
+    size = math.prod(shape)
+    step = max(1, _PAIR_CHUNK // size)
+    for lo in range(0, len(cells), step):
+        corner = reach - cells[lo:lo + step]
+        yield lo, windows[tuple(corner.T)].reshape(len(corner), size)
+
+
 def _explicit_pair_sum(A: np.ndarray, B: np.ndarray, table: InteractionTable) -> float:
     """Sum of w(j - i) over i in A, j in B, one table weight per cell pair."""
-    reach = tuple(n - 1 for n in A.shape)
-    w = table.block(reach)
-    a_cells = np.argwhere(A)
-    b_cells = np.argwhere(B) + np.asarray(reach)
-    step = max(1, _PAIR_CHUNK // len(b_cells))
-    parts = []
-    for lo in range(0, len(a_cells), step):
-        d = b_cells[None, :, :] - a_cells[lo:lo + step, None, :]
-        parts.append(math.fsum(w[tuple(np.moveaxis(d, -1, 0))].sum(axis=1)))
-    return math.fsum(parts)
+    b = B.ravel().astype(float)
+    return math.fsum(float(rows.dot(b).sum())
+                     for _, rows in _weight_rows(np.argwhere(A), A.shape, table))
 
 
 def _pair_sum(A: np.ndarray, B: np.ndarray, table: InteractionTable,
@@ -412,50 +428,32 @@ def relaxed_energy(u: ScalarField, window: DomainWindow, table: InteractionTable
                    engine: PairEngine | None = None) -> float:
     """F(u, Omega): half the within-window seminorm plus the cross term.
 
-    For an indicator field this reproduces perimeter(...).total exactly.
+    Explicitly, the sum over window cells a and universe cells j of
+    w(j - a) |u_a - u_j|, halved when j lies in the window, one chunk of
+    weight rows at a time (plus the 1D ray terms).  For an indicator
+    field this reproduces perimeter(...).total exactly.
     """
     if u.spec != window.spec:
         raise SpecMismatch("field and window specs differ")
     eng = engine if engine is not None else _engine_for(window, table)
     vals = u.values_on(eng.padded_spec)
     om = eng.embed(window.omega)
-    shape = vals.shape
-    reaches = tuple(s - 1 for s in shape)
-    k = eng.table.max_offset
-    if max(reaches) > k:
-        raise ValueError("table max_offset too small for universe")
-    partials = []
-    dim = vals.ndim
-    for delta in np.ndindex(*(2 * r + 1 for r in reaches)):
-        off = tuple(d - r for d, r in zip(delta, reaches))
-        if all(o == 0 for o in off):
-            continue
-        w = eng.table.weight(off)
-        if w == 0.0:
-            continue
-        src = tuple(
-            slice(max(0, -o), min(shape[a], shape[a] - o)) for a, o in enumerate(off)
-        )
-        dst = tuple(
-            slice(max(0, o), min(shape[a], shape[a] + o)) for a, o in enumerate(off)
-        )
-        vi = vals[src]
-        vj = vals[dst]
-        oi = om[src]
-        oj = om[dst]
-        if not oi.any():
-            continue
-        fac = np.where(oj, 0.5, 1.0)
-        contrib = w * float(np.sum(np.abs(vi - vj) * fac * oi))
-        partials.append(contrib)
-    total = math.fsum(partials)
+    vflat = vals.ravel()
+    half = np.where(om.ravel(), 0.5, 1.0)
+    v_om = vals[om]
+    parts = []
+    for lo, rows in _weight_rows(np.argwhere(om), vals.shape, eng.table):
+        terms = v_om[lo:lo + len(rows), None] - vflat
+        np.abs(terms, out=terms)
+        terms *= half
+        terms *= rows
+        parts.append(float(terms.sum()))
+    total = math.fsum(parts)
     if eng.analytic_rays:
         mass_e, mass_c = eng.ray_masses(_field_exterior_model(u))
-        vflat = vals.ravel()
         oflat = om.ravel()
-        total += math.fsum(
-            np.abs(vflat - 1.0)[oflat] * mass_e[oflat]
-        ) + math.fsum(np.abs(vflat)[oflat] * mass_c[oflat])
+        total += math.fsum(np.abs(v_om - 1.0) * mass_e[oflat]) + math.fsum(
+            np.abs(v_om) * mass_c[oflat])
     return total
 
 

@@ -34,7 +34,9 @@ __all__ = [
 ]
 
 _ORACLE_LIMIT = 24
-_INT32_MAX = 2**31 - 1  # SciPy's max-flow takes int32 capacities only
+# SciPy's max-flow takes int32 capacities only; a capacity plus the flow
+# on its reverse edge must stay below 2^31 as well
+_CAP_MAX = 2**30 - 1
 
 
 @dataclass(frozen=True)
@@ -160,16 +162,17 @@ def _min_cut(W: np.ndarray, p: np.ndarray, q: np.ndarray, tol: float,
     Nodes are the m cells, a source (the side x = 1) and a sink; edges are
     source -> a (p_a), a -> sink (q_a) and a <-> b (W_ab).  The float
     capacities are refined in int32 rounds: round k floors the float
-    residual at the quantum C_max 2^(-20-10k), clips it to 2^31 - 1 and
+    residual at the quantum C_max 2^(-20-10k), clips it to 2^30 - 1 and
     subtracts the round's maximum flow, which is feasible for it.  The
-    summed flow is a lower bound on the minimum, so the energy of the cut
-    minus the flow is a certified gap.  Rounds stop once that gap is at
-    most tol (1 + |energy|), when the next quantum would fall below
-    C_max 2^-52, or after ``max_rounds``.
+    summed flow is a lower bound on the minimum, so the energy of any cut
+    minus the flow is a certified gap.  Rounds stop once the gap of the
+    best cut so far is at most tol (1 + |energy|), when the next quantum
+    would fall below C_max 2^-52, or after ``max_rounds``.
 
-    The minimizer is the set reachable from the source in the last
-    integer residual graph: the inclusion-minimal minimizer of that
-    graph, hence also its lexicographically smallest.  Returns
+    Each round's cut is the set reachable from the source in its integer
+    residual graph: the inclusion-minimal minimizer of that graph, hence
+    also its lexicographically smallest.  The lowest-energy cut of all
+    rounds is returned, the later one on ties.  Returns
     (bits, flow, rounds).
     """
     from scipy.sparse import csr_matrix
@@ -187,9 +190,10 @@ def _min_cut(W: np.ndarray, p: np.ndarray, q: np.ndarray, tol: float,
     quantum = c_max / 2.0**30
     flow = 0.0
     rounds = 0
+    best, best_energy = None, math.inf
     while True:
         # the lower clip absorbs residuals a rounding left an ulp below 0
-        caps = np.clip(np.floor(residual / quantum), 0, _INT32_MAX).astype(np.int32)
+        caps = np.clip(np.floor(residual / quantum), 0, _CAP_MAX).astype(np.int32)
         res = maximum_flow(csr_matrix(caps), s, t, method="dinic")
         f = res.flow.toarray()  # skew-symmetric net flow
         residual -= quantum * f
@@ -201,10 +205,12 @@ def _min_cut(W: np.ndarray, p: np.ndarray, q: np.ndarray, tol: float,
         bits[reach] = True
         x = bits[:m].astype(float)
         energy = float(p.sum() + x @ (q - p) + x @ W @ (1.0 - x))
+        if energy <= best_energy:
+            best, best_energy = bits[:m], energy
         quantum /= 2.0**10
-        if (energy - flow <= tol * (1.0 + abs(energy))
+        if (best_energy - flow <= tol * (1.0 + abs(best_energy))
                 or quantum < c_max * 2.0**-52 or rounds >= max_rounds):
-            return bits[:m], flow, rounds
+            return best, flow, rounds
 
 
 def solve_relaxed(p: MinimizationProblem, tol: float = 1e-9,

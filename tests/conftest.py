@@ -1,10 +1,16 @@
-"""Shared fixtures: cached kernel tables and deterministic RNG streams.
+"""Shared fixtures: cached kernel tables, deterministic RNG streams and
+the command line run in a fresh interpreter.
 
 Table construction is the expensive step in almost every test, so tables
 are cached per (grid spec, s, complement policy) for the whole session.
 """
 
 from __future__ import annotations
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +20,7 @@ from fracperim.grid import AnalyticTail, GridSpec, TruncateAtRadius
 from fracperim.kernel import InteractionTable, KernelParams, build_table
 
 _TABLE_CACHE: dict = {}
+_SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def _policy_key(policy) -> tuple:
@@ -56,3 +63,17 @@ def get_box_table():
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260823)
+
+
+def cli_output_bytes(args, output: Path, hash_seed: int) -> bytes:
+    """Bytes a fresh ``python -m fracperim.cli`` process writes to
+    ``output``, run with PYTHONHASHSEED=hash_seed.
+
+    Exit code 2 (a scan's gate tripped) still writes the output."""
+    path = os.pathsep.join(p for p in (str(_SRC), os.environ.get("PYTHONPATH")) if p)
+    env = dict(os.environ, PYTHONPATH=path, PYTHONHASHSEED=str(hash_seed))
+    proc = subprocess.run([sys.executable, "-m", "fracperim.cli", *args,
+                           "--output", str(output)],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode in (0, 2), proc.stderr
+    return output.read_bytes()

@@ -59,7 +59,7 @@ from fracperim.minimize import (
     check_minimality_equivalence,
     solve_and_threshold,
 )
-from tests.conftest import table_for
+from tests.conftest import cli_output_bytes, table_for
 from tests.test_kernel import _near_class_integral
 
 
@@ -642,12 +642,11 @@ def test_a10_divergence_probe():
 
 
 # ---------------------------------------------------------------------------
-# A11: byte-identical outputs across thread counts.
+# A11: byte-identical outputs from fresh processes with different hash seeds.
 # ---------------------------------------------------------------------------
 
 
-def test_a11_thread_determinism(tmp_path):
-    runner = CliRunner()
+def test_a11_hash_seed_determinism(tmp_path):
     commands = {
         "strip": ["strip-scan", "--s", "0.3,0.5", "--strip-cells", "4",
                   "--deltas", "0.25,0.125,0.0625"],
@@ -658,15 +657,9 @@ def test_a11_thread_determinism(tmp_path):
     }
     ok = True
     for name, args in commands.items():
-        outs = []
-        for threads in (1, 8):
-            out = tmp_path / f"{name}-{threads}.txt"
-            runner.invoke(
-                cli_main, args + ["--output", str(out)],
-                env={"FRACPERIM_THREADS": str(threads)},
-            )
-            outs.append(out.read_bytes())
+        outs = [cli_output_bytes(args, tmp_path / f"{name}-{seed}.txt", seed)
+                for seed in (0, 1)]
         ok &= outs[0] == outs[1]
-    _report("A11", ok, "1-thread and 8-thread outputs byte-identical for "
-            "all sampled commands")
+    _report("A11", ok, "outputs byte-identical across fresh processes with "
+            "PYTHONHASHSEED 0 and 1 for all sampled commands")
     assert ok

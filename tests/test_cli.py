@@ -16,6 +16,7 @@ from fracperim.grid import (
     read_grid_file,
     write_grid_file,
 )
+from tests.conftest import cli_output_bytes
 
 
 @pytest.fixture
@@ -249,18 +250,8 @@ class TestConfinement:
 
 
 class TestDeterminism:
-    def test_thread_count_does_not_change_bytes(self, runner, tmp_path):
-        outs = []
-        for threads, name in ((1, "a.csv"), (4, "b.csv")):
-            out = tmp_path / name
-            res = runner.invoke(
-                main,
-                [
-                    "strip-scan", "--s", "0.3,0.5", "--strip-cells", "4",
-                    "--deltas", "0.25,0.125", "--output", str(out),
-                ],
-                env={"FRACPERIM_THREADS": str(threads)},
-            )
-            assert res.exit_code in (0, 2), res.output
-            outs.append(out.read_bytes())
+    def test_hash_seed_does_not_change_bytes(self, tmp_path):
+        args = ["strip-scan", "--s", "0.3,0.5", "--strip-cells", "4",
+                "--deltas", "0.25,0.125"]
+        outs = [cli_output_bytes(args, tmp_path / f"{seed}.csv", seed) for seed in (0, 1)]
         assert outs[0] == outs[1]

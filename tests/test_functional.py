@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from fracperim import functional
 from fracperim.errors import (
     InvalidSchedule,
     InvalidSequence,
@@ -29,6 +30,7 @@ from fracperim.grid import (
     CellSet,
     DomainWindow,
     GridSpec,
+    HalfSpaceExterior,
     ScalarField,
     TruncateAtRadius,
     cellset_from_shape,
@@ -275,6 +277,84 @@ class TestCoarea:
         f = relaxed_energy(u, win, table)
         p = perimeter(E, win, table).total
         assert f == pytest.approx(p, rel=1e-11)
+
+
+def _offset_loop_energy(u, window, table):
+    """F(u, Omega) by a loop over every offset of the universe: for each
+    offset, the shifted products of the field, one table weight apiece."""
+    eng = PairEngine(window.spec, window.complement_policy, table)
+    vals = u.values_on(eng.padded_spec)
+    om = eng.embed(window.omega)
+    shape = vals.shape
+    reaches = tuple(n - 1 for n in shape)
+    partials = []
+    for delta in np.ndindex(*(2 * r + 1 for r in reaches)):
+        off = tuple(d - r for d, r in zip(delta, reaches))
+        if not any(off):
+            continue
+        src = tuple(slice(max(0, -o), min(n, n - o)) for n, o in zip(shape, off))
+        dst = tuple(slice(max(0, o), min(n, n + o)) for n, o in zip(shape, off))
+        fac = np.where(om[dst], 0.5, 1.0)
+        w = table.weight(off)
+        partials.append(w * float(np.sum(np.abs(vals[src] - vals[dst]) * fac * om[src])))
+    total = math.fsum(partials)
+    if eng.analytic_rays:
+        mass_e, mass_c = eng.ray_masses(functional._field_exterior_model(u))
+        v, o = vals.ravel(), om.ravel()
+        total += math.fsum(np.abs(v - 1.0)[o] * mass_e[o]) + math.fsum(
+            np.abs(v)[o] * mass_c[o])
+    return total
+
+
+class TestRelaxedEnergyOracle:
+    """The chunked pair sum against the offset loop it replaced."""
+
+    @staticmethod
+    def _check(u, window, table):
+        got = relaxed_energy(u, window, table)
+        ref = _offset_loop_energy(u, window, table)
+        assert got == pytest.approx(ref, rel=1e-12)
+        lhs, rhs = coarea_check(u, window, table)
+        assert abs(lhs - rhs) <= 1e-10 * rhs
+
+    def test_1d_analytic_rays_halfspace_exterior(self, rng):
+        spec = GridSpec(1, (0.0,), (24,), 1.0 / 24)
+        omega = np.zeros(spec.extent, dtype=bool)
+        omega[3:20] = True
+        win = DomainWindow(spec, omega, AnalyticTail())
+        u = ScalarField(spec, rng.integers(0, 5, spec.extent) / 4.0,
+                        HalfSpaceExterior(0, 0.4))
+        table = table_for(spec, 0.3, AnalyticTail())
+        assert PairEngine(spec, AnalyticTail(), table).analytic_rays
+        self._check(u, win, table)
+
+    @pytest.mark.parametrize("policy", [AnalyticTail(), TruncateAtRadius(0.3)],
+                             ids=["analytic", "truncate"])
+    def test_2d_partial_window(self, rng, policy):
+        spec = GridSpec(2, (0.0, 0.0), (10, 10), 0.1)
+        omega = np.zeros(spec.extent, dtype=bool)
+        omega[2:9, 1:6] = True
+        win = DomainWindow(spec, omega, policy)
+        u = ScalarField(spec, rng.random(spec.extent), 1.0)
+        self._check(u, win, table_for(spec, 0.6, policy))
+
+    def test_3d_small_field(self, rng):
+        spec = GridSpec(3, (0.0,) * 3, (4, 4, 4), 0.25)
+        policy = TruncateAtRadius(0.25)
+        win = full_window(spec, policy)
+        u = ScalarField(spec, rng.integers(0, 3, spec.extent) / 2.0, 0.0)
+        self._check(u, win, table_for(spec, 0.5, policy))
+
+    def test_independent_of_the_fft(self, rng, monkeypatch):
+        _, win, table = _random_instance(rng, n=12)
+        u = ScalarField(win.spec, rng.random(win.spec.extent), 0.0)
+        ref = relaxed_energy(u, win, table)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("relaxed_energy must not use the FFT correlation")
+
+        monkeypatch.setattr(functional, "_correlate", forbidden)
+        assert relaxed_energy(u, win, table) == ref
 
 
 class TestDivergenceProbe:

@@ -223,6 +223,24 @@ class TestMinCut:
         assert abs(rep.energy - lp) <= 1e-9 * scale
         assert rep.gap <= 1e-12 * (1.0 + abs(rep.relaxed_energy))
 
+    def test_clipped_round_keeps_the_minimum(self):
+        # perfbench's minimize job 2 of seed 51: with capacities clipped at
+        # 2^31 - 1, the third round at tol=0 returned a cut of energy 4.797
+        # in place of round 2's minimizing cut (3.968)
+        spec = GridSpec(2, (0.0, 0.0), (6, 6), 1.0 / 6)
+
+        def rows(*bits):
+            return np.array([[c == "1" for c in r] for r in bits])
+
+        omega = rows("000000", "001100", "011110", "011110", "001110", "000000")
+        data = rows("111000", "110000", "110000", "111000", "111100", "111100")
+        E0 = CellSet(spec, data, HalfSpaceExterior(axis=1, level=0.5113048032166843))
+        win = DomainWindow(spec, omega, AnalyticTail())
+        p = MinimizationProblem(win, E0, table_for(spec, 0.5, AnalyticTail()))
+        rep = solve_and_threshold(p, tol=0.0)
+        _, best = brute_force_minimum(p)
+        assert rep.energy == pytest.approx(best, abs=1e-9)
+
     def test_scale_invariant_with_int32_capacities(self, monkeypatch):
         seen = []
 
@@ -240,7 +258,7 @@ class TestMinCut:
             assert np.array_equal(bits, ref)
             assert flow == pytest.approx(c * ref_flow, rel=1e-12)
         assert all(dtype == np.int32 for dtype, _ in seen)
-        assert max(cap for _, cap in seen) == 2**31 - 1  # clipped, not wrapped
+        assert max(cap for _, cap in seen) == 2**30 - 1  # clipped, not wrapped
 
     def test_optimal_data_stops_after_few_rounds(self):
         # the 1D minimize example of the cli_cold benchmark workload: the
