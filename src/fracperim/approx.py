@@ -5,6 +5,14 @@ then recovered by thresholding at the level whose superlevel set best
 matches the original perimeter.  A variant first multiplies by a cut-off
 vanishing near the window boundary, which trades a little boundary
 accuracy for convergence on windows whose closure meets the set.
+
+The superlevel sets of one rung are nested, so a single scan gives the
+perimeter at all 99 grid thresholds: the two correlations of the
+smallest set, the row totals 1 (*) w and 1_Omega (*) w (once per
+ladder) and the weights among the switching cells S, |S| x box cells in
+all.  A rung therefore costs two FFT perimeters (the smallest set's
+fields and the chosen set's ``perimeter``) plus the S x S weights,
+where one perimeter per distinct superlevel set used to be paid.
 """
 
 from __future__ import annotations
@@ -19,6 +27,7 @@ from .functional import (
     InteractionTable,
     PairEngine,
     PerimeterBreakdown,
+    _weight_rows,
     perimeter,
     superlevel,
 )
@@ -160,27 +169,98 @@ class ApproxStep:
 _THRESHOLD_GRID = np.linspace(0.01, 0.99, 99)
 
 
-def _pick_threshold(u: ScalarField, target: float, window: DomainWindow,
-                    engine: PairEngine) -> tuple[float, CellSet, PerimeterBreakdown]:
+class _ThresholdScan:
+    """Per-ladder constants of the threshold scan: the engine, the row
+    totals 1 (*) w and 1_Omega (*) w on the box, and the 1D ray masses a
+    window cell costs inside and outside the set.  ``exterior`` is the
+    set's exterior model, which every superlevel set of a rung shares.
+    """
+
+    def __init__(self, window: DomainWindow, table: InteractionTable, exterior):
+        eng = PairEngine(window.spec, window.complement_policy, table)
+        self.window = window
+        self.engine = eng
+        self.om = eng.embed(window.omega)
+        self.box = tuple(slice(eng.pad, eng.pad + n) for n in window.spec.extent)
+        self.row_all = eng.field(np.ones(self.om.shape, dtype=bool))[self.box]
+        self.row_om = eng.field(self.om)[self.box]
+        mass_e, mass_c = eng.ray_masses(exterior)
+        omega = window.omega
+        self.ray_in = np.where(omega, mass_c.reshape(omega.shape), 0.0)
+        self.ray_out = np.where(omega, mass_e.reshape(omega.shape), 0.0)
+
+    def totals(self, u: ScalarField) -> np.ndarray:
+        """Perimeter of {u > t} for every t of the threshold grid.
+
+        The sets are nested: each is the smallest, x0 = {u > 0.99}, plus a
+        prefix of the switching cells S (0.01 < u <= 0.99) sorted by
+        decreasing u.  With omega(a, b) = w(b - a) [a or b in Omega],
+        adding cell a to a set X changes its perimeter by
+        sum_j omega(a, j) (1 - 2 X_j).  For X = x0 plus the cells of S
+        before a, that is a linear part read from the two fields of x0
+        and the row totals, minus twice the S x S weights to earlier
+        cells, plus the 1D ray masses.
+        """
+        eng = self.engine
+        x0 = superlevel(u, float(_THRESHOLD_GRID[-1]))
+        occ = eng.occupancy(x0)
+        f_in = eng.field(occ & self.om)
+        f_out = eng.field(occ & ~self.om)
+        inside = x0.inside
+        base = math.fsum([float(f_in[~occ].sum()), float(f_out[~occ & self.om].sum()),
+                          float(self.ray_in[inside].sum()),
+                          float(self.ray_out[~inside].sum())])
+
+        switch = (u.values > _THRESHOLD_GRID[0]) & ~inside
+        order = np.argsort(-u.values[switch], kind="stable")
+        cells = np.argwhere(switch)[order]
+        vals = u.values[switch][order]
+        idx = tuple(cells.T)
+        in_om = self.window.omega[idx]
+        f_in, f_out = f_in[self.box][idx], f_out[self.box][idx]
+        gains = np.where(in_om, self.row_all[idx] - 2.0 * (f_in + f_out),
+                         self.row_om[idx] - 2.0 * f_in)
+        gains += self.ray_in[idx] - self.ray_out[idx]
+        gains -= 2.0 * _earlier_pair_sums(cells, in_om, u.spec.extent, eng.table)
+        prefix = np.concatenate(([0.0], np.cumsum(gains)))
+        # {u > t} takes the cells of S with u > t, a prefix of the order
+        return base + prefix[np.searchsorted(-vals, -_THRESHOLD_GRID)]
+
+
+def _earlier_pair_sums(cells: np.ndarray, in_om: np.ndarray, shape,
+                       table: InteractionTable) -> np.ndarray:
+    """Per cell a of ``cells``, the sum of w(b - a) over the cells b listed
+    before it, a pair counted only when a or b lies in the window.
+
+    Reads box-shaped weight rows, so the work is |cells| x box cells.
+    """
+    flat = np.ravel_multi_index(tuple(cells.T), shape)
+    out = np.empty(len(cells))
+    for lo, rows in _weight_rows(cells, tuple(shape), table):
+        hi = lo + len(rows)
+        keep = np.arange(hi) < np.arange(lo, hi)[:, None]
+        keep &= in_om[lo:hi, None] | in_om[:hi]
+        out[lo:hi] = (rows[:, flat[:hi]] * keep).sum(axis=1)
+    return out
+
+
+def _pick_threshold(u: ScalarField, target: float,
+                    scan: _ThresholdScan) -> tuple[float, CellSet, PerimeterBreakdown]:
     """Threshold whose superlevel perimeter is closest to the target, with
     that superlevel set and its perimeter.
 
-    Distinct thresholds produce only finitely many sets, so the scan
-    groups the 99-point grid by resulting bitmask; ties break toward
-    t = 1/2.  Every perimeter of the scan shares ``engine``.
+    One exact scan over the nested superlevel sets gives the perimeter at
+    every grid threshold (``_ThresholdScan.totals``), so a rung costs two
+    FFT perimeters (x0's two correlations and the chosen set's
+    ``perimeter`` on the shared engine) plus the S x S weights, instead of
+    one perimeter per distinct superlevel set.  Ties break toward t = 1/2,
+    then toward the first grid threshold.
     """
-    best = None
-    seen = {}
-    for t in _THRESHOLD_GRID:
-        sup = superlevel(u, float(t))
-        key = sup.inside.tobytes()
-        if key not in seen:
-            seen[key] = perimeter(sup, window, engine.table, engine=engine)
-        bd = seen[key]
-        cand = (abs(bd.total - target), abs(t - 0.5), float(t), sup, bd)
-        if best is None or (cand[0], cand[1]) < (best[0], best[1]):
-            best = cand
-    return best[2], best[3], best[4]
+    totals = scan.totals(u)
+    k = np.lexsort((np.abs(_THRESHOLD_GRID - 0.5), np.abs(totals - target)))[0]
+    t = float(_THRESHOLD_GRID[k])
+    sup = superlevel(u, t)
+    return t, sup, perimeter(sup, scan.window, scan.engine.table, engine=scan.engine)
 
 
 def _validate_schedule(eps_schedule, h: float) -> list[float]:
@@ -192,6 +272,32 @@ def _validate_schedule(eps_schedule, h: float) -> list[float]:
     return eps
 
 
+def _ladder(E: CellSet, window: DomainWindow, eps_schedule, table: InteractionTable,
+            wdist: np.ndarray | None) -> list[ApproxStep]:
+    """The rung loop of both ladders.
+
+    ``wdist`` (distance to the window boundary, or None) switches on the
+    cut-off: E's cells within 2 eps of the window boundary are dropped
+    before mollifying, and boundary cells within 3 eps of it are exempt
+    from the containment check.
+    """
+    eps_list = _validate_schedule(eps_schedule, E.spec.h)
+    scan = _ThresholdScan(window, table, E.exterior)
+    target = perimeter(E, window, table, engine=scan.engine).total
+    bdist = _boundary_distance(E)
+    steps = []
+    for eps in eps_list:
+        vals = E.inside.astype(float)
+        if wdist is not None:
+            vals = vals * (wdist >= 2.0 * eps)
+        u = mollify(ScalarField(E.spec, vals, E.exterior), MollifierSpec(eps))
+        t_star, approx, bd = _pick_threshold(u, target, scan)
+        exclude = None if wdist is None else (wdist < 3.0 * eps)
+        contained = _containment(approx, bdist, eps, exclude=exclude)
+        steps.append(ApproxStep(eps, t_star, approx, bd, contained))
+    return steps
+
+
 def approximate_set(E: CellSet, window: DomainWindow, eps_schedule,
                     table: InteractionTable) -> list[ApproxStep]:
     """Mollify-threshold ladder with strict boundary containment checks.
@@ -201,17 +307,7 @@ def approximate_set(E: CellSet, window: DomainWindow, eps_schedule,
     verify that every boundary cell of the approximant lies within eps of
     the boundary of E.
     """
-    eps_list = _validate_schedule(eps_schedule, E.spec.h)
-    eng = PairEngine(window.spec, window.complement_policy, table)
-    target = perimeter(E, window, table, engine=eng).total
-    bdist = _boundary_distance(E)
-    steps = []
-    for eps in eps_list:
-        u = mollify(E, MollifierSpec(eps))
-        t_star, approx, bd = _pick_threshold(u, target, window, eng)
-        contained = _containment(approx, bdist, eps, exclude=None)
-        steps.append(ApproxStep(eps, t_star, approx, bd, contained))
-    return steps
+    return _ladder(E, window, eps_schedule, table, wdist=None)
 
 
 def approximate_set_lipschitz(E: CellSet, window: DomainWindow, eps_schedule,
@@ -225,27 +321,11 @@ def approximate_set_lipschitz(E: CellSet, window: DomainWindow, eps_schedule,
     window boundary are exempt from the containment check; outside that
     shrinking collar the strict neighborhood containment is enforced.
     """
-    eps_list = _validate_schedule(eps_schedule, E.spec.h)
-    eng = PairEngine(window.spec, window.complement_policy, table)
-    target = perimeter(E, window, table, engine=eng).total
-    bdist = _boundary_distance(E)
     omega = window.omega
+    wdist = None
     if omega.any() and not omega.all():
         wdist = np.abs(signed_distance(window).values)
-    else:
-        wdist = None
-    steps = []
-    for eps in eps_list:
-        vals = E.inside.astype(float)
-        if wdist is not None:
-            vals = vals * (wdist >= 2.0 * eps)
-        u0 = ScalarField(E.spec, vals, E.exterior)
-        u = mollify(u0, MollifierSpec(eps))
-        t_star, approx, bd = _pick_threshold(u, target, window, eng)
-        exclude = None if wdist is None else (wdist < 3.0 * eps)
-        contained = _containment(approx, bdist, eps, exclude=exclude)
-        steps.append(ApproxStep(eps, t_star, approx, bd, contained))
-    return steps
+    return _ladder(E, window, eps_schedule, table, wdist)
 
 
 def _containment(approx: CellSet, bdist: np.ndarray | None, eps: float,

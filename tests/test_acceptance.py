@@ -46,6 +46,7 @@ from fracperim.grid import (
     TruncateAtRadius,
     cellset_from_shape,
     full_window,
+    write_grid_file,
 )
 from fracperim.kernel import (
     KernelParams,
@@ -647,6 +648,13 @@ def test_a10_divergence_probe():
 
 
 def test_a11_hash_seed_determinism(tmp_path):
+    spec = GridSpec(2, (0.0, 0.0), (16, 16), 1.0 / 16)
+    grid = tmp_path / "ball.fracgrid"
+    write_grid_file(grid, cellset_from_shape(
+        spec, {"shape": "ball", "center": [0.45, 0.55], "radius": 0.3}))
+    ladder = ["approx", "--s", "0.5", "--grid", str(grid), "--eps",
+              "0.25,0.125,0.0625", "--policy", "truncate:0.5", "--omega",
+              '{"shape": "ball", "center": [0.5, 0.5], "radius": 0.45}']
     commands = {
         "strip": ["strip-scan", "--s", "0.3,0.5", "--strip-cells", "4",
                   "--deltas", "0.25,0.125,0.0625"],
@@ -654,6 +662,8 @@ def test_a11_hash_seed_determinism(tmp_path):
                      "--t-schedule", "2,4,8,16,32,64"],
         "coarea": ["coarea-check", "--s", "0.5", "--extent", "8,8",
                    "--h", "0.125", "--seed", "7", "--policy", "truncate:0.5"],
+        "approx": ladder,
+        "approx-lipschitz": [*ladder, "--lipschitz"],
     }
     ok = True
     for name, args in commands.items():

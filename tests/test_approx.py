@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import signal
 
+from fracperim import approx, functional
 from fracperim.approx import (
     MollifierSpec,
     approximate_set,
@@ -20,7 +21,9 @@ from fracperim.grid import (
     CellSet,
     DomainWindow,
     GridSpec,
+    HalfSpaceExterior,
     ScalarField,
+    TruncateAtRadius,
     cellset_from_shape,
     full_window,
 )
@@ -159,3 +162,95 @@ class TestApproximationLadder:
         lip = approximate_set_lipschitz(E, win, [2 * h, h], table)
         for a, b in zip(plain, lip):
             assert np.array_equal(a.approximant.inside, b.approximant.inside)
+
+
+def _oracle_scan(u, target, window, engine):
+    """Per-threshold perimeter loop, one perimeter per distinct superlevel
+    set: (every grid threshold's breakdown, the chosen threshold, set and
+    breakdown), ties broken toward t = 1/2, then the first threshold."""
+    best = None
+    seen = {}
+    breakdowns = []
+    for t in approx._THRESHOLD_GRID:
+        sup = superlevel(u, float(t))
+        key = sup.inside.tobytes()
+        if key not in seen:
+            seen[key] = perimeter(sup, window, engine.table, engine=engine)
+        bd = seen[key]
+        breakdowns.append(bd)
+        cand = (abs(bd.total - target), abs(t - 0.5), float(t), sup, bd)
+        if best is None or (cand[0], cand[1]) < (best[0], best[1]):
+            best = cand
+    return breakdowns, best[2], best[3], best[4]
+
+
+def _scan_case(name):
+    """(set, window, s) of one threshold-scan case."""
+    if name == "1d-rays":
+        spec = GridSpec(1, (0.0,), (32,), 1.0 / 32)
+        x = spec.centers()[:, 0]
+        inside = (x < 0.4) | ((x > 0.6) & (x < 0.75))
+        E = CellSet(spec, inside, HalfSpaceExterior(0, 0.4))
+        mask = np.zeros(spec.extent, dtype=bool)
+        mask[3:-4] = True
+        return E, DomainWindow(spec, mask, AnalyticTail()), 0.4
+    if name == "2d-partial-truncate":
+        E = _ball(16, 0.3)
+        mask = np.zeros(E.spec.extent, dtype=bool)
+        mask[2:-3, 1:-2] = True
+        return E, DomainWindow(E.spec, mask, TruncateAtRadius(0.25)), 0.5
+    if name == "2d-full-analytic":
+        E = _ball(12, 0.35)
+        return E, full_window(E.spec, AnalyticTail()), 0.7
+    spec = GridSpec(3, (0.0,) * 3, (6, 6, 6), 1.0 / 6)
+    E = cellset_from_shape(spec, {"shape": "ball", "center": [0.5] * 3, "radius": 0.3})
+    return E, full_window(spec, TruncateAtRadius(0.5)), 0.3
+
+
+class TestThresholdScan:
+    """The nested-set scan against the per-threshold perimeter loop."""
+
+    @pytest.mark.parametrize("case", ["1d-rays", "2d-partial-truncate",
+                                      "2d-full-analytic", "3d-ball"])
+    def test_matches_per_threshold_perimeters(self, case):
+        E, win, s = _scan_case(case)
+        table = table_for(E.spec, s, win.complement_policy)
+        h = E.spec.h
+        for eps in (4 * h, 3 * h, 2 * h):
+            scan = approx._ThresholdScan(win, table, E.exterior)
+            target = perimeter(E, win, table, engine=scan.engine).total
+            u = mollify(E, MollifierSpec(eps))
+            oracle = _oracle_scan(u, target, win, scan.engine)[0]
+            assert len({b.total for b in oracle}) > 2  # the scan has work
+            ref = np.array([b.total for b in oracle])
+            totals = scan.totals(u)
+            assert np.all(np.abs(totals - ref) <= 1e-12 * np.abs(ref)), (eps, totals - ref)
+            # E's own perimeter, and targets that pick other thresholds
+            for goal in (target, 0.8 * target, 1.15 * target):
+                _, t, sup, bd = _oracle_scan(u, goal, win, scan.engine)
+                t_new, sup_new, bd_new = approx._pick_threshold(u, goal, scan)
+                assert t_new == t
+                assert sup_new.inside.tobytes() == sup.inside.tobytes()
+                assert (sup_new.spec, sup_new.exterior) == (sup.spec, sup.exterior)
+                assert bd_new == bd
+
+    @pytest.mark.parametrize("ladder", [approximate_set, approximate_set_lipschitz])
+    def test_one_perimeter_per_rung(self, monkeypatch, ladder):
+        # the target plus one per rung; the per-threshold loop made up to 99
+        calls = []
+        original = functional.perimeter
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(functional, "perimeter", counted)
+        monkeypatch.setattr(approx, "perimeter", counted)
+        E = _ball()
+        mask = np.zeros(E.spec.extent, dtype=bool)
+        mask[2:-2, 2:-2] = True
+        win = DomainWindow(E.spec, mask, TruncateAtRadius(0.25))
+        table = table_for(E.spec, 0.5, win.complement_policy)
+        h = E.spec.h
+        steps = ladder(E, win, [4 * h, 2 * h, h], table)
+        assert len(calls) == 1 + len(steps)
