@@ -208,14 +208,12 @@ def approx_cmd(s, grid, eps_list, omega, policy, lipschitz, output):
 @click.option("--policy", default="analytic", show_default=True)
 @click.option("--tol", type=float, default=1e-9, show_default=True,
               help="certified gap tolerance, relative to 1 + |energy|")
-@click.option("--max-iter", type=int, default=2000, show_default=True,
-              help="cap on the max-flow refinement rounds")
 @click.option("--oracle", is_flag=True, help="verify against exhaustive search")
 @click.option("--out-grid", default=None, help="write the minimizer as a grid file")
 @click.option("--output", default=None)
 @_guard
 def minimize_cmd(s, grid, exterior, extent, h, origin, omega, policy, tol,
-                 max_iter, oracle, out_grid, output):
+                 oracle, out_grid, output):
     """Exact minimum cut with a certified gap; solver report as JSON."""
     E0 = _load_set(grid, exterior, extent, h, origin)
     if grid and exterior:
@@ -226,7 +224,7 @@ def minimize_cmd(s, grid, exterior, extent, h, origin, omega, policy, tol,
     win = window_from_shape(E0.spec, json.loads(omega), pol)
     table = table_for(E0.spec, s, pol)
     prob = min_mod.MinimizationProblem(win, E0, table)
-    rep = min_mod.solve_and_threshold(prob, tol=tol, max_iter=max_iter)
+    rep = min_mod.solve_and_threshold(prob, tol=tol)
     result = {
         "s": s,
         "relaxed_energy": rep.relaxed_energy,

@@ -1,17 +1,18 @@
 """Subgraphs over a base grid inside an infinite vertical cylinder.
 
 The vertical axis is only gridded inside a finite window; below and above
-it every column is analytically full (respectively empty), so the
-infinite tails enter through closed-form or one-dimensional quadrature
-masses rather than through truncation.  This is what makes divergence
-rates and finiteness bounds testable: the tails are the whole story.
+it every column is full (respectively empty), so the infinite tails enter
+through closed-form masses rather than through truncation: half-space
+masses per row for the perimeter, an incomplete beta function under one
+quadrature over the horizontal separation for the divergence scans.
+This is what makes divergence rates and finiteness bounds testable: the
+tails are the whole story.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -30,7 +31,13 @@ from .functional import (
     _tail_terms,
 )
 from .grid import CellSet, DomainWindow, GridSpec, ScalarField, SubgraphExterior
-from .kernel import InteractionTable, KernelParams, build_table, unit_ball_volume
+from .kernel import (
+    InteractionTable,
+    KernelParams,
+    build_table,
+    interval_ray_exact,
+    unit_ball_volume,
+)
 
 __all__ = [
     "SubgraphSet",
@@ -101,70 +108,29 @@ class SubgraphSet:
 
 
 # ---------------------------------------------------------------------------
-# Vertical ray masses.
+# Half-space masses beyond the vertical box.
 # ---------------------------------------------------------------------------
 
 
-def _interval_ray_pow(a: float, b: float, c: float, p: float) -> float:
-    """Integral of (tau - t)^(-p) over t in (a,b), tau in (c,inf), c >= b."""
-    q = 2.0 - p
-    return ((c - a) ** q - (c - b) ** q) / ((p - 1.0) * (p - 2.0))
+def _half_space_masses(spec: GridSpec, s: float) -> tuple[np.ndarray, np.ndarray]:
+    """(top, bot)[r]: kernel mass of one cell in row r to the half-space
+    above the vertical box, respectively below it.
 
-
-@lru_cache(maxsize=None)
-def _ray_mass(d: float, gap: float, h: float, p: float) -> float:
-    """Kernel mass between a vertical cell of height h and a vertical ray.
-
-    The cell spans t in (0, h), the ray tau in (h + gap, inf), at
-    horizontal distance d.  Reduces to a single integral in the vertical
-    separation u = tau - t:
-    int_g^{g+h} (u - g) (d^2+u^2)^(-p/2) du + h int_{g+h}^inf (...) du.
+    By the marginal identity sum_{d'} w(d', j) = h^m B_m(s) w_1(j), with
+    m = dim - 1 and B_m(s) = pi^(m/2) Gamma((1+s)/2) / Gamma((m+1+s)/2),
+    a half-space over every column acts on a cell through its vertical
+    interval alone: h^m B_m(s) times the 1D ray mass.  One number per row,
+    the same for every column.
     """
-    g = gap + 1e-300  # guard the d = 0, gap = 0 corner of the power law
-    if d == 0.0:
-        return _interval_ray_pow(0.0, h, h + gap, p)
-    from scipy import integrate
-
-    body, _ = integrate.quad(
-        lambda u: (u - g) * (d * d + u * u) ** (-p / 2.0),
-        g, g + h, epsabs=1e-13, epsrel=1e-12,
-    )
-    y = g + h
-    theta0 = math.asinh(y / d)
-    tail, _ = integrate.quad(
-        lambda th: math.cosh(th) ** (1.0 - p),
-        theta0, theta0 + 60.0, epsabs=1e-13, epsrel=1e-12,
-    )
-    return body + h * d ** (1.0 - p) * tail
-
-
-def _column_ray_masses(spec: GridSpec, base_positions: np.ndarray,
-                       p: float, z_rows: np.ndarray) -> np.ndarray:
-    """mass[r, i]: ray mass of the cell at vertical index z_rows[r] in
-    column i against the top rays of every listed column.
-
-    ``base_positions`` holds the base-plane centers of all columns in the
-    (padded) universe.  By vertical mirror symmetry the same table read
-    with reversed row indices gives the bottom-ray masses.  In-plane
-    extent enters through the center distance only, which is accurate
-    because the rays start at least one unit above the evaluated rows.
-    """
+    m = spec.dim - 1
     h = spec.h
-    nz = spec.extent[-1]
-    dists = np.linalg.norm(
-        base_positions[:, None, :] - base_positions[None, :, :], axis=2
+    b_m = math.pi ** (m / 2.0) * math.gamma((1.0 + s) / 2.0) / math.gamma(
+        (m + 1.0 + s) / 2.0
     )
-    dist_round = np.round(dists / h * 1e9) / 1e9 * h
-    uniq = np.unique(dist_round)
-    per_dist = np.zeros((len(z_rows), len(uniq)))
-    for j, d in enumerate(uniq):
-        for r, z in enumerate(z_rows):
-            gap = (nz - 1 - int(z)) * h  # cells above this one in the window
-            per_dist[r, j] = _ray_mass(float(d), float(gap), float(h), p)
-    counts = np.stack(
-        [np.sum(dist_round == d, axis=1) for d in uniq], axis=1
-    )  # [col, dist]
-    return per_dist @ counts.T
+    # r cells lie between row r and the half-space below; top mirrors bot
+    bot = np.array([h**m * b_m * interval_ray_exact(0.0, h, (r + 1) * h, s)
+                    for r in range(spec.extent[-1])])
+    return bot[::-1], bot
 
 
 # ---------------------------------------------------------------------------
@@ -182,13 +148,15 @@ def _ambient_of(E) -> tuple[CellSet, GridSpec]:
 def truncated_cylinder_perimeter(E, omega_base: DomainWindow, k: float,
                                  table: InteractionTable,
                                  pad_radius: float | None = None) -> PerimeterBreakdown:
-    """P_s(E, Omega x (-k, k)) with analytic vertical tails.
+    """P_s(E, Omega x (-k, k)) with exact vertical tails.
 
-    The base plane is padded out to ``pad_radius`` and the neglected
-    horizontal far field reported as a truncation bound; every vertical
-    column's infinite rays (full below the window, empty above) are
-    integrated by quadrature masses, so the vertical direction carries no
-    truncation error at all.
+    Beyond the vertical box (-T, T) the set is full below and empty above
+    over every column, so the window's mass to those two half-spaces is
+    exact (``_half_space_masses``).  Inside the box the base plane is
+    padded out to ``pad_radius``; the mass to the columns beyond the pad
+    is left out and bounded by ``truncation_error_bound``.  Raising T
+    therefore lowers the total by the window's mass to the rows it moves
+    from the half-spaces into those outer columns, within the bound.
     """
     cell, spec = _ambient_of(E)
     n_amb = spec.dim
@@ -206,7 +174,7 @@ def truncated_cylinder_perimeter(E, omega_base: DomainWindow, k: float,
         pad_radius = 2.0 * max(omega_base.spec.extent) * h
     pad = int(math.ceil(pad_radius / h))
 
-    # pad the base axes only; the vertical axis is covered by ray masses
+    # pad the base axes only; the half-space masses cover the vertical axis
     uni = spec.padded((pad,) * (n_amb - 1) + (0,))
     occ = cell.occupancy_on(uni)
     nz = uni.extent[-1]
@@ -223,21 +191,14 @@ def truncated_cylinder_perimeter(E, omega_base: DomainWindow, k: float,
                                   lambda A: _correlate(A, table, spectra))
     nl = [nl_pairs]
 
-    # vertical rays: top rays are complement everywhere, bottom rays are E
-    p = table.params.dim + table.params.s
-    base_positions = pts[:, 0, :-1]
-    z_rows = np.nonzero(z_in)[0]
-    top = _column_ray_masses(uni, base_positions, p, z_rows)  # [row, col]
-    bot = _column_ray_masses(uni, base_positions, p, nz - 1 - z_rows)
-    ncols = len(base_positions)
-    e_cols = e_in.reshape(ncols, nz).T[z_rows]  # [row, col]
-    c_cols = c_in.reshape(ncols, nz).T[z_rows]
-    nl.append(math.fsum((top * e_cols).ravel()))  # E cells vs empty top rays
-    nl.append(math.fsum((bot * c_cols).ravel()))  # complement cells vs full bottom
+    # beyond the box every column is empty above and full below
+    top, bot = _half_space_masses(uni, table.params.s)
+    nl.append(math.fsum(top * e_in.reshape(-1, nz).sum(axis=0)))
+    nl.append(math.fsum(bot * c_in.reshape(-1, nz).sum(axis=0)))
     nonlocal_ = math.fsum(nl)
 
     # horizontal truncation bound for the omitted far field
-    base_pts = pts[om.reshape(ncols, nz)][:, :-1]
+    base_pts = pts[om.reshape(-1, nz)][:, :-1]
     lo = uni.box_lo[:-1]
     hi = uni.box_hi[:-1]
     r = np.minimum((base_pts - lo).min(axis=1), (hi - base_pts).min(axis=1))
@@ -304,14 +265,23 @@ def _omega_intervals(omega_base: DomainWindow) -> list[tuple[float, float]]:
 
 
 def _tail_kernel(d: float, T: float, p: float) -> float:
-    """int_{2T}^inf (g - 2T) (d^2 + g^2)^(-p/2) dg, exact in the vertical."""
-    from scipy import integrate
+    """int_{2T}^inf (g - 2T) (d^2 + g^2)^(-p/2) dg, in closed form (p > 2).
 
-    val, _ = integrate.quad(
-        lambda g: (g - 2.0 * T) * (d * d + g * g) ** (-p / 2.0),
-        2.0 * T, np.inf, epsabs=1e-13, epsrel=1e-12,
-    )
-    return val
+    The first moment integrates directly; the zeroth is an incomplete beta
+    function in x = d^2 / (d^2 + 4T^2) (substitute x = d^2 / (d^2 + g^2)):
+    int_{2T}^inf (d^2 + g^2)^(-p/2) dg = d^(1-p) B(a, 1/2) I_x(a, 1/2) / 2,
+    a = (p - 1)/2, which is (2T)^(1-p) / (p - 1) at d = 0.
+    """
+    from scipy import special
+
+    first = (d * d + 4.0 * T * T) ** (1.0 - p / 2.0) / (p - 2.0)
+    if d == 0.0:
+        zeroth = (2.0 * T) ** (1.0 - p) / (p - 1.0)
+    else:
+        a = (p - 1.0) / 2.0
+        x = d * d / (d * d + 4.0 * T * T)
+        zeroth = 0.5 * d ** (1.0 - p) * special.beta(a, 0.5) * special.betainc(a, 0.5, x)
+    return first - 2.0 * T * zeroth
 
 
 def _cross_tail_interaction(intervals_a, intervals_b, T: float, p: float) -> float:

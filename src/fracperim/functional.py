@@ -263,13 +263,12 @@ def _pad_cells(spec: GridSpec, policy) -> int:
     if isinstance(policy, AnalyticTail):
         if spec.dim == 1:
             return 0
-        radius = policy.fallback_radius
-        if radius is None:
-            radius = 2.0 * max(spec.extent) * spec.h
-        return int(math.ceil(radius / spec.h))
-    if isinstance(policy, TruncateAtRadius):
-        return int(math.ceil(policy.radius / spec.h))
-    raise SpecMismatch(f"unknown complement policy {policy!r}")
+        radius = 2.0 * max(spec.extent) * spec.h
+    elif isinstance(policy, TruncateAtRadius):
+        radius = policy.radius
+    else:
+        raise SpecMismatch(f"unknown complement policy {policy!r}")
+    return int(math.ceil(radius / spec.h))
 
 
 def table_for(spec: GridSpec, s: float, policy) -> InteractionTable:

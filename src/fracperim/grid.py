@@ -259,11 +259,9 @@ class AnalyticTail:
     """Resolve exterior mass analytically where closed forms exist.
 
     Exact for dim 1 (ray integrals).  In higher dimensions this falls back
-    to a generous padded truncation with the remainder reported in
-    ``truncation_error_bound``.
+    to a padded truncation at twice the box's longest side, with the
+    remainder reported in ``truncation_error_bound``.
     """
-
-    fallback_radius: float | None = None
 
 
 @dataclass(frozen=True)

@@ -154,8 +154,8 @@ class _Condensed:
 # ---------------------------------------------------------------------------
 
 
-def _min_cut(W: np.ndarray, p: np.ndarray, q: np.ndarray, tol: float,
-             max_rounds: int) -> tuple[np.ndarray, float, int]:
+def _min_cut(W: np.ndarray, p: np.ndarray, q: np.ndarray,
+             tol: float) -> tuple[np.ndarray, float, int]:
     """Minimize sum_{a<b} W_ab |x_a - x_b| + sum_a p_a (1 - x_a) + q_a x_a
     over x in {0,1}^m by an s-t minimum cut; W, p, q >= 0, W symmetric.
 
@@ -166,8 +166,8 @@ def _min_cut(W: np.ndarray, p: np.ndarray, q: np.ndarray, tol: float,
     subtracts the round's maximum flow, which is feasible for it.  The
     summed flow is a lower bound on the minimum, so the energy of any cut
     minus the flow is a certified gap.  Rounds stop once the gap of the
-    best cut so far is at most tol (1 + |energy|), when the next quantum
-    would fall below C_max 2^-52, or after ``max_rounds``.
+    best cut so far is at most tol (1 + |energy|), or when the next quantum
+    would fall below C_max 2^-52: after at most three rounds.
 
     Each round's cut is the set reachable from the source in its integer
     residual graph: the inclusion-minimal minimizer of that graph, hence
@@ -209,16 +209,15 @@ def _min_cut(W: np.ndarray, p: np.ndarray, q: np.ndarray, tol: float,
             best, best_energy = bits[:m], energy
         quantum /= 2.0**10
         if (best_energy - flow <= tol * (1.0 + abs(best_energy))
-                or quantum < c_max * 2.0**-52 or rounds >= max_rounds):
+                or quantum < c_max * 2.0**-52):
             return best, flow, rounds
 
 
-def solve_relaxed(p: MinimizationProblem, tol: float = 1e-9,
-                  max_iter: int = 5000) -> ScalarField:
+def solve_relaxed(p: MinimizationProblem, tol: float = 1e-9) -> ScalarField:
     """Minimizer of the relaxed convex energy: the 0/1 indicator of the
-    minimum cut (``tol`` and ``max_iter`` as in ``solve_and_threshold``)."""
+    minimum cut (``tol`` as in ``solve_and_threshold``)."""
     cond = _Condensed(p)
-    bits, _, _ = _min_cut(cond.W, cond.p, cond.q, tol, max_iter)
+    bits, _, _ = _min_cut(cond.W, cond.p, cond.q, tol)
     E = cond.set_from(bits)
     return ScalarField(p.window.spec, E.inside.astype(float), E.exterior)
 
@@ -258,17 +257,16 @@ def threshold_minimizer(u: ScalarField, p: MinimizationProblem,
     return SolverReport(relaxed, best[2], minimizer, energy, iterations, math.nan)
 
 
-def solve_and_threshold(p: MinimizationProblem, tol: float = 1e-9,
-                        max_iter: int = 2000) -> SolverReport:
+def solve_and_threshold(p: MinimizationProblem, tol: float = 1e-9) -> SolverReport:
     """Exact minimizer by an s-t minimum cut, with a certified gap.
 
     Max-flow rounds refine the capacities until the gap is at most
-    ``tol`` (1 + |energy|), down to the finest quantum (``tol=0`` runs
-    them all: three rounds), or for at most ``max_iter`` rounds.  The cut
-    is 0/1, so any threshold in [0, 1) reproduces it; 0.5 is reported.
+    ``tol`` (1 + |energy|), or down to the finest quantum (``tol=0`` runs
+    them all: three rounds).  The cut is 0/1, so any threshold in [0, 1)
+    reproduces it; 0.5 is reported.
     """
     cond = _Condensed(p)
-    bits, flow, rounds = _min_cut(cond.W, cond.p, cond.q, tol, max_iter)
+    bits, flow, rounds = _min_cut(cond.W, cond.p, cond.q, tol)
     relaxed = float(cond.energies_binary(bits[None, :])[0])
     minimizer = cond.set_from(bits)
     energy = perimeter(minimizer, p.window, p.table).total
@@ -324,7 +322,7 @@ def _is_minimal_on(E: CellSet, window: DomainWindow, table: InteractionTable,
     """Whether E attains the minimum on the given window, by the exact
     cut (``tol=0`` refines down to the finest quantum)."""
     cond = _Condensed(MinimizationProblem(window, E, table))
-    bits, _, _ = _min_cut(cond.W, cond.p, cond.q, 0.0, 3)
+    bits, _, _ = _min_cut(cond.W, cond.p, cond.q, 0.0)
     best = float(cond.energies_binary(bits[None, :])[0])
     own = float(cond.energies_binary(E.inside[window.omega][None, :])[0])
     return own <= best + rel_tol * (1.0 + abs(best))
@@ -374,8 +372,7 @@ def check_minimality_equivalence(E: CellSet, window: DomainWindow,
 
 
 def solve_locally_minimal(p: MinimizationProblem, window_schedule,
-                          tol: float = 1e-9,
-                          max_iter: int = 5000) -> list[SolverReport]:
+                          tol: float = 1e-9) -> list[SolverReport]:
     """Solve on an increasing exhaustion of windows, chaining the data.
 
     Each step minimizes on its window with exterior data equal to the
@@ -394,7 +391,7 @@ def solve_locally_minimal(p: MinimizationProblem, window_schedule,
     reports = []
     for w in windows:
         prob = MinimizationProblem(w, candidate, p.table)
-        rep = solve_and_threshold(prob, tol=tol, max_iter=max_iter)
+        rep = solve_and_threshold(prob, tol=tol)
         candidate = rep.minimizer
         reports.append(rep)
     return reports

@@ -25,7 +25,7 @@ _SRC = Path(__file__).resolve().parent.parent / "src"
 
 def _policy_key(policy) -> tuple:
     if isinstance(policy, AnalyticTail):
-        return ("analytic", policy.fallback_radius)
+        return ("analytic",)
     if isinstance(policy, TruncateAtRadius):
         return ("truncate", policy.radius)
     raise TypeError(f"unknown policy {policy!r}")

@@ -533,9 +533,7 @@ def test_a8_tall_cylinder_stability():
         for k in (k0, k0 + 1.0, k0 + 2.0):
             mask = np.broadcast_to(np.abs(z) < k, amb.extent).copy()
             win = DomainWindow(amb, mask, policy)
-            rep = solve_and_threshold(
-                MinimizationProblem(win, E0, table), max_iter=4000
-            )
+            rep = solve_and_threshold(MinimizationProblem(win, E0, table))
             polished = _flip_polish(rep.minimizer, win, table)
             bitmasks.append(polished.inside[:, inner])
         ok &= all(np.array_equal(bitmasks[0], bm) for bm in bitmasks[1:])

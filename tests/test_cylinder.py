@@ -1,8 +1,12 @@
 """Cylindrical windows over graphs: perimeter, divergence, confinement."""
 
+import math
+
 import numpy as np
 import pytest
+from scipy import integrate, special
 
+from fracperim import cylinder
 from fracperim.cylinder import (
     SubgraphSet,
     classical_graph_area,
@@ -22,7 +26,7 @@ from fracperim.errors import (
 )
 from fracperim.functional import interaction
 from fracperim.grid import DomainWindow, GridSpec, ScalarField, full_window
-from fracperim.kernel import KernelParams, build_table
+from fracperim.kernel import KernelParams, build_table, interval_pair_exact
 
 _PAD_RADIUS = 1.0
 
@@ -132,11 +136,98 @@ class TestTruncatedPerimeter:
         assert bd.local == pytest.approx(ref, rel=1e-12)
 
 
+def _box_growth_loss(sg: SubgraphSet, k: float, pad: int, T2: float, table) -> float:
+    """What growing the vertical box from T to T2 removes from the total.
+
+    Each window cell in E loses its mass to the rows between T and T2
+    above the box, each complement cell its mass to those below, over the
+    columns beyond the padded universe: the whole row, h^m B_m(s) w_1(j)
+    by the marginal identity, minus the table sum over the universe's
+    columns.  B_m(s) is the product of B(1/2, (i+s)/2) over i = 1..m.
+    """
+    base = sg.base_spec
+    m, h, s = base.dim, base.h, table.params.s
+    big = SubgraphSet(base, sg.heights, T2, sg.farfield)
+    uni = big.ambient_spec().padded((pad,) * m + (0,))
+    occ = big.exterior().contains(uni.centers()).reshape(uni.extent)
+    t = uni.origin[-1] + (np.arange(uni.extent[-1]) + 0.5) * h
+    top = np.nonzero(t > sg.vertical_extent)[0]
+    bot = np.nonzero(t < -sg.vertical_extent)[0]
+    b_m = math.prod(special.beta(0.5, 0.5 * (i + s)) for i in range(1, m + 1))
+    K = table.max_offset
+    terms = []
+    for col in np.ndindex(base.extent):
+        col = tuple(c + pad for c in col)  # universe coordinates
+        cols = tuple(slice(K - c, K - c + n) for c, n in zip(col, uni.extent[:-1]))
+        for r in np.nonzero(np.abs(t) < k)[0]:
+            for rb in (top if occ[col + (r,)] else bot):
+                j = abs(int(rb) - int(r))
+                row = h**m * b_m * interval_pair_exact(0.0, 1.0, j, j + 1.0, s)
+                row *= h ** (1.0 - s)
+                terms.append(row - table.weights[cols + (K + rb - r,)].sum())
+    return math.fsum(terms)
+
+
+class TestBoxHeight:
+    # raising T moves the rows between T and T2 from the half-spaces into
+    # the box, where only the universe's columns are counted
+    @pytest.mark.parametrize("s", [0.3, 0.5, 0.7])
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_growth_removes_exactly_the_outer_row_mass(self, s, dim):
+        k = 1.0
+        if dim == 2:
+            base = _base()
+            v = _graph(base, 0.2 * np.cos(np.arange(8)))
+            heights = (2.0, 3.0, 5.0)
+        else:
+            base = GridSpec(2, (0.0, 0.0), (3, 3), 0.5)
+            v = _graph(base, 0.3 * np.cos(np.arange(9)).reshape(3, 3), 0.1)
+            heights = (2.0, 3.0)
+        pad = int(np.ceil(_PAD_RADIUS / base.h))
+        table = _ambient_table(SubgraphSet(base, v, heights[-1]), s)
+        totals = []
+        for T in heights:
+            sg = SubgraphSet(base, v, T)
+            totals.append(truncated_cylinder_perimeter(
+                sg, full_window(base), k, table, pad_radius=_PAD_RADIUS).total)
+        for i, T in enumerate(heights[:-1]):
+            loss = _box_growth_loss(SubgraphSet(base, v, T), k, pad,
+                                    heights[i + 1], table)
+            assert totals[i] - totals[i + 1] == pytest.approx(loss, rel=1e-12)
+
+    def test_no_quadrature(self, monkeypatch):
+        base = _base()
+        sg = SubgraphSet(base, _graph(base, 0.2 * np.cos(np.arange(8))), 2.0)
+        table = _ambient_table(sg, 0.5)
+        ref = truncated_cylinder_perimeter(sg, full_window(base), 1.0, table,
+                                           pad_radius=_PAD_RADIUS)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the cylinder perimeter must not use quadrature")
+
+        monkeypatch.setattr(integrate, "quad", forbidden)
+        bd = truncated_cylinder_perimeter(sg, full_window(base), 1.0, table,
+                                          pad_radius=_PAD_RADIUS)
+        assert bd == ref
+
+
 class TestDivergenceScans:
     def _scan_setup(self, s=0.5):
         base = _base(8, 0.25, origin=-1.0)  # omega = (-1, 1)
         v = _graph(base, np.zeros(8))
         return base, v, KernelParams(s, 2)
+
+    @pytest.mark.parametrize("s", [0.3, 0.5, 0.7])
+    def test_tail_kernel_matches_quadrature(self, s):
+        p = 2.0 + s
+        for T in (2.0, 64.0):
+            for d in (0.0, 0.01, 0.7, 3.0, 50.0):
+                ref, _ = integrate.quad(
+                    lambda g: (g - 2.0 * T) * (d * d + g * g) ** (-p / 2.0),
+                    2.0 * T, np.inf, epsabs=1e-13, epsrel=1e-12,
+                )
+                got = cylinder._tail_kernel(d, T, p)
+                assert got == pytest.approx(ref, rel=1e-11), (T, d)
 
     def test_values_increase_and_dominate_bound(self):
         base, v, params = self._scan_setup()

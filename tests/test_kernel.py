@@ -220,19 +220,26 @@ class TestTable2D:
 class TestTable3D:
     @pytest.mark.parametrize("s", [0.1, 0.5, 0.9])
     def test_marginal_is_beta_times_2d_weight(self, s):
-        # summing rho over the third axis gives 1, and the kernel's line
-        # integral is B(1/2, 1+s/2) |v'|^(-2-s); the weights beyond |d| = K
-        # are |d|^(-3-s) to O(K^-2) relative, summed by the midpoint rule
-        K = 400
-        d = np.arange(-K, K + 1)
-        for off in ((1, 0), (1, 1), (2, 1)):
-            offsets = np.column_stack([np.full_like(d, off[0]),
-                                       np.full_like(d, off[1]), d])
-            total = math.fsum(_unit_weights(offsets, 3, s))
-            total += 2.0 * (K + 0.5) ** (-2.0 - s) / (2.0 + s)
-            w2 = _unit_weights(np.array([off]), 2, s)[0]
-            expect = special.beta(0.5, 1.0 + 0.5 * s) * w2
-            assert total == pytest.approx(expect, rel=1e-9), off
+        # summing rho over the last axis gives 1, and the kernel's line
+        # integral in dimension n is B(1/2, (n-1+s)/2) |v'|^(-n+1-s); the
+        # weights beyond |d| = K are |d|^(-n-s) to O(K^-2) relative, summed
+        # by the midpoint rule.  3D -> 2D at three offsets, 2D -> 1D rows.
+        cases = (
+            (3, ((1, 0), (1, 1), (2, 1)), 400),
+            (2, ((1,), (2,), (5,)), 4000),
+        )
+        for n, offs, K in cases:
+            d = np.arange(-K, K + 1)
+            for off in offs:
+                offsets = np.column_stack([np.full_like(d, o) for o in off] + [d])
+                total = math.fsum(_unit_weights(offsets, n, s))
+                total += 2.0 * (K + 0.5) ** (1.0 - n - s) / (n - 1.0 + s)
+                if n == 3:
+                    lower = _unit_weights(np.array([off]), 2, s)[0]
+                else:
+                    lower = interval_pair_exact(0.0, 1.0, off[0], off[0] + 1.0, s)
+                expect = special.beta(0.5, 0.5 * (n - 1.0 + s)) * lower
+                assert total == pytest.approx(expect, rel=1e-9), off
 
     def test_analytic_tail_table_builds_fast(self):
         spec = GridSpec(3, (0.0,) * 3, (8, 8, 8), 0.125)

@@ -108,7 +108,7 @@ class TestSolver:
 
     def test_threshold_never_exceeds_relaxed(self, rng):
         p = _problem_2d(rng)
-        rep = solve_and_threshold(p, max_iter=400)
+        rep = solve_and_threshold(p)
         assert rep.energy <= rep.relaxed_energy + 1e-9 * (1 + abs(rep.relaxed_energy))
 
     def test_deterministic_repeat(self, rng):
@@ -250,10 +250,10 @@ class TestMinCut:
 
         monkeypatch.setattr(sparse.csgraph, "maximum_flow", recording)
         cond = minimize._Condensed(_problem_2d(np.random.default_rng(7)))
-        ref, ref_flow, _ = minimize._min_cut(cond.W, cond.p, cond.q, 0.0, 3)
+        ref, ref_flow, _ = minimize._min_cut(cond.W, cond.p, cond.q, 0.0)
         for c in (1e-12, 1e12):
             bits, flow, rounds = minimize._min_cut(c * cond.W, c * cond.p,
-                                                   c * cond.q, 0.0, 3)
+                                                   c * cond.q, 0.0)
             assert rounds == 3
             assert np.array_equal(bits, ref)
             assert flow == pytest.approx(c * ref_flow, rel=1e-12)
