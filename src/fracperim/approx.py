@@ -7,12 +7,13 @@ vanishing near the window boundary, which trades a little boundary
 accuracy for convergence on windows whose closure meets the set.
 
 The superlevel sets of one rung are nested, so a single scan gives the
-perimeter at all 99 grid thresholds: the two correlations of the
-smallest set, the row totals 1 (*) w and 1_Omega (*) w (once per
-ladder) and the weights among the switching cells S, |S| x box cells in
-all.  A rung therefore costs two FFT perimeters (the smallest set's
-fields and the chosen set's ``perimeter``) plus the S x S weights,
-where one perimeter per distinct superlevel set used to be paid.
+perimeter at all 99 grid thresholds: the two box correlations of the
+smallest set, the row totals 1 (*) w and 1_Omega (*) w and the exterior
+fields (once per ladder) and the weights among the switching cells S,
+|S| x box cells in all.  A rung therefore costs two FFT perimeters (the
+smallest set's fields and the chosen set's ``perimeter``) plus the
+S x S weights, where one perimeter per distinct superlevel set used to
+be paid.
 """
 
 from __future__ import annotations
@@ -25,8 +26,8 @@ import numpy as np
 from .errors import EpsilonBelowResolution, InvalidSchedule
 from .functional import (
     InteractionTable,
-    PairEngine,
     PerimeterBreakdown,
+    _engine_for,
     _weight_rows,
     perimeter,
     superlevel,
@@ -170,24 +171,21 @@ _THRESHOLD_GRID = np.linspace(0.01, 0.99, 99)
 
 
 class _ThresholdScan:
-    """Per-ladder constants of the threshold scan: the engine, the row
-    totals 1 (*) w and 1_Omega (*) w on the box, and the 1D ray masses a
-    window cell costs inside and outside the set.  ``exterior`` is the
-    set's exterior model, which every superlevel set of a rung shares.
+    """Per-ladder constants of the threshold scan: the engine, the
+    exterior fields X_E and X_C of the sets' exterior model, and the row
+    totals 1 (*) w and 1_Omega (*) w over the universe, on the box.
+    ``exterior`` is the set's exterior model, which every superlevel set
+    of a rung shares.  Every correlation runs on the box.
     """
 
     def __init__(self, window: DomainWindow, table: InteractionTable, exterior):
-        eng = PairEngine(window.spec, window.complement_policy, table)
+        eng = _engine_for(window, table)
         self.window = window
         self.engine = eng
-        self.om = eng.embed(window.omega)
-        self.box = tuple(slice(eng.pad, eng.pad + n) for n in window.spec.extent)
-        self.row_all = eng.field(np.ones(self.om.shape, dtype=bool))[self.box]
-        self.row_om = eng.field(self.om)[self.box]
-        mass_e, mass_c = eng.ray_masses(exterior)
-        omega = window.omega
-        self.ray_in = np.where(omega, mass_c.reshape(omega.shape), 0.0)
-        self.ray_out = np.where(omega, mass_e.reshape(omega.shape), 0.0)
+        self.x_e, self.x_c = eng.exterior_fields(exterior)
+        box = np.ones(window.spec.extent, dtype=bool)
+        self.row_all = eng.field(box) + self.x_e + self.x_c
+        self.row_om = eng.field(window.omega)
 
     def totals(self, u: ScalarField) -> np.ndarray:
         """Perimeter of {u > t} for every t of the threshold grid.
@@ -198,29 +196,26 @@ class _ThresholdScan:
         adding cell a to a set X changes its perimeter by
         sum_j omega(a, j) (1 - 2 X_j).  For X = x0 plus the cells of S
         before a, that is a linear part read from the two fields of x0
-        and the row totals, minus twice the S x S weights to earlier
-        cells, plus the 1D ray masses.
+        (the exterior's part included) and the row totals, minus twice
+        the S x S weights to earlier cells.
         """
         eng = self.engine
-        x0 = superlevel(u, float(_THRESHOLD_GRID[-1]))
-        occ = eng.occupancy(x0)
-        f_in = eng.field(occ & self.om)
-        f_out = eng.field(occ & ~self.om)
-        inside = x0.inside
-        base = math.fsum([float(f_in[~occ].sum()), float(f_out[~occ & self.om].sum()),
-                          float(self.ray_in[inside].sum()),
-                          float(self.ray_out[~inside].sum())])
+        om = self.window.omega
+        inside = superlevel(u, float(_THRESHOLD_GRID[-1])).inside
+        f_in = eng.field(inside & om)
+        f_out = eng.field(inside & ~om) + self.x_e
+        base = math.fsum([float(f_in[~inside].sum()), float(self.x_c[inside & om].sum()),
+                          float(f_out[~inside & om].sum())])
 
         switch = (u.values > _THRESHOLD_GRID[0]) & ~inside
         order = np.argsort(-u.values[switch], kind="stable")
         cells = np.argwhere(switch)[order]
         vals = u.values[switch][order]
         idx = tuple(cells.T)
-        in_om = self.window.omega[idx]
-        f_in, f_out = f_in[self.box][idx], f_out[self.box][idx]
+        in_om = om[idx]
+        f_in, f_out = f_in[idx], f_out[idx]
         gains = np.where(in_om, self.row_all[idx] - 2.0 * (f_in + f_out),
                          self.row_om[idx] - 2.0 * f_in)
-        gains += self.ray_in[idx] - self.ray_out[idx]
         gains -= 2.0 * _earlier_pair_sums(cells, in_om, u.spec.extent, eng.table)
         prefix = np.concatenate(([0.0], np.cumsum(gains)))
         # {u > t} takes the cells of S with u > t, a prefix of the order

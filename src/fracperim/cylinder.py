@@ -28,7 +28,6 @@ from .functional import (
     _correlate,
     _pair_sum,
     _split_sums,
-    _tail_terms,
 )
 from .grid import CellSet, DomainWindow, GridSpec, ScalarField, SubgraphExterior
 from .kernel import (
@@ -112,25 +111,22 @@ class SubgraphSet:
 # ---------------------------------------------------------------------------
 
 
-def _half_space_masses(spec: GridSpec, s: float) -> tuple[np.ndarray, np.ndarray]:
-    """(top, bot)[r]: kernel mass of one cell in row r to the half-space
-    above the vertical box, respectively below it.
+def _half_space_masses(spec: GridSpec, s: float, count: int) -> np.ndarray:
+    """mass[j], j < count: kernel mass of one cell to an axis-aligned
+    half-space whose edge lies j cells beyond the cell's own face.
 
     By the marginal identity sum_{d'} w(d', j) = h^m B_m(s) w_1(j), with
     m = dim - 1 and B_m(s) = pi^(m/2) Gamma((1+s)/2) / Gamma((m+1+s)/2),
-    a half-space over every column acts on a cell through its vertical
-    interval alone: h^m B_m(s) times the 1D ray mass.  One number per row,
-    the same for every column.
+    a half-space acts on a cell through the cell's interval across the
+    edge alone: h^m B_m(s) times the 1D ray mass.
     """
     m = spec.dim - 1
     h = spec.h
     b_m = math.pi ** (m / 2.0) * math.gamma((1.0 + s) / 2.0) / math.gamma(
         (m + 1.0 + s) / 2.0
     )
-    # r cells lie between row r and the half-space below; top mirrors bot
-    bot = np.array([h**m * b_m * interval_ray_exact(0.0, h, (r + 1) * h, s)
-                    for r in range(spec.extent[-1])])
-    return bot[::-1], bot
+    return np.array([h**m * b_m * interval_ray_exact(0.0, h, (j + 1) * h, s)
+                     for j in range(count)])
 
 
 # ---------------------------------------------------------------------------
@@ -154,7 +150,8 @@ def truncated_cylinder_perimeter(E, omega_base: DomainWindow, k: float,
     over every column, so the window's mass to those two half-spaces is
     exact (``_half_space_masses``).  Inside the box the base plane is
     padded out to ``pad_radius``; the mass to the columns beyond the pad
-    is left out and bounded by ``truncation_error_bound``.  Raising T
+    is left out and bounded by ``truncation_error_bound``, the window's
+    mass to the horizontal half-spaces beyond the pad edges.  Raising T
     therefore lowers the total by the window's mass to the rows it moves
     from the half-spaces into those outer columns, within the bound.
     """
@@ -191,18 +188,19 @@ def truncated_cylinder_perimeter(E, omega_base: DomainWindow, k: float,
                                   lambda A: _correlate(A, table, spectra))
     nl = [nl_pairs]
 
-    # beyond the box every column is empty above and full below
-    top, bot = _half_space_masses(uni, table.params.s)
-    nl.append(math.fsum(top * e_in.reshape(-1, nz).sum(axis=0)))
+    # beyond the box every column is empty above and full below; row r
+    # lies r cells above the lower half-space and nz - 1 - r below the upper
+    masses = _half_space_masses(uni, table.params.s, max(uni.extent))
+    bot = masses[:nz]
+    nl.append(math.fsum(bot[::-1] * e_in.reshape(-1, nz).sum(axis=0)))
     nl.append(math.fsum(bot * c_in.reshape(-1, nz).sum(axis=0)))
     nonlocal_ = math.fsum(nl)
 
-    # horizontal truncation bound for the omitted far field
-    base_pts = pts[om.reshape(-1, nz)][:, :-1]
-    lo = uni.box_lo[:-1]
-    hi = uni.box_hi[:-1]
-    r = np.minimum((base_pts - lo).min(axis=1), (hi - base_pts).min(axis=1))
-    bound = float(_tail_terms(r, h, table.params).sum())
+    # the omitted columns lie in the 2(n-1) horizontal half-spaces beyond
+    # the pad edges, so each window cell's mass to those bounds its loss
+    cols = np.argwhere(om)[:, :-1]
+    last = np.asarray(uni.extent[:-1]) - 1
+    bound = math.fsum(masses[cols].sum(axis=1) + masses[last - cols].sum(axis=1))
 
     return PerimeterBreakdown(
         local=local,

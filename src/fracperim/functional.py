@@ -10,9 +10,14 @@ the exterior model; with a fixed universe every set-algebra identity
 arithmetic, so residuals are pure floating-point accumulation.
 
 A pair sum L(A, B) is the inner product <B, A (*) w>: one scipy.fft
-correlation of the mask A against the spectrum of the weight block, which
-a PairEngine computes on first use and caches per universe shape.  A
-perimeter takes two such fields.  ``interaction(..., exact=True)``, the
+correlation of the mask A against the spectrum of the weight block.  The
+exterior data are fixed, so the padded margin enters as two fields on
+the box per exterior model: X_E and X_C, the mass of each box cell to the
+pad cells inside E and to those outside it (in 1D under AnalyticTail, to
+the exterior rays).  A PairEngine computes them once from the padded
+universe and caches them with its weight spectra, and the table keeps
+one engine per (spec, policy); every other correlation runs on the box.
+A perimeter takes two box fields.  ``interaction(..., exact=True)``, the
 default up to _DIRECT_LIMIT cells, weighs every cell pair explicitly
 instead and serves as the independent oracle.
 
@@ -89,11 +94,11 @@ class PerimeterBreakdown:
 
 
 def _weight_spectrum(table: InteractionTable, shape: tuple[int, ...]):
-    """(fast grid, spectrum of the weight block) for universes of ``shape``.
+    """(fast grid, spectrum of the weight block) for grids of ``shape``.
 
     The block of offsets up to S-1 per axis sits on a grid of at least
     2S-1 with offset d at index d mod N, so a circular convolution with it
-    is the linear one on the universe.  The block is even, so its spectrum
+    is the linear one on the grid.  The block is even, so its spectrum
     is real.
     """
     fast = tuple(sfft.next_fast_len(2 * n - 1, real=True) for n in shape)
@@ -107,7 +112,7 @@ def _correlate(A: np.ndarray, table: InteractionTable, spectra: dict) -> np.ndar
     """f = A (*) w on A's grid: f[j] = sum_i A[i] w(j - i).
 
     One r2c / c2r round trip against the weight spectrum, which
-    ``spectra`` caches per universe shape.
+    ``spectra`` caches per grid shape.
     """
     if A.shape not in spectra:
         spectra[A.shape] = _weight_spectrum(table, A.shape)
@@ -283,8 +288,11 @@ class PairEngine:
     The policy decides how exterior mass is handled: TruncateAtRadius pads
     the box by ceil(R/h) cells and reports the neglected tail mass;
     AnalyticTail is exact in 1D (ray closed forms, zero pad) and falls back
-    to a generous pad otherwise.  Weight spectra are computed on first use
-    and kept per universe shape, so building an engine costs nothing.
+    to a generous pad otherwise.  ``occupancy`` and ``embed`` place masks
+    on the padded universe; ``field`` and ``ls`` take box-shaped masks,
+    and the pad reaches them through ``exterior_fields``.  Weight spectra
+    and exterior fields are computed on first use and kept, so building
+    an engine costs nothing.
     """
 
     def __init__(self, spec: GridSpec, policy, table: InteractionTable):
@@ -297,6 +305,7 @@ class PairEngine:
         self.analytic_rays = isinstance(policy, AnalyticTail) and spec.dim == 1
         self.padded_spec = spec.padded(self.pad)
         self._spectra: dict = {}
+        self._exterior: dict = {}
         self._tails = None
 
     def occupancy(self, cellset: CellSet) -> np.ndarray:
@@ -309,11 +318,36 @@ class PairEngine:
         return np.pad(np.asarray(box_mask, dtype=bool), self.pad)
 
     def field(self, A: np.ndarray) -> np.ndarray:
-        """A (*) w on the universe: the interaction of every cell with A."""
+        """A (*) w on the box: the interaction of every box cell with the
+        box-shaped mask A (zeros, with no transform, when A is empty)."""
+        if not A.any():
+            return np.zeros(A.shape)
         return _correlate(A, self.table, self._spectra)
 
     def ls(self, A: np.ndarray, B: np.ndarray, exact: bool | None = None) -> float:
+        """L(A, B) between two box-shaped masks."""
         return _pair_sum(A, B, self.table, exact, self._spectra)
+
+    def exterior_fields(self, exterior) -> tuple[np.ndarray, np.ndarray]:
+        """(X_E, X_C) per box cell: the mass to the exterior inside E and
+        to the exterior outside E.
+
+        That is the pad cells' fields (pad_E (*) w, pad_C (*) w) on the
+        box, plus the 1D ray masses under AnalyticTail.  Computed once per
+        exterior model by at most two correlations on the padded universe,
+        none for an empty pad side, and kept as owned arrays: a view would
+        keep the whole transform output alive.
+        """
+        if exterior not in self._exterior:
+            occ = self.occupancy(CellSet(self.spec, np.zeros(self.spec.extent, bool),
+                                         exterior))
+            pad = ~self.embed(np.ones(self.spec.extent, dtype=bool))
+            box = tuple(slice(self.pad, self.pad + n) for n in self.spec.extent)
+            spectra: dict = {}  # the universe spectrum is not kept
+            self._exterior[exterior] = tuple(
+                rays + (_correlate(side, self.table, spectra)[box] if side.any() else 0.0)
+                for side, rays in zip((occ & pad, ~occ & pad), self.ray_masses(exterior)))
+        return self._exterior[exterior]
 
     def ray_masses(self, exterior):
         """(mass to E rays, mass to complement rays) per box cell; 1D only."""
@@ -347,7 +381,11 @@ class PairEngine:
 
 
 def _engine_for(window: DomainWindow, table: InteractionTable) -> PairEngine:
-    return PairEngine(window.spec, window.complement_policy, table)
+    """The table's engine for the window's spec and policy, made once."""
+    key = (window.spec, window.complement_policy)
+    if key not in table._engines:
+        table._engines[key] = PairEngine(window.spec, window.complement_policy, table)
+    return table._engines[key]
 
 
 # ---------------------------------------------------------------------------
@@ -359,34 +397,44 @@ def perimeter(E: CellSet, window: DomainWindow, table: InteractionTable,
               engine: PairEngine | None = None) -> PerimeterBreakdown:
     """s-perimeter of E in the window: local + nonlocal three-term sum.
 
-    With f_in = e_in (*) w and f_out = e_out (*) w, local is the sum of
-    f_in over the window's complement cells and nonlocal that of f_in over
-    the complement outside the window plus f_out over the window's
-    complement cells: two FFT correlations in all.
+    On the box, with f_in = e_in (*) w and f_out = e_out (*) w, local is
+    the sum of f_in over the window's complement cells and nonlocal that
+    of f_in over the complement outside the window plus f_out over the
+    window's complement cells: two FFT correlations in all.  The exterior
+    adds X_C over e_in and X_E over c_in (``PairEngine.exterior_fields``).
     """
     if E.spec != window.spec:
         raise SpecMismatch("cell set and window specs differ")
     eng = engine if engine is not None else _engine_for(window, table)
-    occ = eng.occupancy(E)
-    om = eng.embed(window.omega)
-    e_in = occ & om
-    c_in = ~occ & om
-    e_out = occ & ~om
-    c_out = ~occ & ~om
-    local, nonlocal_ = _split_sums(e_in, c_in, e_out, c_out, eng.field)
-    if eng.analytic_rays:
-        mass_e, mass_c = eng.ray_masses(E.exterior)
-        nonlocal_ = math.fsum([nonlocal_, math.fsum(mass_c[e_in.ravel()]),
-                               math.fsum(mass_e[c_in.ravel()])])
-    total = local + nonlocal_
-    degenerate = not om.any()
+    om = window.omega
+    inside = E.inside
+    e_in = inside & om
+    c_in = ~inside & om
+    local, nonlocal_ = _split_sums(e_in, c_in, inside & ~om, ~inside & ~om, eng.field)
+    x_e, x_c = eng.exterior_fields(E.exterior)
+    nonlocal_ = math.fsum([nonlocal_, float(x_c[e_in].sum()), float(x_e[c_in].sum())])
     return PerimeterBreakdown(
         local=local,
         nonlocal_=nonlocal_,
-        total=total,
-        truncation_error_bound=eng.truncation_bound(window.omega, E),
-        degenerate=degenerate,
+        total=local + nonlocal_,
+        truncation_error_bound=eng.truncation_bound(om, E),
+        degenerate=not om.any(),
     )
+
+
+def _cross_terms(E: CellSet, inner: DomainWindow, outer: DomainWindow,
+                 eng: PairEngine) -> tuple[float, float]:
+    """L(E n strip, cE \\ inner) and L(E \\ outer, cE n strip), strip =
+    outer \\ inner: box pair sums plus X_C over E n strip and X_E over
+    cE n strip."""
+    inside = E.inside
+    strip = outer.omega & ~inner.omega
+    x_e, x_c = eng.exterior_fields(E.exterior)
+    e_strip = inside & strip
+    c_strip = ~inside & strip
+    cross1 = eng.ls(e_strip, ~inside & ~inner.omega) + float(x_c[e_strip].sum())
+    cross2 = eng.ls(inside & ~outer.omega, c_strip) + float(x_e[c_strip].sum())
+    return cross1, cross2
 
 
 def decomposition_check(E: CellSet, inner: DomainWindow, outer: DomainWindow,
@@ -407,19 +455,7 @@ def decomposition_check(E: CellSet, inner: DomainWindow, outer: DomainWindow,
     inner_same = DomainWindow(inner.spec, inner.omega, outer.complement_policy)
     p_outer = perimeter(E, outer, table, engine=eng).total
     p_inner = perimeter(E, inner_same, table, engine=eng).total
-
-    occ = eng.occupancy(E)
-    om_in = eng.embed(inner.omega)
-    strip = eng.embed(outer.omega & ~inner.omega)
-    om_out = eng.embed(outer.omega)
-    cross1 = eng.ls(occ & strip, ~occ & ~om_in)
-    cross2 = eng.ls(occ & ~om_out, ~occ & strip)
-    ray_terms = []
-    if eng.analytic_rays:
-        mass_e, mass_c = eng.ray_masses(E.exterior)
-        ray_terms.append(math.fsum(mass_c[(occ & strip).ravel()]))
-        ray_terms.append(math.fsum(mass_e[(~occ & strip).ravel()]))
-    rhs = math.fsum([p_inner, cross1, cross2, *ray_terms])
+    rhs = math.fsum([p_inner, *_cross_terms(E, inner, outer, eng)])
     return abs(p_outer - rhs)
 
 

@@ -14,7 +14,7 @@ is cached.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -202,13 +202,17 @@ class InteractionTable:
     ``weights`` has shape (2K+1,)*dim with K = max_offset; entry at index
     offset + K is the double integral of the kernel over a cell pair at
     that offset, to rounding.  The zero offset carries weight 0 (same-cell
-    pairs never contribute for piecewise-constant fields).
+    pairs never contribute for piecewise-constant fields).  ``_engines``
+    holds the table's pair engines, one per (spec, policy), so their
+    weight spectra and exterior fields are computed once.
     """
 
     spec: GridSpec
     params: KernelParams
     max_offset: int
     weights: np.ndarray
+    _engines: dict = field(default_factory=dict, init=False, compare=False,
+                           repr=False)
 
     def __post_init__(self):
         arr = np.ascontiguousarray(np.asarray(self.weights, dtype=float))

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidSchedule, NotNested, OracleTooLarge
-from .functional import PairEngine, perimeter
+from .functional import _engine_for, perimeter
 from .grid import CellSet, DomainWindow, ScalarField, signed_distance
 from .kernel import InteractionTable
 
@@ -98,16 +98,17 @@ class _Condensed:
 
     F(x) = sum_{a<b} W_ab |x_a - x_b| + sum_a [p_a (1 - x_a) + q_a x_a]
     where p_a (q_a) is the interaction mass between free cell a and the
-    fixed part of E (of its complement), including analytic ray masses.
+    fixed part of E (of its complement): the fixed box cells' field plus
+    the exterior field X_E (X_C), which holds the 1D ray masses.
     """
 
     def __init__(self, p: MinimizationProblem):
         self.problem = p
         table = p.table
-        eng = PairEngine(p.window.spec, p.window.complement_policy, table)
-        om = eng.embed(p.window.omega)
-        occ0 = eng.occupancy(p.exterior_data)
-        self.free_idx = np.argwhere(om)  # (m, dim) in padded universe
+        eng = _engine_for(p.window, table)
+        om = p.window.omega
+        inside = p.exterior_data.inside
+        self.free_idx = np.argwhere(om)  # (m, dim) on the box
         m = len(self.free_idx)
         self.m = m
 
@@ -120,15 +121,11 @@ class _Condensed:
         else:
             self.W = np.zeros((0, 0))
 
-        # linear terms: interaction with the frozen exterior occupancy
-        sel = tuple(self.free_idx.T)
-        self.p = eng.field(occ0 & ~om)[sel]
-        self.q = eng.field(~occ0 & ~om)[sel]
-        if eng.analytic_rays:
-            mass_e, mass_c = eng.ray_masses(p.exterior_data.exterior)
-            box_sel = tuple(np.argwhere(p.window.omega).T)
-            self.p = self.p + mass_e[box_sel]
-            self.q = self.q + mass_c[box_sel]
+        # linear terms: interaction with the fixed box cells, by box
+        # correlations, plus the exterior's fields
+        x_e, x_c = eng.exterior_fields(p.exterior_data.exterior)
+        self.p = (eng.field(inside & ~om) + x_e)[om]
+        self.q = (eng.field(~inside & ~om) + x_c)[om]
 
     def energy(self, x: np.ndarray) -> float:
         """F(x) at a point x of [0, 1]^m."""

@@ -199,6 +199,16 @@ def _scan_case(name):
         mask = np.zeros(E.spec.extent, dtype=bool)
         mask[2:-3, 1:-2] = True
         return E, DomainWindow(E.spec, mask, TruncateAtRadius(0.25)), 0.5
+    if name == "2d-halfspace-analytic":
+        # the exterior has cells of both phases, so both exterior fields
+        # enter the scan
+        spec = GridSpec(2, (0.0, 0.0), (12, 12), 1.0 / 12)
+        x, y = spec.centers().T.reshape(2, 12, 12)
+        inside = (y < 0.5) ^ ((x - 0.5) ** 2 + (y - 0.5) ** 2 < 0.06)
+        E = CellSet(spec, inside, HalfSpaceExterior(1, 0.5))
+        mask = np.zeros(spec.extent, dtype=bool)
+        mask[1:-2, 2:-1] = True
+        return E, DomainWindow(spec, mask, AnalyticTail()), 0.6
     if name == "2d-full-analytic":
         E = _ball(12, 0.35)
         return E, full_window(E.spec, AnalyticTail()), 0.7
@@ -211,7 +221,8 @@ class TestThresholdScan:
     """The nested-set scan against the per-threshold perimeter loop."""
 
     @pytest.mark.parametrize("case", ["1d-rays", "2d-partial-truncate",
-                                      "2d-full-analytic", "3d-ball"])
+                                      "2d-halfspace-analytic", "2d-full-analytic",
+                                      "3d-ball"])
     def test_matches_per_threshold_perimeters(self, case):
         E, win, s = _scan_case(case)
         table = table_for(E.spec, s, win.complement_policy)

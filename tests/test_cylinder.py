@@ -24,7 +24,7 @@ from fracperim.errors import (
     InvalidSequence,
     WindowTooShort,
 )
-from fracperim.functional import interaction
+from fracperim.functional import _tail_terms, interaction
 from fracperim.grid import DomainWindow, GridSpec, ScalarField, full_window
 from fracperim.kernel import KernelParams, build_table, interval_pair_exact
 
@@ -134,6 +134,32 @@ class TestTruncatedPerimeter:
         om = in_window[:, None] & (np.abs(T) < k)
         ref = interaction(occ & om, ~occ & om, table, exact=True)
         assert bd.local == pytest.approx(ref, rel=1e-12)
+
+
+class TestTruncationBound:
+    # the omitted columns beyond the pad lie in the horizontal half-spaces
+    # beyond the pad edges, whose masses the bound charges per side
+    @pytest.mark.parametrize("s", [0.3, 0.5, 0.7])
+    def test_bound_covers_a_wider_pad_and_beats_the_ball_tail(self, s):
+        base = _base()
+        sg = SubgraphSet(base, _graph(base, 0.2 * np.cos(np.arange(8))), 2.0)
+        amb = sg.ambient_spec()
+        bd = truncated_cylinder_perimeter(sg, full_window(base), 1.0,
+                                          _ambient_table(sg, s), pad_radius=_PAD_RADIUS)
+        wide = 16.0
+        pad = int(np.ceil(wide / amb.h))
+        table = build_table(amb, KernelParams(s, amb.dim),
+                            max(8 + 2 * pad, amb.extent[1]) - 1)
+        far = truncated_cylinder_perimeter(sg, full_window(base), 1.0, table,
+                                           pad_radius=wide)
+        assert far.total > bd.total
+        assert bd.truncation_error_bound >= far.total - bd.total
+        # the whole point tail at each window cell's distance to the pad edge
+        x = amb.centers()[:, 0].reshape(amb.extent)
+        t = amb.centers()[:, 1].reshape(amb.extent)
+        r = np.minimum(x + _PAD_RADIUS, 2.0 + _PAD_RADIUS - x)[np.abs(t) < 1.0]
+        ball_tail = float(_tail_terms(r, amb.h, KernelParams(s, amb.dim)).sum())
+        assert bd.truncation_error_bound < ball_tail
 
 
 def _box_growth_loss(sg: SubgraphSet, k: float, pad: int, T2: float, table) -> float:

@@ -29,9 +29,12 @@ from fracperim.grid import (
     AnalyticTail,
     CellSet,
     DomainWindow,
+    EmptyExterior,
+    FullExterior,
     GridSpec,
     HalfSpaceExterior,
     ScalarField,
+    SubgraphExterior,
     TruncateAtRadius,
     cellset_from_shape,
     full_window,
@@ -177,11 +180,164 @@ class TestExplicitOracle:
         assert bd.total == pytest.approx(local + math.fsum(nl), rel=1e-12)
 
         strip = eng.embed(outer & ~inner)
-        for A, B in ((occ & strip, ~occ & ~eng.embed(inner)), (occ & ~om, ~occ & strip)):
+        inner_win = DomainWindow(spec, inner, policy)
+        outer_win = DomainWindow(spec, outer, policy)
+        cross = functional._cross_terms(E, inner_win, outer_win,
+                                        functional._engine_for(outer_win, table))
+        # the cross terms also hold the strip's mass to the 1D exterior rays
+        mass_e, mass_c = eng.ray_masses(E.exterior)
+        box_strip = outer & ~inner
+        for A, B, got, ray in ((occ & strip, ~occ & ~eng.embed(inner), cross[0],
+                                mass_c[E.inside & box_strip].sum()),
+                               (occ & ~om, ~occ & strip, cross[1],
+                                mass_e[~E.inside & box_strip].sum())):
             assert interaction(A, B, table) == pytest.approx(exact(A, B), rel=1e-12)
-        res = decomposition_check(E, DomainWindow(spec, inner, policy),
-                                  DomainWindow(spec, outer, policy), table)
+            assert got == pytest.approx(exact(A, B) + ray, rel=1e-12)
+        res = decomposition_check(E, inner_win, outer_win, table)
         assert res <= 1e-12 * bd.total
+
+
+def _box_route_case(dim, policy, kind, seed=3):
+    """A random set with one of the five exterior kinds, a partial window
+    and a smaller window inside it, on a small 2D or 3D box."""
+    rng = np.random.default_rng(seed)
+    n = 6 if dim == 2 else 3
+    spec = GridSpec(dim, (0.0,) * dim, (n,) * dim, 1.0 / n)
+    base = GridSpec(dim - 1, (0.0,) * (dim - 1), (n,) * (dim - 1), 1.0 / n)
+    exterior = {
+        "empty": EmptyExterior(),
+        "full": FullExterior(),
+        "below": HalfSpaceExterior(dim - 1, 0.45),
+        "above": HalfSpaceExterior(0, 0.6, below=False),
+        "subgraph": SubgraphExterior(base, tuple(0.3 + 0.4 * rng.random(n ** (dim - 1))),
+                                     0.5),
+    }[kind]
+    E = CellSet(spec, rng.random(spec.extent) < 0.5, exterior)
+    outer = np.zeros(spec.extent, dtype=bool)
+    outer[(slice(1, n),) * dim] = True
+    outer &= rng.random(spec.extent) < 0.8
+    inner = outer & (rng.random(spec.extent) < 0.5)
+    return (E, DomainWindow(spec, inner, policy), DomainWindow(spec, outer, policy),
+            table_for(spec, 0.45, policy))
+
+
+_KINDS = ["empty", "full", "below", "above", "subgraph"]
+_POLICIES = [AnalyticTail(), TruncateAtRadius(0.34)]
+
+
+class TestBoxRoute:
+    """Box correlations plus cached exterior fields against explicit pair
+    sums over the padded universe."""
+
+    @staticmethod
+    def _close(got, ref):
+        assert abs(got - ref) <= 1e-12 * abs(ref), (got, ref)
+
+    @pytest.mark.parametrize("kind", _KINDS)
+    @pytest.mark.parametrize("policy", _POLICIES, ids=["analytic", "truncate"])
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_perimeter_and_cross_terms(self, dim, policy, kind):
+        E, inner, outer, table = _box_route_case(dim, policy, kind)
+        eng = PairEngine(E.spec, policy, table)
+        occ = eng.occupancy(E)
+        om_out = eng.embed(outer.omega)
+        om_in = eng.embed(inner.omega)
+        strip = om_out & ~om_in
+
+        def exact(A, B):
+            return interaction(A, B, table, exact=True)
+
+        bd = perimeter(E, outer, table)
+        self._close(bd.local, exact(occ & om_out, ~occ & om_out))
+        self._close(bd.nonlocal_, exact(occ & om_out, ~occ & ~om_out)
+                    + exact(occ & ~om_out, ~occ & om_out))
+        eng_route = functional._engine_for(outer, table)
+        cross = functional._cross_terms(E, inner, outer, eng_route)
+        self._close(cross[0], exact(occ & strip, ~occ & ~om_in))
+        self._close(cross[1], exact(occ & ~om_out, ~occ & strip))
+        assert decomposition_check(E, inner, outer, table) <= 1e-12 * bd.total
+
+    @pytest.mark.parametrize("kind", _KINDS)
+    @pytest.mark.parametrize("policy", _POLICIES, ids=["analytic", "truncate"])
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_condensed_linear_terms(self, dim, policy, kind):
+        from fracperim.minimize import MinimizationProblem, _Condensed
+
+        E, _, outer, table = _box_route_case(dim, policy, kind)
+        eng = PairEngine(E.spec, policy, table)
+        occ = eng.occupancy(E)
+        om = eng.embed(outer.omega)
+        cond = _Condensed(MinimizationProblem(outer, E, table))
+        assert cond.m == outer.n_omega > 0
+        for k, cell in enumerate(np.argwhere(om)):
+            a = np.zeros(om.shape, dtype=bool)
+            a[tuple(cell)] = True
+            self._close(cond.p[k], interaction(a, occ & ~om, table, exact=True))
+            self._close(cond.q[k], interaction(a, ~occ & ~om, table, exact=True))
+
+
+class TestEngineCache:
+    """One engine per (table, spec, policy): spectra and exterior fields
+    are computed once, and after that every correlation is box-sized."""
+
+    @staticmethod
+    def _fresh_case():
+        spec = GridSpec(2, (0.0, 0.0), (10, 10), 0.1)
+        E = cellset_from_shape(spec, {"shape": "ball", "center": [0.4, 0.5],
+                                      "radius": 0.3})
+        E = CellSet(spec, E.inside, HalfSpaceExterior(0, 0.5))
+        inner = np.zeros(spec.extent, dtype=bool)
+        inner[2:8, 3:9] = True
+        window = full_window(spec, AnalyticTail())
+        return (E, DomainWindow(spec, inner, AnalyticTail()), window,
+                functional.table_for(spec, 0.5, AnalyticTail()))
+
+    def test_second_call_builds_no_spectrum(self, monkeypatch):
+        E, inner, window, table = self._fresh_case()
+        calls = []
+        original = functional._weight_spectrum
+
+        def counted(*args):
+            calls.append(args[1])
+            return original(*args)
+
+        monkeypatch.setattr(functional, "_weight_spectrum", counted)
+        first = perimeter(E, window, table)
+        assert calls  # the cold call builds the box and universe spectra
+        calls.clear()
+        assert perimeter(E, window, table) == first
+        assert perimeter(E, inner, table).total > 0.0
+        decomposition_check(E, inner, window, table)
+        assert calls == []
+        engine = functional._engine_for(window, table)
+        assert functional._engine_for(inner, table) is engine
+
+    def test_warm_calls_correlate_box_masks_only(self, monkeypatch):
+        from fracperim import approx
+
+        E, inner, window, table = self._fresh_case()
+        u = approx.mollify(E, approx.MollifierSpec(0.3))
+        scan = approx._ThresholdScan(window, table, E.exterior)
+        perimeter(E, window, table)  # warm-up: the exterior fields
+        eng = functional._engine_for(window, table)
+        assert scan.engine is eng
+        shapes = []
+        original = functional._correlate
+
+        def recorded(A, *args):
+            shapes.append(A.shape)
+            return original(A, *args)
+
+        monkeypatch.setattr(functional, "_correlate", recorded)
+        perimeter(E, window, table)
+        perimeter(E, inner, table)
+        decomposition_check(E, inner, window, table)
+        scan.totals(u)
+        assert shapes and set(shapes) == {E.spec.extent}
+        assert eng._exterior
+        for fields in eng._exterior.values():
+            for arr in fields:
+                assert arr.shape == E.spec.extent and arr.base is None
 
 
 class TestTruncationBound:

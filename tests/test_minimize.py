@@ -13,6 +13,7 @@ from fracperim.grid import (
     CellSet,
     DomainWindow,
     EmptyExterior,
+    FullExterior,
     GridSpec,
     HalfSpaceExterior,
     TruncateAtRadius,
@@ -279,7 +280,7 @@ class TestMinCut:
 
 class TestCondensedEnergy:
     @pytest.mark.parametrize("case", ["1d_rays", "2d_analytic", "2d_truncate",
-                                      "empty"])
+                                      "2d_halfspace", "3d_full", "empty"])
     def test_fft_linear_terms_match_direct_convolution(self, case, rng):
         if case == "1d_rays":
             p = _problem_1d()
@@ -287,6 +288,16 @@ class TestCondensedEnergy:
             p = _problem_2d(rng)
         elif case == "2d_truncate":
             p = _problem_2d(rng, policy=TruncateAtRadius(0.5))
+        elif case in ("2d_halfspace", "3d_full"):
+            dim = int(case[0])
+            spec = GridSpec(dim, (0.0,) * dim, (5,) * dim, 0.2)
+            ext = HalfSpaceExterior(0, 0.3, below=False) if dim == 2 else FullExterior()
+            omega = np.zeros(spec.extent, dtype=bool)
+            omega[(slice(1, 4),) * dim] = rng.random((3,) * dim) < 0.7
+            policy = AnalyticTail() if dim == 2 else TruncateAtRadius(0.4)
+            p = MinimizationProblem(DomainWindow(spec, omega, policy),
+                                    CellSet(spec, rng.random(spec.extent) < 0.5, ext),
+                                    table_for(spec, 0.5, policy))
         else:
             base = _problem_2d(rng)
             win = DomainWindow(base.window.spec,
