@@ -175,7 +175,8 @@ class _ThresholdScan:
     exterior fields X_E and X_C of the sets' exterior model, and the row
     totals 1 (*) w and 1_Omega (*) w over the universe, on the box.
     ``exterior`` is the set's exterior model, which every superlevel set
-    of a rung shares.  Every correlation runs on the box.
+    of a rung shares.  Apart from the engine's one-off exterior fields,
+    every correlation runs on the box.
     """
 
     def __init__(self, window: DomainWindow, table: InteractionTable, exterior):
