@@ -185,8 +185,8 @@ class _ThresholdScan:
         self.engine = eng
         self.x_e, self.x_c = eng.exterior_fields(exterior)
         box = np.ones(window.spec.extent, dtype=bool)
-        self.row_all = eng.field(box) + self.x_e + self.x_c
-        self.row_om = eng.field(window.omega)
+        row_box, self.row_om = eng.fields(box, window.omega)
+        self.row_all = row_box + self.x_e + self.x_c
 
     def totals(self, u: ScalarField) -> np.ndarray:
         """Perimeter of {u > t} for every t of the threshold grid.
@@ -203,8 +203,8 @@ class _ThresholdScan:
         eng = self.engine
         om = self.window.omega
         inside = superlevel(u, float(_THRESHOLD_GRID[-1])).inside
-        f_in = eng.field(inside & om)
-        f_out = eng.field(inside & ~om) + self.x_e
+        f_in, f_out = eng.fields(inside & om, inside & ~om)
+        f_out = f_out + self.x_e
         base = math.fsum([float(f_in[~inside].sum()), float(self.x_c[inside & om].sum()),
                           float(f_out[~inside & om].sum())])
 

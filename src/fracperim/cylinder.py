@@ -25,7 +25,7 @@ from .errors import (
 )
 from .functional import (
     PerimeterBreakdown,
-    _correlate,
+    _fields,
     _pair_sum,
     _split_sums,
 )
@@ -183,9 +183,8 @@ def truncated_cylinder_perimeter(E, omega_base: DomainWindow, k: float,
     c_in = ~occ & om
     e_out = occ & ~om
     c_out = ~occ & ~om
-    spectra: dict = {}
     local, nl_pairs = _split_sums(e_in, c_in, e_out, c_out,
-                                  lambda A: _correlate(A, table, spectra))
+                                  lambda *masks: _fields(masks, table, {}))
     nl = [nl_pairs]
 
     # beyond the box every column is empty above and full below; row r

@@ -9,22 +9,27 @@ the exterior model; with a fixed universe every set-algebra identity
 (complement invariance, decomposition, coarea) is exact in real
 arithmetic, so residuals are pure floating-point accumulation.
 
-A pair sum L(A, B) is the inner product <B, A (*) w>: one scipy.fft
-correlation of the mask A against the spectrum of the weight block.  The
-exterior data are fixed, so the padded margin enters as two fields on
-the box per exterior model: X_E and X_C, the mass of each box cell to the
-pad cells inside E and to those outside it (in 1D under AnalyticTail, to
-the exterior rays).  A PairEngine computes them once from the padded
-universe and caches them with its weight spectra, and the table keeps
-one engine per (spec, policy); every other correlation runs on the box.
-A perimeter takes two box fields.  ``interaction(..., exact=True)``, the
-default up to _DIRECT_LIMIT cells, weighs every cell pair explicitly
-instead and serves as the independent oracle.
+A pair sum L(A, B) is the inner product <B, A (*) w>: a numpy.fft
+correlation of the mask A against the spectrum of the weight block, on a
+5-smooth grid (``_fast_len``).  Every caller takes its fields in pairs,
+so ``PairEngine.fields`` stacks the non-empty masks into one batched
+transform.  The exterior data are fixed, so the padded margin enters as
+two fields on the box per exterior model: X_E and X_C, the mass of each
+box cell to the pad cells inside E and to those outside it (in 1D under
+AnalyticTail, to the exterior rays).  A PairEngine computes them once
+from the padded universe and caches them with its weight spectra, and
+the table keeps one engine per (spec, policy); every other correlation
+runs on the box.  A perimeter takes the two box fields of one batch.
+``interaction(..., exact=True)``, the default up to _DIRECT_LIMIT cells,
+weighs every cell pair explicitly instead and serves as the independent
+oracle.  The module imports no SciPy.
 
 The relaxed energy F(u, Omega) is an explicit pair sum too, over (window
-cell, universe cell) pairs in chunks, reading the same weight rows as
-``interaction(exact=True)``.  It never touches the FFT, so the coarea
-identity compares two independent routes.
+cell, box cell) pairs in chunks, reading the same weight rows as
+``interaction(exact=True)``, plus the window's mass to the pad cells of
+each exterior value (``PairEngine.pad_masses``, explicit as well, once
+per exterior).  It never touches the FFT, so the coarea identity
+compares two independent routes.
 """
 
 from __future__ import annotations
@@ -34,7 +39,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import fft as sfft
 
 from .errors import (
     InvalidSchedule,
@@ -93,6 +97,20 @@ class PerimeterBreakdown:
     degenerate: bool = False
 
 
+def _fast_len(n: int) -> int:
+    """Smallest 5-smooth integer (2^a 3^b 5^c) of at least n: the real-FFT
+    length ``scipy.fft.next_fast_len(n, real=True)`` picks."""
+    m = max(n, 1)
+    while True:
+        k = m
+        for p in (2, 3, 5):
+            while k % p == 0:
+                k //= p
+        if k == 1:
+            return m
+        m += 1
+
+
 def _weight_spectrum(table: InteractionTable, shape: tuple[int, ...]):
     """(fast grid, spectrum of the weight block) for grids of ``shape``.
 
@@ -101,25 +119,39 @@ def _weight_spectrum(table: InteractionTable, shape: tuple[int, ...]):
     is the linear one on the grid.  The block is even, so its spectrum
     is real.
     """
-    fast = tuple(sfft.next_fast_len(2 * n - 1, real=True) for n in shape)
+    fast = tuple(_fast_len(2 * n - 1) for n in shape)
     wrapped = np.zeros(fast)
     idx = [np.r_[0:n, f - n + 1:f] for n, f in zip(shape, fast)]
     wrapped[np.ix_(*idx)] = np.fft.ifftshift(table.block(tuple(n - 1 for n in shape)))
-    return fast, sfft.rfftn(wrapped).real
+    return fast, np.fft.rfftn(wrapped).real
 
 
-def _correlate(A: np.ndarray, table: InteractionTable, spectra: dict) -> np.ndarray:
-    """f = A (*) w on A's grid: f[j] = sum_i A[i] w(j - i).
+def _correlate(stack: np.ndarray, table: InteractionTable, spectra: dict) -> np.ndarray:
+    """f[k] = stack[k] (*) w for each array of a stack, on its grid:
+    f[k][j] = sum_i stack[k][i] w(j - i).
 
-    One r2c / c2r round trip against the weight spectrum, which
-    ``spectra`` caches per grid shape.
+    One batched r2c / c2r round trip over the trailing axes against the
+    weight spectrum, which ``spectra`` caches per grid shape.
     """
-    if A.shape not in spectra:
-        spectra[A.shape] = _weight_spectrum(table, A.shape)
-    fast, spectrum = spectra[A.shape]
-    F = sfft.rfftn(A, fast)
+    shape = stack.shape[1:]
+    if shape not in spectra:
+        spectra[shape] = _weight_spectrum(table, shape)
+    fast, spectrum = spectra[shape]
+    axes = tuple(range(1, stack.ndim))
+    F = np.fft.rfftn(stack, fast, axes)
     F *= spectrum
-    return sfft.irfftn(F, fast)[tuple(slice(n) for n in A.shape)]
+    return np.fft.irfftn(F, fast, axes)[(slice(None),) + tuple(slice(n) for n in shape)]
+
+
+def _fields(masks, table: InteractionTable, spectra: dict) -> list[np.ndarray]:
+    """A (*) w for each mask A of ``masks`` (all of one shape): one batched
+    transform of the non-empty masks, and zeros for the empty ones."""
+    live = [k for k, A in enumerate(masks) if A.any()]
+    out = {}
+    if live:
+        stack = np.array([masks[k] for k in live], dtype=float)
+        out = dict(zip(live, _correlate(stack, table, spectra)))
+    return [out[k] if k in out else np.zeros(A.shape) for k, A in enumerate(masks)]
 
 
 def _weight_rows(cells: np.ndarray, shape: tuple[int, ...], table: InteractionTable):
@@ -148,7 +180,7 @@ def _explicit_pair_sum(A: np.ndarray, B: np.ndarray, table: InteractionTable) ->
 
 
 def _pair_sum(A: np.ndarray, B: np.ndarray, table: InteractionTable,
-              exact: bool | None = None, spectra: dict | None = None) -> float:
+              exact: bool | None = None) -> float:
     """Sum of w(j - i) over i in A, j in B (A, B boolean, same shape).
 
     ``exact`` (the default up to _DIRECT_LIMIT cells) weighs every cell
@@ -160,20 +192,14 @@ def _pair_sum(A: np.ndarray, B: np.ndarray, table: InteractionTable,
         exact = A.size <= _DIRECT_LIMIT
     if exact:
         return _explicit_pair_sum(A, B, table)
-    return float(_correlate(A, table, {} if spectra is None else spectra)[B].sum())
+    return float(_fields((A,), table, {})[0][B].sum())
 
 
-def _split_sums(e_in, c_in, e_out, c_out, field) -> tuple[float, float]:
+def _split_sums(e_in, c_in, e_out, c_out, fields) -> tuple[float, float]:
     """(L(e_in, c_in), L(e_in, c_out) + L(e_out, c_in)) from the two
-    fields ``field(e_in)`` and ``field(e_out)``."""
-    local = nonlocal_ = 0.0
-    if e_in.any():
-        f_in = field(e_in)
-        local = float(f_in[c_in].sum())
-        nonlocal_ = float(f_in[c_out].sum())
-    if e_out.any() and c_in.any():
-        nonlocal_ += float(field(e_out)[c_in].sum())
-    return local, nonlocal_
+    fields ``fields(e_in, e_out)``."""
+    f_in, f_out = fields(e_in, e_out)
+    return float(f_in[c_in].sum()), float(f_in[c_out].sum()) + float(f_out[c_in].sum())
 
 
 def _tail_terms(dist: np.ndarray, h: float, params: KernelParams) -> np.ndarray:
@@ -289,10 +315,10 @@ class PairEngine:
     the box by ceil(R/h) cells and reports the neglected tail mass;
     AnalyticTail is exact in 1D (ray closed forms, zero pad) and falls back
     to a generous pad otherwise.  ``occupancy`` and ``embed`` place masks
-    on the padded universe; ``field`` and ``ls`` take box-shaped masks,
-    and the pad reaches them through ``exterior_fields``.  Weight spectra
-    and exterior fields are computed on first use and kept, so building
-    an engine costs nothing.
+    on the padded universe; ``fields`` takes box-shaped masks, and the pad
+    reaches them through ``exterior_fields`` (by FFT) and ``pad_masses``
+    (explicitly).  Weight spectra and both kinds of pad data are computed
+    on first use and kept, so building an engine costs nothing.
     """
 
     def __init__(self, spec: GridSpec, policy, table: InteractionTable):
@@ -306,6 +332,7 @@ class PairEngine:
         self.padded_spec = spec.padded(self.pad)
         self._spectra: dict = {}
         self._exterior: dict = {}
+        self._pad_masses: dict = {}
         self._tails = None
 
     def occupancy(self, cellset: CellSet) -> np.ndarray:
@@ -317,16 +344,11 @@ class PairEngine:
         """Box-level bitmask placed in the padded universe (pad cells False)."""
         return np.pad(np.asarray(box_mask, dtype=bool), self.pad)
 
-    def field(self, A: np.ndarray) -> np.ndarray:
-        """A (*) w on the box: the interaction of every box cell with the
-        box-shaped mask A (zeros, with no transform, when A is empty)."""
-        if not A.any():
-            return np.zeros(A.shape)
-        return _correlate(A, self.table, self._spectra)
-
-    def ls(self, A: np.ndarray, B: np.ndarray, exact: bool | None = None) -> float:
-        """L(A, B) between two box-shaped masks."""
-        return _pair_sum(A, B, self.table, exact, self._spectra)
+    def fields(self, *masks: np.ndarray) -> list[np.ndarray]:
+        """A (*) w on the box for each box-shaped mask A: the interaction
+        of every box cell with A.  The non-empty masks share one batched
+        transform; an empty one gives zeros with none."""
+        return _fields(masks, self.table, self._spectra)
 
     def exterior_fields(self, exterior) -> tuple[np.ndarray, np.ndarray]:
         """(X_E, X_C) per box cell: the mass to the exterior inside E and
@@ -335,6 +357,7 @@ class PairEngine:
         That is the pad cells' fields (pad_E (*) w, pad_C (*) w) on the
         box, plus the 1D ray masses under AnalyticTail.  Computed once per
         exterior model by at most two correlations on the padded universe,
+        one at a time (a stacked pair would double the peak memory) and
         none for an empty pad side, and kept as owned arrays: a view would
         keep the whole transform output alive.
         """
@@ -345,9 +368,35 @@ class PairEngine:
             box = tuple(slice(self.pad, self.pad + n) for n in self.spec.extent)
             spectra: dict = {}  # the universe spectrum is not kept
             self._exterior[exterior] = tuple(
-                rays + (_correlate(side, self.table, spectra)[box] if side.any() else 0.0)
+                rays + _fields((side,), self.table, spectra)[0][box]
                 for side, rays in zip((occ & pad, ~occ & pad), self.ray_masses(exterior)))
         return self._exterior[exterior]
+
+    def pad_masses(self, exterior) -> list[tuple[float, np.ndarray]]:
+        """(v, M_v) for each distinct value v that a field with this
+        exterior (a constant or an occupancy model) takes on the pad:
+        M_v(a) is the mass of box cell a to the pad cells holding v.
+
+        One explicit pass of weight rows over the box cells, no FFT,
+        once per exterior; empty when there is no pad.
+        """
+        if not self.pad:
+            return []
+        if exterior not in self._pad_masses:
+            extent = self.spec.extent
+            vals = ScalarField(self.spec, np.zeros(extent), exterior).values_on(
+                self.padded_spec)
+            box = self.embed(np.ones(extent, dtype=bool))
+            levels = np.unique(vals[~box])
+            onehot = ((vals[..., None] == levels) & ~box[..., None]).reshape(-1, len(levels))
+            onehot = onehot.astype(float)
+            masses = np.empty((box.sum(), len(levels)))
+            for lo, rows in _weight_rows(np.argwhere(box), vals.shape, self.table):
+                masses[lo:lo + len(rows)] = rows @ onehot
+            self._pad_masses[exterior] = [
+                (float(v), np.ascontiguousarray(m).reshape(extent))
+                for v, m in zip(levels, masses.T)]
+        return self._pad_masses[exterior]
 
     def ray_masses(self, exterior):
         """(mass to E rays, mass to complement rays) per box cell; 1D only."""
@@ -400,8 +449,9 @@ def perimeter(E: CellSet, window: DomainWindow, table: InteractionTable,
     On the box, with f_in = e_in (*) w and f_out = e_out (*) w, local is
     the sum of f_in over the window's complement cells and nonlocal that
     of f_in over the complement outside the window plus f_out over the
-    window's complement cells: two FFT correlations in all.  The exterior
-    adds X_C over e_in and X_E over c_in (``PairEngine.exterior_fields``).
+    window's complement cells: one batched FFT correlation of the two
+    masks (none for an empty one).  The exterior adds X_C over e_in and
+    X_E over c_in (``PairEngine.exterior_fields``).
     """
     if E.spec != window.spec:
         raise SpecMismatch("cell set and window specs differ")
@@ -410,7 +460,7 @@ def perimeter(E: CellSet, window: DomainWindow, table: InteractionTable,
     inside = E.inside
     e_in = inside & om
     c_in = ~inside & om
-    local, nonlocal_ = _split_sums(e_in, c_in, inside & ~om, ~inside & ~om, eng.field)
+    local, nonlocal_ = _split_sums(e_in, c_in, inside & ~om, ~inside & ~om, eng.fields)
     x_e, x_c = eng.exterior_fields(E.exterior)
     nonlocal_ = math.fsum([nonlocal_, float(x_c[e_in].sum()), float(x_e[c_in].sum())])
     return PerimeterBreakdown(
@@ -425,15 +475,16 @@ def perimeter(E: CellSet, window: DomainWindow, table: InteractionTable,
 def _cross_terms(E: CellSet, inner: DomainWindow, outer: DomainWindow,
                  eng: PairEngine) -> tuple[float, float]:
     """L(E n strip, cE \\ inner) and L(E \\ outer, cE n strip), strip =
-    outer \\ inner: box pair sums plus X_C over E n strip and X_E over
-    cE n strip."""
+    outer \\ inner: box pair sums from the fields of E n strip and
+    E \\ outer, plus X_C over E n strip and X_E over cE n strip."""
     inside = E.inside
     strip = outer.omega & ~inner.omega
     x_e, x_c = eng.exterior_fields(E.exterior)
     e_strip = inside & strip
     c_strip = ~inside & strip
-    cross1 = eng.ls(e_strip, ~inside & ~inner.omega) + float(x_c[e_strip].sum())
-    cross2 = eng.ls(inside & ~outer.omega, c_strip) + float(x_e[c_strip].sum())
+    f_strip, f_out = eng.fields(e_strip, inside & ~outer.omega)
+    cross1 = float(f_strip[~inside & ~inner.omega].sum()) + float(x_c[e_strip].sum())
+    cross2 = float(f_out[c_strip].sum()) + float(x_e[c_strip].sum())
     return cross1, cross2
 
 
@@ -463,16 +514,19 @@ def relaxed_energy(u: ScalarField, window: DomainWindow, table: InteractionTable
                    engine: PairEngine | None = None) -> float:
     """F(u, Omega): half the within-window seminorm plus the cross term.
 
-    Explicitly, the sum over window cells a and universe cells j of
+    Explicitly, the sum over window cells a and box cells j of
     w(j - a) |u_a - u_j|, halved when j lies in the window, one chunk of
-    weight rows at a time (plus the 1D ray terms).  For an indicator
-    field this reproduces perimeter(...).total exactly.
+    weight rows at a time; plus, over the distinct values v the exterior
+    takes on the pad, the sum of |u_a - v| M_v(a) with M_v(a) the mass of
+    a to the pad cells holding v (``PairEngine.pad_masses``); plus the 1D
+    ray terms.  For an indicator field this reproduces
+    perimeter(...).total exactly.
     """
     if u.spec != window.spec:
         raise SpecMismatch("field and window specs differ")
     eng = engine if engine is not None else _engine_for(window, table)
-    vals = u.values_on(eng.padded_spec)
-    om = eng.embed(window.omega)
+    om = window.omega
+    vals = u.values
     vflat = vals.ravel()
     half = np.where(om.ravel(), 0.5, 1.0)
     v_om = vals[om]
@@ -483,12 +537,12 @@ def relaxed_energy(u: ScalarField, window: DomainWindow, table: InteractionTable
         terms *= half
         terms *= rows
         parts.append(float(terms.sum()))
+    parts += [float(np.abs(v_om - v) @ mass[om]) for v, mass in eng.pad_masses(u.exterior)]
     total = math.fsum(parts)
     if eng.analytic_rays:
         mass_e, mass_c = eng.ray_masses(_field_exterior_model(u))
-        oflat = om.ravel()
-        total += math.fsum(np.abs(v_om - 1.0) * mass_e[oflat]) + math.fsum(
-            np.abs(v_om) * mass_c[oflat])
+        total += math.fsum(np.abs(v_om - 1.0) * mass_e[om]) + math.fsum(
+            np.abs(v_om) * mass_c[om])
     return total
 
 

@@ -124,8 +124,9 @@ class _Condensed:
         # linear terms: interaction with the fixed box cells, by box
         # correlations, plus the exterior's fields
         x_e, x_c = eng.exterior_fields(p.exterior_data.exterior)
-        self.p = (eng.field(inside & ~om) + x_e)[om]
-        self.q = (eng.field(~inside & ~om) + x_c)[om]
+        f_e, f_c = eng.fields(inside & ~om, ~inside & ~om)
+        self.p = (f_e + x_e)[om]
+        self.q = (f_c + x_c)[om]
 
     def energy(self, x: np.ndarray) -> float:
         """F(x) at a point x of [0, 1]^m."""
@@ -167,13 +168,13 @@ def _min_cut(W: np.ndarray, p: np.ndarray, q: np.ndarray,
     would fall below C_max 2^-52: after at most three rounds.
 
     Each round's cut is the set reachable from the source in its integer
-    residual graph: the inclusion-minimal minimizer of that graph, hence
-    also its lexicographically smallest.  The lowest-energy cut of all
-    rounds is returned, the later one on ties.  Returns
-    (bits, flow, rounds).
+    residual graph (``_reachable``): the inclusion-minimal minimizer of
+    that graph, hence also its lexicographically smallest.  The
+    lowest-energy cut of all rounds is returned, the later one on ties.
+    Returns (bits, flow, rounds).
     """
     from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import breadth_first_order, maximum_flow
+    from scipy.sparse.csgraph import maximum_flow
 
     m = len(p)
     s, t = m, m + 1
@@ -191,15 +192,17 @@ def _min_cut(W: np.ndarray, p: np.ndarray, q: np.ndarray,
     while True:
         # the lower clip absorbs residuals a rounding left an ulp below 0
         caps = np.clip(np.floor(residual / quantum), 0, _CAP_MAX).astype(np.int32)
-        res = maximum_flow(csr_matrix(caps), s, t, method="dinic")
+        rows, cols = np.nonzero(caps)
+        indptr = np.zeros(m + 3, dtype=np.int32)
+        np.cumsum(np.bincount(rows, minlength=m + 2), out=indptr[1:])
+        graph = csr_matrix((caps[rows, cols], cols.astype(np.int32), indptr),
+                           shape=caps.shape)
+        res = maximum_flow(graph, s, t, method="dinic")
         f = res.flow.toarray()  # skew-symmetric net flow
         residual -= quantum * f
         flow += quantum * float(res.flow_value)
         rounds += 1
-        reach = breadth_first_order(csr_matrix(caps > f), s,
-                                    return_predecessors=False)
-        bits = np.zeros(m + 2, dtype=bool)
-        bits[reach] = True
+        bits = _reachable(caps > f, s)
         x = bits[:m].astype(float)
         energy = float(p.sum() + x @ (q - p) + x @ W @ (1.0 - x))
         if energy <= best_energy:
@@ -208,6 +211,18 @@ def _min_cut(W: np.ndarray, p: np.ndarray, q: np.ndarray,
         if (best_energy - flow <= tol * (1.0 + abs(best_energy))
                 or quantum < c_max * 2.0**-52):
             return best, flow, rounds
+
+
+def _reachable(adj: np.ndarray, source: int) -> np.ndarray:
+    """Nodes reachable from ``source`` along the True entries of the dense
+    adjacency ``adj`` (row to column), one frontier sweep per layer."""
+    seen = np.zeros(len(adj), dtype=bool)
+    seen[source] = True
+    frontier = seen.copy()
+    while frontier.any():
+        frontier = adj[frontier].any(axis=0) & ~seen
+        seen |= frontier
+    return seen
 
 
 def solve_relaxed(p: MinimizationProblem, tol: float = 1e-9) -> ScalarField:

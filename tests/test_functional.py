@@ -276,6 +276,39 @@ class TestBoxRoute:
             self._close(cond.q[k], interaction(a, ~occ & ~om, table, exact=True))
 
 
+def test_fast_len_matches_scipy():
+    from scipy.fft import next_fast_len
+
+    assert [functional._fast_len(n) for n in range(1, 4097)] == [
+        next_fast_len(n, real=True) for n in range(1, 4097)]
+
+
+class TestFields:
+    """``PairEngine.fields`` on a batch of masks, empty ones included,
+    against explicit pair sums."""
+
+    @pytest.mark.parametrize("dim,n", [(1, 24), (2, 8), (3, 4)])
+    def test_batch_matches_explicit_sums(self, dim, n):
+        rng = np.random.default_rng(dim)
+        spec = GridSpec(dim, (0.0,) * dim, (n,) * dim, 1.0 / n)
+        policy = TruncateAtRadius(0.25)
+        table = table_for(spec, 0.35, policy)
+        empty = np.zeros(spec.extent, dtype=bool)
+        masks = [rng.random(spec.extent) < 0.4, empty, rng.random(spec.extent) < 0.7,
+                 empty]
+        masks[2][(0,) * dim] = True
+        fields = PairEngine(spec, policy, table).fields(*masks)
+        assert len(fields) == len(masks)
+        for A, f in zip(masks, fields):
+            assert f.shape == spec.extent
+            if not A.any():
+                assert not f.any()
+                continue
+            for B in (~A, ~A & (rng.random(spec.extent) < 0.5)):
+                ref = interaction(A, B, table, exact=True)
+                assert abs(float(f[B].sum()) - ref) <= 1e-12 * ref
+
+
 class TestEngineCache:
     """One engine per (table, spec, policy): spectra and exterior fields
     are computed once, and after that every correlation is box-sized."""
@@ -324,9 +357,9 @@ class TestEngineCache:
         shapes = []
         original = functional._correlate
 
-        def recorded(A, *args):
-            shapes.append(A.shape)
-            return original(A, *args)
+        def recorded(stack, *args):
+            shapes.append(stack.shape[1:])  # each batch stacks masks of one grid
+            return original(stack, *args)
 
         monkeypatch.setattr(functional, "_correlate", recorded)
         perimeter(E, window, table)
@@ -504,13 +537,75 @@ class TestRelaxedEnergyOracle:
     def test_independent_of_the_fft(self, rng, monkeypatch):
         _, win, table = _random_instance(rng, n=12)
         u = ScalarField(win.spec, rng.random(win.spec.extent), 0.0)
-        ref = relaxed_energy(u, win, table)
 
         def forbidden(*args, **kwargs):
             raise AssertionError("relaxed_energy must not use the FFT correlation")
 
         monkeypatch.setattr(functional, "_correlate", forbidden)
+        ref = relaxed_energy(u, win, table)  # a cold engine: the pad masses too
+        assert ref == pytest.approx(_offset_loop_energy(u, win, table), rel=1e-12)
         assert relaxed_energy(u, win, table) == ref
+
+
+def _padded_pair_sum_energy(u, window, table):
+    """F(u, Omega) over explicit (window cell, padded-universe cell) pairs:
+    w(j - a) |u_a - u_j| summed over window cells a and every cell j of
+    the padded universe, halved when j lies in the window, plus the 1D
+    ray terms."""
+    eng = PairEngine(window.spec, window.complement_policy, table)
+    vals = u.values_on(eng.padded_spec)
+    om = eng.embed(window.omega)
+    vflat = vals.ravel()
+    half = np.where(om.ravel(), 0.5, 1.0)
+    v_om = vals[om]
+    total = math.fsum(
+        float((np.abs(v_om[lo:lo + len(rows), None] - vflat) * half * rows).sum())
+        for lo, rows in functional._weight_rows(np.argwhere(om), vals.shape, table))
+    if eng.analytic_rays:
+        mass_e, mass_c = eng.ray_masses(functional._field_exterior_model(u))
+        o = om.ravel()
+        total += math.fsum(np.abs(v_om - 1.0) * mass_e[o]) + math.fsum(
+            np.abs(v_om) * mass_c[o])
+    return total
+
+
+class TestRelaxedEnergyOnTheBox:
+    """Box pairs plus the engine's pad masses against the explicit sum over
+    the whole padded universe."""
+
+    @staticmethod
+    def _check(u, window, table):
+        ref = _padded_pair_sum_energy(u, window, table)
+        assert abs(relaxed_energy(u, window, table) - ref) <= 1e-12 * ref
+        assert abs(relaxed_energy(u, window, table) - ref) <= 1e-12 * ref  # warm
+
+    def test_constant_non_binary_exterior(self, rng):
+        spec = GridSpec(2, (0.0, 0.0), (9, 9), 1.0 / 9)
+        omega = np.zeros(spec.extent, dtype=bool)
+        omega[1:7, 2:9] = True
+        win = DomainWindow(spec, omega, AnalyticTail())
+        u = ScalarField(spec, rng.random(spec.extent), 0.25)
+        self._check(u, win, table_for(spec, 0.4, AnalyticTail()))
+
+    def test_halfspace_exterior_truncated(self, rng):
+        spec = GridSpec(2, (0.0, 0.0), (10, 10), 0.1)
+        omega = np.zeros(spec.extent, dtype=bool)
+        omega[2:9, 1:6] = True
+        policy = TruncateAtRadius(0.3)
+        win = DomainWindow(spec, omega, policy)
+        u = ScalarField(spec, rng.integers(0, 5, spec.extent) / 4.0,
+                        HalfSpaceExterior(1, 0.45, below=False))
+        self._check(u, win, table_for(spec, 0.6, policy))
+
+    def test_1d_rays(self, rng):
+        spec = GridSpec(1, (0.0,), (24,), 1.0 / 24)
+        omega = np.zeros(spec.extent, dtype=bool)
+        omega[3:20] = True
+        win = DomainWindow(spec, omega, AnalyticTail())
+        u = ScalarField(spec, rng.random(spec.extent), HalfSpaceExterior(0, 0.4))
+        table = table_for(spec, 0.3, AnalyticTail())
+        assert PairEngine(spec, AnalyticTail(), table).analytic_rays
+        self._check(u, win, table)
 
 
 class TestDivergenceProbe:

@@ -1,5 +1,6 @@
-"""Source hygiene: every name a module imports is used by that module, and
-the command line loads no SciPy module it does not need."""
+"""Source hygiene: every name a module imports is used by that module;
+importing the command line loads no SciPy module, and neither do
+`compute` and `davila-scan` while they run."""
 
 import ast
 import os
@@ -38,11 +39,30 @@ def test_no_unused_imports(path):
     assert _unused_imports(tree) == [], f"{path.name} imports names it never uses"
 
 
-def test_cli_import_skips_signal_and_integrate():
-    code = ("import sys, fracperim.cli; "
-            "print(*(m for m in ('scipy.signal', 'scipy.integrate', 'scipy.sparse.csgraph',"
-            " 'scipy.ndimage') if m in sys.modules))")
+def _fresh_python(*args: str) -> subprocess.CompletedProcess:
     path = os.pathsep.join(p for p in (str(SRC.parent), os.environ.get("PYTHONPATH")) if p)
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         env=dict(os.environ, PYTHONPATH=path), check=True, timeout=120)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path), check=True, timeout=120)
+
+
+_SCIPY_LOADED = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
+
+
+def test_cli_import_skips_signal_and_integrate():
+    # no SciPy module at all: the pair sums run on numpy.fft
+    out = _fresh_python("-c", f"import sys, fracperim.cli; print(*{_SCIPY_LOADED})")
     assert out.stdout.split() == []
+
+
+@pytest.mark.parametrize("args", [
+    ["compute", "--s", "0.5", "--extent", "16,16", "--h", "0.0625",
+     "--shape", '{"shape": "ball", "center": [0.5, 0.5], "radius": 0.3}'],
+    ["davila-scan", "--s-schedule", "0.9", "--n-schedule", "8"],
+], ids=lambda a: a[0])
+def test_command_runs_without_scipy(args):
+    code = ("import sys; from fracperim.cli import main; "
+            "main(sys.argv[1:], standalone_mode=False); "
+            f"print('scipy:', *{_SCIPY_LOADED}, file=sys.stderr)")
+    out = _fresh_python("-c", code, *args)
+    assert out.stdout
+    assert out.stderr.split() == ["scipy:"]
