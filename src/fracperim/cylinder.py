@@ -1,17 +1,17 @@
 """Subgraphs over a base grid inside an infinite vertical cylinder.
 
-The vertical axis is only gridded inside a finite window; below and above
-it every column is full (respectively empty), so the infinite tails enter
-through closed-form masses rather than through truncation: half-space
-masses per row for the perimeter, an incomplete beta function under one
-quadrature over the horizontal separation for the divergence scans.
-This is what makes divergence rates and finiteness bounds testable: the
-tails are the whole story.
+The vertical axis is only gridded inside a finite window; beyond the
+gridded box a subgraph {t < v} is the lattice half-space {t < farfield},
+so the infinite tails enter through closed-form masses rather than
+through truncation: the functional module's exact exterior rule
+(half-space masses and the one-cell constant) for the perimeter, an
+incomplete beta function under one quadrature over the horizontal
+separation for the divergence scans.  This is what makes divergence
+rates and finiteness bounds testable: the tails are the whole story.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,16 +25,16 @@ from .errors import (
 )
 from .functional import (
     PerimeterBreakdown,
-    _fields,
+    _engine_for,
+    _exterior_fields,
     _pair_sum,
-    _split_sums,
+    _perimeter_sums,
 )
 from .grid import CellSet, DomainWindow, GridSpec, ScalarField, SubgraphExterior
 from .kernel import (
     InteractionTable,
     KernelParams,
     build_table,
-    interval_ray_exact,
     unit_ball_volume,
 )
 
@@ -107,105 +107,43 @@ class SubgraphSet:
 
 
 # ---------------------------------------------------------------------------
-# Half-space masses beyond the vertical box.
-# ---------------------------------------------------------------------------
-
-
-def _half_space_masses(spec: GridSpec, s: float, count: int) -> np.ndarray:
-    """mass[j], j < count: kernel mass of one cell to an axis-aligned
-    half-space whose edge lies j cells beyond the cell's own face.
-
-    By the marginal identity sum_{d'} w(d', j) = h^m B_m(s) w_1(j), with
-    m = dim - 1 and B_m(s) = pi^(m/2) Gamma((1+s)/2) / Gamma((m+1+s)/2),
-    a half-space acts on a cell through the cell's interval across the
-    edge alone: h^m B_m(s) times the 1D ray mass.
-    """
-    m = spec.dim - 1
-    h = spec.h
-    b_m = math.pi ** (m / 2.0) * math.gamma((1.0 + s) / 2.0) / math.gamma(
-        (m + 1.0 + s) / 2.0
-    )
-    return np.array([h**m * b_m * interval_ray_exact(0.0, h, (j + 1) * h, s)
-                     for j in range(count)])
-
-
-# ---------------------------------------------------------------------------
 # Truncated-cylinder perimeter.
 # ---------------------------------------------------------------------------
 
 
-def _ambient_of(E) -> tuple[CellSet, GridSpec]:
-    if isinstance(E, SubgraphSet):
-        cs = E.cellset()
-        return cs, cs.spec
-    return E, E.spec
-
-
 def truncated_cylinder_perimeter(E, omega_base: DomainWindow, k: float,
-                                 table: InteractionTable,
-                                 pad_radius: float | None = None) -> PerimeterBreakdown:
-    """P_s(E, Omega x (-k, k)) with exact vertical tails.
+                                 table: InteractionTable) -> PerimeterBreakdown:
+    """P_s(E, Omega x (-k, k)) with exact tails.
 
-    Beyond the vertical box (-T, T) the set is full below and empty above
-    over every column, so the window's mass to those two half-spaces is
-    exact (``_half_space_masses``).  Inside the box the base plane is
-    padded out to ``pad_radius``; the mass to the columns beyond the pad
-    is left out and bounded by ``truncation_error_bound``, the window's
-    mass to the horizontal half-spaces beyond the pad edges.  Raising T
-    therefore lowers the total by the window's mass to the rows it moves
-    from the half-spaces into those outer columns, within the bound.
+    Beyond the gridded box a subgraph is the lattice half-space
+    {t < farfield} (its complement {t >= farfield}), so the window's mass
+    to E and to its complement beyond the box is exact: the exterior rule
+    of ``functional._exterior_fields``, closed-form half-space masses
+    minus box correlations.  Nothing is truncated, so
+    ``truncation_error_bound`` is 0 and the total does not depend on the
+    vertical box height T.  The table must reach across the box.
     """
-    cell, spec = _ambient_of(E)
-    n_amb = spec.dim
-    h = spec.h
+    cell = E.cellset() if isinstance(E, SubgraphSet) else E
+    spec = cell.spec
     t_lo = spec.box_lo[-1]
     t_hi = spec.box_hi[-1]
     if t_lo > -k - 1.0 + 1e-12 or t_hi < k + 1.0 - 1e-12:
         raise WindowTooShort(
             f"vertical box ({t_lo}, {t_hi}) must cover (-{k + 1}, {k + 1})"
         )
-    if omega_base.spec.dim != n_amb - 1:
+    if omega_base.spec.dim != spec.dim - 1:
         raise SpecMismatch("omega_base dimension must be ambient dim - 1")
 
-    if pad_radius is None:
-        pad_radius = 2.0 * max(omega_base.spec.extent) * h
-    pad = int(math.ceil(pad_radius / h))
-
-    # pad the base axes only; the half-space masses cover the vertical axis
-    uni = spec.padded((pad,) * (n_amb - 1) + (0,))
-    occ = cell.occupancy_on(uni)
-    nz = uni.extent[-1]
-    pts = uni.centers().reshape(-1, nz, n_amb)  # [column, row, axis]
-    z_in = np.abs(pts[0, :, -1]) < k
-    om = np.pad(omega_base.omega, pad)[..., None] & z_in
-
-    e_in = occ & om
-    c_in = ~occ & om
-    e_out = occ & ~om
-    c_out = ~occ & ~om
-    local, nl_pairs = _split_sums(e_in, c_in, e_out, c_out,
-                                  lambda *masks: _fields(masks, table, {}))
-    nl = [nl_pairs]
-
-    # beyond the box every column is empty above and full below; row r
-    # lies r cells above the lower half-space and nz - 1 - r below the upper
-    masses = _half_space_masses(uni, table.params.s, max(uni.extent))
-    bot = masses[:nz]
-    nl.append(math.fsum(bot[::-1] * e_in.reshape(-1, nz).sum(axis=0)))
-    nl.append(math.fsum(bot * c_in.reshape(-1, nz).sum(axis=0)))
-    nonlocal_ = math.fsum(nl)
-
-    # the omitted columns lie in the 2(n-1) horizontal half-spaces beyond
-    # the pad edges, so each window cell's mass to those bounds its loss
-    cols = np.argwhere(om)[:, :-1]
-    last = np.asarray(uni.extent[:-1]) - 1
-    bound = math.fsum(masses[cols].sum(axis=1) + masses[last - cols].sum(axis=1))
-
+    z = spec.origin[-1] + (np.arange(spec.extent[-1]) + 0.5) * spec.h
+    om = omega_base.omega[..., None] & (np.abs(z) < k)
+    eng = _engine_for(DomainWindow(spec, om), table)
+    x_e, x_c = _exterior_fields(spec, cell.exterior, table.params.s, eng.fields)
+    local, nonlocal_ = _perimeter_sums(cell.inside, om, eng.fields, x_e, x_c)
     return PerimeterBreakdown(
         local=local,
         nonlocal_=nonlocal_,
         total=local + nonlocal_,
-        truncation_error_bound=bound,
+        truncation_error_bound=0.0,
         degenerate=not om.any(),
     )
 

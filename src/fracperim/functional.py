@@ -3,31 +3,36 @@ nonlocal split, the relaxed energy F(u, Omega) and the discrete coarea
 identity, plus the 1D interval-union divergence probe and the
 strip-interaction exponent estimator.
 
-All energies are finite sums of table weights over cell pairs.  The
-universe of cells is the grid box plus an explicit padded margin carrying
-the exterior model; with a fixed universe every set-algebra identity
-(complement invariance, decomposition, coarea) is exact in real
-arithmetic, so residuals are pure floating-point accumulation.
+All energies are finite sums of table weights over cell pairs, plus the
+exterior: the mass of each box cell to the cells beyond the box inside E
+and outside it.  Every set-algebra identity (complement invariance,
+decomposition, coarea) is exact in real arithmetic, so residuals are pure
+floating-point accumulation.
 
 A pair sum L(A, B) is the inner product <B, A (*) w>: a numpy.fft
 correlation of the mask A against the spectrum of the weight block, on a
 5-smooth grid (``_fast_len``).  Every caller takes its fields in pairs,
 so ``PairEngine.fields`` stacks the non-empty masks into one batched
-transform.  The exterior data are fixed, so the padded margin enters as
-two fields on the box per exterior model: X_E and X_C, the mass of each
-box cell to the pad cells inside E and to those outside it (in 1D under
-AnalyticTail, to the exterior rays).  A PairEngine computes them once
-from the padded universe and caches them with its weight spectra, and
-the table keeps one engine per (spec, policy); every other correlation
-runs on the box.  A perimeter takes the two box fields of one batch.
+transform.  The exterior data are fixed, so they enter as two fields on
+the box per exterior model: X_E and X_C, the mass of each box cell to the
+exterior inside E and to the exterior outside it.  A PairEngine computes
+them once and caches them with its weight spectra, and the table keeps
+one engine per (spec, policy); every other correlation runs on the box.
+A perimeter takes the two box fields of one batch.
 ``interaction(..., exact=True)``, the default up to _DIRECT_LIMIT cells,
 weighs every cell pair explicitly instead and serves as the independent
 oracle.  The module imports no SciPy.
 
+In 1D under AnalyticTail (and for the cylinder perimeter) the exterior
+rule is exact: beyond the box every exterior model is a lattice set H, so
+X_E = m(. -> H) - (1_(H n box) (*) w) with closed-form masses m
+(``_exterior_parts``), and X_C likewise with H^c.  Otherwise a padded
+margin carries the exterior, and the mass beyond it is bounded.
+
 The relaxed energy F(u, Omega) is an explicit pair sum too, over (window
 cell, box cell) pairs in chunks, reading the same weight rows as
-``interaction(exact=True)``, plus the window's mass to the pad cells of
-each exterior value (``PairEngine.pad_masses``, explicit as well, once
+``interaction(exact=True)``, plus the window's mass to the exterior cells
+of each exterior value (``PairEngine.pad_masses``, explicit as well, once
 per exterior).  It never touches the FFT, so the coarea identity
 compares two independent routes.
 """
@@ -46,6 +51,7 @@ from .errors import (
     NotDisjoint,
     NotNested,
     SpecMismatch,
+    WindowTooShort,
 )
 from .grid import (
     AnalyticTail,
@@ -56,11 +62,13 @@ from .grid import (
     GridSpec,
     HalfSpaceExterior,
     ScalarField,
+    SubgraphExterior,
     TruncateAtRadius,
 )
 from .kernel import (
     InteractionTable,
     KernelParams,
+    _gauss_legendre,
     build_table,
     interval_pair_exact,
     interval_ray_exact,
@@ -195,11 +203,21 @@ def _pair_sum(A: np.ndarray, B: np.ndarray, table: InteractionTable,
     return float(_fields((A,), table, {})[0][B].sum())
 
 
-def _split_sums(e_in, c_in, e_out, c_out, fields) -> tuple[float, float]:
-    """(L(e_in, c_in), L(e_in, c_out) + L(e_out, c_in)) from the two
-    fields ``fields(e_in, e_out)``."""
-    f_in, f_out = fields(e_in, e_out)
-    return float(f_in[c_in].sum()), float(f_in[c_out].sum()) + float(f_out[c_in].sum())
+def _perimeter_sums(inside, om, fields, x_e, x_c) -> tuple[float, float]:
+    """(local, nonlocal) of the box mask ``inside`` in the window ``om``.
+
+    With f_in = e_in (*) w and f_out = e_out (*) w from one call of
+    ``fields``, local is the sum of f_in over the window's complement
+    cells and nonlocal that of f_in over the complement outside the
+    window plus f_out over the window's complement cells.  The exterior
+    fields add X_C over e_in and X_E over c_in.
+    """
+    e_in = inside & om
+    c_in = ~inside & om
+    f_in, f_out = fields(e_in, inside & ~om)
+    nonlocal_ = float(f_in[~inside & ~om].sum()) + float(f_out[c_in].sum())
+    return float(f_in[c_in].sum()), math.fsum(
+        [nonlocal_, float(x_c[e_in].sum()), float(x_e[c_in].sum())])
 
 
 def _tail_terms(dist: np.ndarray, h: float, params: KernelParams) -> np.ndarray:
@@ -221,67 +239,125 @@ def interaction(A: np.ndarray, B: np.ndarray, table: InteractionTable,
 
 
 # ---------------------------------------------------------------------------
-# 1D analytic ray masses.
+# The exact exterior rule: lattice half-spaces and the one-cell constant.
 # ---------------------------------------------------------------------------
 
-
-def _ray_segments_1d(spec: GridSpec, exterior) -> list[tuple[float, float, bool]]:
-    """Exterior rays as (lo, hi, in_E) segments; lo may be -inf, hi +inf."""
-    x_lo = float(spec.box_lo[0])
-    x_hi = float(spec.box_hi[0])
-    if isinstance(exterior, EmptyExterior):
-        return [(-math.inf, x_lo, False), (x_hi, math.inf, False)]
-    if isinstance(exterior, FullExterior):
-        return [(-math.inf, x_lo, True), (x_hi, math.inf, True)]
-    if isinstance(exterior, HalfSpaceExterior):
-        lv = exterior.level
-        below = exterior.below
-        segs = []
-        if lv >= x_lo:
-            segs.append((-math.inf, x_lo, below))
-        else:
-            segs.append((-math.inf, lv, below))
-            segs.append((lv, x_lo, not below))
-        if lv <= x_hi:
-            segs.append((x_hi, math.inf, not below))
-        else:
-            segs.append((x_hi, lv, below))
-            segs.append((lv, math.inf, not below))
-        return segs
-    raise SpecMismatch(f"unsupported 1D exterior model: {exterior!r}")
+# lattice reaches of the three partial sums each C_n(s) fit uses
+_CONSTANT_REACHES = {2: (15, 31, 63), 3: (15, 23, 31)}
+_FACE_NODES = 30  # Gauss-Legendre nodes per axis for the far-field face integral
 
 
-def _cell_segment_mass(a: float, b: float, lo: float, hi: float, s: float) -> float:
-    """Closed-form interaction of cell (a,b) with segment (lo,hi) outside it."""
-    if hi <= a:  # segment left of the cell: reflect
-        if lo == -math.inf:
-            return interval_ray_exact(-b, -a, -hi, s)
-        return interval_pair_exact(lo, hi, a, b, s)
-    if lo >= b:  # right of the cell
-        if hi == math.inf:
-            return interval_ray_exact(a, b, lo, s)
-        return interval_pair_exact(a, b, lo, hi, s)
-    raise ValueError("segment overlaps cell")
+def _fit_cell_constant(n: int, s: float, reaches: tuple[int, int, int]) -> float:
+    """C_n(s) from the lattice sums S_K of one unit table (n >= 2).
+
+    Beyond the cube [-R, R]^n, R = K + 1/2, the weights are the point
+    kernel up to O(|d|^-2), so S_inf = S_K + a0 R^-s + b2 R^(-s-2) +
+    b4 R^(-s-4) with a0 = (2n/s) int_[-1,1]^(n-1) (1 + |u|^2)^(-(n+s)/2) du,
+    the kernel's mass beyond the cube's 2n faces.  Three reaches fix
+    S_inf, b2 and b4.
+    """
+    x, w = _gauss_legendre(_FACE_NODES)
+    u2 = sum(np.meshgrid(*([x * x] * (n - 1)), indexing="ij"))
+    wts = np.prod(np.meshgrid(*([w] * (n - 1)), indexing="ij"), axis=0)
+    face = 2.0 ** (n - 1) * float(np.sum(wts * (1.0 + u2) ** (-0.5 * (n + s))))
+    a0 = 2.0 * n / s * face
+    K = max(reaches)
+    unit = build_table(GridSpec(n, (0.0,) * n, (1,) * n, 1.0), KernelParams(s, n), K).weights
+    rows, rhs = [], []
+    for k in reaches:
+        R = k + 0.5
+        rows.append([1.0, -R ** (-s - 2.0), -R ** (-s - 4.0)])
+        rhs.append(math.fsum(unit[(slice(K - k, K + k + 1),) * n].ravel()) + a0 * R**-s)
+    return float(np.linalg.solve(rows, rhs)[0])
 
 
-def _ray_masses_1d(spec: GridSpec, exterior, s: float):
-    """Per-cell interaction mass with the E / complement-E exterior rays."""
-    segs = _ray_segments_1d(spec, exterior)
-    n = spec.extent[0]
-    mass_e = np.zeros(n)
-    mass_c = np.zeros(n)
-    for i in range(n):
-        a = spec.origin[0] + i * spec.h
-        b = a + spec.h
-        for lo, hi, in_e in segs:
-            if hi <= lo:
-                continue
-            m = _cell_segment_mass(a, b, lo, hi, s)
-            if in_e:
-                mass_e[i] += m
-            else:
-                mass_c[i] += m
-    return mass_e, mass_c
+@lru_cache(maxsize=None)
+def _cell_constant(n: int, s: float) -> float:
+    """C_n(s) = sum over d != 0 of w_unit(d): a unit cell's mass to the
+    rest of the lattice, so a cell of side h has mass C_n(s) h^(n-s) to
+    everything outside itself.  C_1 = 2 / (s (1 - s)) in closed form."""
+    if n == 1:
+        return 2.0 / (s * (1.0 - s))
+    return _fit_cell_constant(n, s, _CONSTANT_REACHES[n])
+
+
+def _half_space_masses(n: int, h: float, s: float, j) -> np.ndarray:
+    """Mass of one cell of side h in R^n to an axis-aligned lattice
+    half-space whose edge lies j >= 0 cells beyond the cell's own face.
+
+    By the marginal identity sum_{d'} w(d', j) = h^m B_m(s) w_1(j), with
+    m = n - 1 and B_m(s) = pi^(m/2) Gamma((1+s)/2) / Gamma((m+1+s)/2), a
+    half-space acts on a cell through the cell's interval across the edge
+    alone: h^m B_m(s) times the 1D ray mass.
+    """
+    m = n - 1
+    b_m = math.pi ** (m / 2.0) * math.gamma((1.0 + s) / 2.0) / math.gamma(
+        (m + 1.0 + s) / 2.0)
+    j = np.asarray(j, dtype=float)
+    p = 1.0 - s
+    # (j + 1)^p - j^p, without cancellation at large j
+    ray = np.where(j > 0, j**p * np.expm1(p * np.log1p(1.0 / np.maximum(j, 1.0))), 1.0)
+    return h ** (n - s) * b_m * ray / (s * p)
+
+
+def _exterior_parts(spec: GridSpec, exterior, s: float):
+    """The exterior as lattice sets, one per value it holds beyond the box:
+    a list of (v, H & box, m) with m(c) the mass of box cell c to all of H.
+
+    Exteriors are sampled at cell centres, so beyond the box each is a
+    lattice set: a constant (Empty is 0, Full is 1) holds v on all of
+    Z^n, where m = C_n(s) h^(n-s); a half-space model holds 1 on its
+    lattice half-space H and 0 on H^c, where m is ``_half_space_masses``
+    across the edge and C_n(s) h^(n-s) minus that on the cell's own side.
+    A subgraph {t < v(x)} is H = {t < farfield} beyond the box when its
+    heights lie in the box's vertical range over a height grid inside the
+    box's base (else WindowTooShort / SpecMismatch).  The mass of c to
+    the cells of H beyond the box is then m(c) - ((H & box) (*) w)(c).
+    """
+    n, h = spec.dim, spec.h
+    whole = _cell_constant(n, s) * h ** (n - s)
+    if isinstance(exterior, (EmptyExterior, FullExterior)):
+        exterior = float(isinstance(exterior, FullExterior))
+    if isinstance(exterior, (int, float)):
+        return [(float(exterior), np.ones(spec.extent, dtype=bool),
+                 np.full(spec.extent, whole))]
+    if isinstance(exterior, SubgraphExterior):
+        heights = np.append(exterior.heights, exterior.farfield)
+        if heights.min() < spec.box_lo[-1] or heights.max() > spec.box_hi[-1]:
+            raise WindowTooShort(f"subgraph heights leave the box's vertical range "
+                                 f"({spec.box_lo[-1]}, {spec.box_hi[-1]})")
+        base = exterior.base_spec
+        if np.any(base.box_lo < spec.box_lo[:-1]) or np.any(base.box_hi > spec.box_hi[:-1]):
+            raise SpecMismatch("the subgraph's height grid must lie over the box's base")
+        exterior = HalfSpaceExterior(n - 1, exterior.farfield, not exterior.above)
+    if not isinstance(exterior, HalfSpaceExterior):
+        raise SpecMismatch(f"unsupported exterior model: {exterior!r}")
+    axis, level = exterior.axis, exterior.level
+    if math.isinf(level):  # H is all of Z^n or empty
+        return _exterior_parts(spec, float((level > 0) == exterior.below), s)
+    # H's edge: the first box-relative cell whose centre is not below level
+    edge = np.ceil((level - spec.origin[axis]) / h - 0.5)
+    i = np.arange(spec.extent[axis])
+    lower = i < edge
+    across = _half_space_masses(n, h, s, np.abs(i - edge + 0.5) - 0.5)
+    sides = [(lower, np.where(lower, whole - across, across)),
+             (~lower, np.where(lower, across, whole - across))]
+    (h_box, m_h), (c_box, m_c) = sides if exterior.below else sides[::-1]
+    shape = tuple(-1 if k == axis else 1 for k in range(n))
+    return [(v, np.broadcast_to(mask.reshape(shape), spec.extent),
+             np.broadcast_to(m.reshape(shape), spec.extent))
+            for v, mask, m in ((0.0, c_box, m_c), (1.0, h_box, m_h))]
+
+
+def _exterior_fields(spec: GridSpec, exterior, s: float, fields):
+    """(X_E, X_C) per box cell: the mass to the exterior inside E and to
+    the exterior outside it, exactly, from ``_exterior_parts`` with the
+    box sums taken by ``fields`` (one batched transform)."""
+    parts = _exterior_parts(spec, exterior, s)
+    out = [np.zeros(spec.extent), np.zeros(spec.extent)]
+    for (v, _, m), f in zip(parts, fields(*(mask for _, mask, _ in parts))):
+        out[int(v)] = m - f
+    return out[1], out[0]
 
 
 # ---------------------------------------------------------------------------
@@ -311,14 +387,15 @@ def table_for(spec: GridSpec, s: float, policy) -> InteractionTable:
 class PairEngine:
     """Shared machinery for evaluating interactions on a padded universe.
 
-    The policy decides how exterior mass is handled: TruncateAtRadius pads
-    the box by ceil(R/h) cells and reports the neglected tail mass;
-    AnalyticTail is exact in 1D (ray closed forms, zero pad) and falls back
-    to a generous pad otherwise.  ``occupancy`` and ``embed`` place masks
-    on the padded universe; ``fields`` takes box-shaped masks, and the pad
-    reaches them through ``exterior_fields`` (by FFT) and ``pad_masses``
-    (explicitly).  Weight spectra and both kinds of pad data are computed
-    on first use and kept, so building an engine costs nothing.
+    The policy decides how exterior mass is handled: AnalyticTail in 1D
+    pads nothing and takes the exterior whole by the lattice rule;
+    otherwise TruncateAtRadius pads the box by ceil(R/h) cells (AnalyticTail
+    by twice its longest side) and reports the neglected tail mass.
+    ``occupancy`` and ``embed`` place masks on the padded universe;
+    ``fields`` takes box-shaped masks, and the exterior reaches them
+    through ``exterior_fields`` (by FFT) and ``pad_masses`` (explicitly).
+    Weight spectra and both kinds of exterior data are computed on first
+    use and kept, so building an engine costs nothing.
     """
 
     def __init__(self, spec: GridSpec, policy, table: InteractionTable):
@@ -328,7 +405,7 @@ class PairEngine:
         self.policy = policy
         self.table = table
         self.pad = _pad_cells(spec, policy)
-        self.analytic_rays = isinstance(policy, AnalyticTail) and spec.dim == 1
+        self._exact = isinstance(policy, AnalyticTail) and spec.dim == 1
         self.padded_spec = spec.padded(self.pad)
         self._spectra: dict = {}
         self._exterior: dict = {}
@@ -354,65 +431,77 @@ class PairEngine:
         """(X_E, X_C) per box cell: the mass to the exterior inside E and
         to the exterior outside E.
 
-        That is the pad cells' fields (pad_E (*) w, pad_C (*) w) on the
-        box, plus the 1D ray masses under AnalyticTail.  Computed once per
-        exterior model by at most two correlations on the padded universe,
-        one at a time (a stacked pair would double the peak memory) and
-        none for an empty pad side, and kept as owned arrays: a view would
-        keep the whole transform output alive.
+        Under the lattice rule, its closed forms minus one batched box
+        correlation.  Otherwise the pad cells' fields (pad_E (*) w,
+        pad_C (*) w) on the box: at most two correlations on the padded
+        universe, one at a time (a stacked pair would double the peak
+        memory) and none for an empty pad side, kept as owned arrays (a
+        view would keep the whole transform output alive).  Computed once
+        per exterior model.
         """
         if exterior not in self._exterior:
-            occ = self.occupancy(CellSet(self.spec, np.zeros(self.spec.extent, bool),
-                                         exterior))
-            pad = ~self.embed(np.ones(self.spec.extent, dtype=bool))
-            box = tuple(slice(self.pad, self.pad + n) for n in self.spec.extent)
-            spectra: dict = {}  # the universe spectrum is not kept
-            self._exterior[exterior] = tuple(
-                rays + _fields((side,), self.table, spectra)[0][box]
-                for side, rays in zip((occ & pad, ~occ & pad), self.ray_masses(exterior)))
+            if self._exact:
+                self._exterior[exterior] = _exterior_fields(
+                    self.spec, exterior, self.table.params.s, self.fields)
+            else:
+                occ = self.occupancy(CellSet(self.spec, np.zeros(self.spec.extent, bool),
+                                             exterior))
+                pad = ~self.embed(np.ones(self.spec.extent, dtype=bool))
+                box = tuple(slice(self.pad, self.pad + n) for n in self.spec.extent)
+                spectra: dict = {}  # the universe spectrum is not kept
+                self._exterior[exterior] = tuple(
+                    _fields((side,), self.table, spectra)[0][box].copy()
+                    for side in (occ & pad, ~occ & pad))
         return self._exterior[exterior]
 
     def pad_masses(self, exterior) -> list[tuple[float, np.ndarray]]:
         """(v, M_v) for each distinct value v that a field with this
-        exterior (a constant or an occupancy model) takes on the pad:
-        M_v(a) is the mass of box cell a to the pad cells holding v.
+        exterior (a constant or an occupancy model) takes beyond the box:
+        M_v(a) is the mass of box cell a to the exterior cells holding v.
 
-        One explicit pass of weight rows over the box cells, no FFT,
-        once per exterior; empty when there is no pad.
+        Under the lattice rule, its closed forms minus explicit box row
+        sums; otherwise the explicit row sums over the pad cells.  One
+        pass of weight rows over the box cells, no FFT, once per exterior.
         """
-        if not self.pad:
-            return []
         if exterior not in self._pad_masses:
             extent = self.spec.extent
-            vals = ScalarField(self.spec, np.zeros(extent), exterior).values_on(
-                self.padded_spec)
-            box = self.embed(np.ones(extent, dtype=bool))
-            levels = np.unique(vals[~box])
-            onehot = ((vals[..., None] == levels) & ~box[..., None]).reshape(-1, len(levels))
-            onehot = onehot.astype(float)
-            masses = np.empty((box.sum(), len(levels)))
-            for lo, rows in _weight_rows(np.argwhere(box), vals.shape, self.table):
-                masses[lo:lo + len(rows)] = rows @ onehot
-            self._pad_masses[exterior] = [
-                (float(v), np.ascontiguousarray(m).reshape(extent))
-                for v, m in zip(levels, masses.T)]
+            if self._exact:
+                parts = _exterior_parts(self.spec, exterior, self.table.params.s)
+                onehot = np.stack([mask.ravel() for _, mask, _ in parts], axis=1)
+                sums = self._row_sums(onehot.astype(float), extent)
+                self._pad_masses[exterior] = [
+                    (v, m - col.reshape(extent)) for (v, _, m), col in zip(parts, sums.T)]
+            else:
+                vals = ScalarField(self.spec, np.zeros(extent), exterior).values_on(
+                    self.padded_spec)
+                box = self.embed(np.ones(extent, dtype=bool))
+                levels = np.unique(vals[~box])
+                onehot = ((vals[..., None] == levels) & ~box[..., None]).reshape(
+                    -1, len(levels))
+                masses = self._row_sums(onehot.astype(float), vals.shape)
+                self._pad_masses[exterior] = [
+                    (float(v), np.ascontiguousarray(m).reshape(extent))
+                    for v, m in zip(levels, masses.T)]
         return self._pad_masses[exterior]
 
-    def ray_masses(self, exterior):
-        """(mass to E rays, mass to complement rays) per box cell; 1D only."""
-        if not self.analytic_rays:
-            z = np.zeros(self.spec.extent)
-            return z, z
-        return _ray_masses_1d(self.spec, exterior, self.table.params.s)
+    def _row_sums(self, onehot: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+        """rows @ onehot for the weight rows of every box cell over the
+        universe of ``shape`` (the box or the padded universe)."""
+        cells = np.argwhere(self.embed(np.ones(self.spec.extent, dtype=bool)))
+        out = np.empty((len(cells), onehot.shape[1]))
+        for lo, rows in _weight_rows(cells, shape, self.table):
+            out[lo:lo + len(rows)] = rows @ onehot
+        return out
 
     def truncation_bound(self, omega_box: np.ndarray, E: CellSet) -> float:
         """Neglected-mass bound: per-cell volume times the point tail mass.
 
-        Only window cells whose phase can differ from the exterior beyond
+        Zero under the lattice rule, which neglects nothing.  Otherwise
+        only window cells whose phase can differ from the exterior beyond
         the universe lose mass there: E's cells under EmptyExterior, its
         complement's under FullExterior, every cell otherwise.
         """
-        if self.analytic_rays:
+        if self._exact:
             return 0.0
         cells = np.asarray(omega_box, dtype=bool)
         if isinstance(E.exterior, EmptyExterior):
@@ -444,25 +533,17 @@ def _engine_for(window: DomainWindow, table: InteractionTable) -> PairEngine:
 
 def perimeter(E: CellSet, window: DomainWindow, table: InteractionTable,
               engine: PairEngine | None = None) -> PerimeterBreakdown:
-    """s-perimeter of E in the window: local + nonlocal three-term sum.
-
-    On the box, with f_in = e_in (*) w and f_out = e_out (*) w, local is
-    the sum of f_in over the window's complement cells and nonlocal that
-    of f_in over the complement outside the window plus f_out over the
-    window's complement cells: one batched FFT correlation of the two
-    masks (none for an empty one).  The exterior adds X_C over e_in and
-    X_E over c_in (``PairEngine.exterior_fields``).
+    """s-perimeter of E in the window: local + nonlocal three-term sum,
+    from one batched FFT correlation of two box masks (none for an empty
+    one) and the exterior fields (``_perimeter_sums``,
+    ``PairEngine.exterior_fields``).
     """
     if E.spec != window.spec:
         raise SpecMismatch("cell set and window specs differ")
     eng = engine if engine is not None else _engine_for(window, table)
     om = window.omega
-    inside = E.inside
-    e_in = inside & om
-    c_in = ~inside & om
-    local, nonlocal_ = _split_sums(e_in, c_in, inside & ~om, ~inside & ~om, eng.fields)
-    x_e, x_c = eng.exterior_fields(E.exterior)
-    nonlocal_ = math.fsum([nonlocal_, float(x_c[e_in].sum()), float(x_e[c_in].sum())])
+    local, nonlocal_ = _perimeter_sums(E.inside, om, eng.fields,
+                                       *eng.exterior_fields(E.exterior))
     return PerimeterBreakdown(
         local=local,
         nonlocal_=nonlocal_,
@@ -517,10 +598,9 @@ def relaxed_energy(u: ScalarField, window: DomainWindow, table: InteractionTable
     Explicitly, the sum over window cells a and box cells j of
     w(j - a) |u_a - u_j|, halved when j lies in the window, one chunk of
     weight rows at a time; plus, over the distinct values v the exterior
-    takes on the pad, the sum of |u_a - v| M_v(a) with M_v(a) the mass of
-    a to the pad cells holding v (``PairEngine.pad_masses``); plus the 1D
-    ray terms.  For an indicator field this reproduces
-    perimeter(...).total exactly.
+    takes beyond the box, the sum of |u_a - v| M_v(a) with M_v(a) the mass
+    of a to the exterior cells holding v (``PairEngine.pad_masses``).  For
+    an indicator field this reproduces perimeter(...).total exactly.
     """
     if u.spec != window.spec:
         raise SpecMismatch("field and window specs differ")
@@ -538,44 +618,20 @@ def relaxed_energy(u: ScalarField, window: DomainWindow, table: InteractionTable
         terms *= rows
         parts.append(float(terms.sum()))
     parts += [float(np.abs(v_om - v) @ mass[om]) for v, mass in eng.pad_masses(u.exterior)]
-    total = math.fsum(parts)
-    if eng.analytic_rays:
-        mass_e, mass_c = eng.ray_masses(_field_exterior_model(u))
-        total += math.fsum(np.abs(v_om - 1.0) * mass_e[om]) + math.fsum(
-            np.abs(v_om) * mass_c[om])
-    return total
-
-
-def _field_exterior_model(u: ScalarField):
-    """Exterior of a field as an occupancy model (constants must be 0/1)."""
-    ext = u.exterior
-    if isinstance(ext, (int, float)):
-        if float(ext) == 0.0:
-            return EmptyExterior()
-        if float(ext) == 1.0:
-            return FullExterior()
-        raise SpecMismatch(
-            "analytic rays require a binary exterior constant or a set model"
-        )
-    return ext
+    return math.fsum(parts)
 
 
 def coarea_check(u: ScalarField, window: DomainWindow,
                  table: InteractionTable) -> tuple[float, float]:
-    """Discrete coarea: F(u, Omega) vs the level-weighted perimeter sum."""
+    """Discrete coarea: F(u, Omega) vs the level-weighted perimeter sum.
+
+    The levels are the field's box values and the values its exterior
+    takes beyond the box (those of ``PairEngine.pad_masses``).
+    """
     eng = _engine_for(window, table)
     lhs = relaxed_energy(u, window, table, engine=eng)
-
-    vals = u.values_on(eng.padded_spec)
-    level_values = set(np.unique(vals).tolist())
-    if eng.analytic_rays:
-        ext = _field_exterior_model(u)
-        if isinstance(ext, EmptyExterior):
-            level_values.add(0.0)
-        elif isinstance(ext, FullExterior):
-            level_values.add(1.0)
-        else:
-            level_values.update((0.0, 1.0))
+    level_values = set(np.unique(u.values).tolist())
+    level_values.update(v for v, _ in eng.pad_masses(u.exterior))
     levels = sorted(level_values)
     parts = []
     for t_low, t_high in zip(levels[:-1], levels[1:]):

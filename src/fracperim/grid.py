@@ -258,9 +258,9 @@ class TruncateAtRadius:
 class AnalyticTail:
     """Resolve exterior mass analytically where closed forms exist.
 
-    Exact for dim 1 (ray integrals).  In higher dimensions this falls back
-    to a padded truncation at twice the box's longest side, with the
-    remainder reported in ``truncation_error_bound``.
+    Exact for dim 1 (lattice half-space masses).  In higher dimensions
+    this falls back to a padded truncation at twice the box's longest
+    side, with the remainder reported in ``truncation_error_bound``.
     """
 
 

@@ -99,7 +99,7 @@ class _Condensed:
     F(x) = sum_{a<b} W_ab |x_a - x_b| + sum_a [p_a (1 - x_a) + q_a x_a]
     where p_a (q_a) is the interaction mass between free cell a and the
     fixed part of E (of its complement): the fixed box cells' field plus
-    the exterior field X_E (X_C), which holds the 1D ray masses.
+    the exterior field X_E (X_C), exact in 1D by the lattice rule.
     """
 
     def __init__(self, p: MinimizationProblem):

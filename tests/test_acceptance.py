@@ -464,12 +464,8 @@ def test_a7_cylinder_divergence():
     k = 1.0
     sg = SubgraphSet(base, v, k + 1.0)
     amb2 = sg.ambient_spec()
-    pad = int(np.ceil(1.0 / amb2.h))
-    reach = max(
-        tuple(m + 2 * pad for m in amb2.extent[:-1]) + (amb2.extent[-1],)
-    ) - 1
-    t2 = build_table(amb2, KernelParams(s, 2), max_offset=reach)
-    bd = truncated_cylinder_perimeter(sg, ob, k, t2, pad_radius=1.0)
+    t2 = build_table(amb2, KernelParams(s, 2), max_offset=max(amb2.extent) - 1)
+    bd = truncated_cylinder_perimeter(sg, ob, k, t2)
     bound = local_part_bound(ob, k, bd.local, s)
     ok &= bd.local <= bound
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import integrate, special
 
-from fracperim import cylinder
+from fracperim import cylinder, functional
 from fracperim.cylinder import (
     SubgraphSet,
     classical_graph_area,
@@ -25,7 +25,14 @@ from fracperim.errors import (
     WindowTooShort,
 )
 from fracperim.functional import _tail_terms, interaction
-from fracperim.grid import DomainWindow, GridSpec, ScalarField, full_window
+from fracperim.grid import (
+    CellSet,
+    DomainWindow,
+    GridSpec,
+    ScalarField,
+    SubgraphExterior,
+    full_window,
+)
 from fracperim.kernel import KernelParams, build_table, interval_pair_exact
 
 _PAD_RADIUS = 1.0
@@ -39,13 +46,48 @@ def _graph(base, values, far=0.0):
     return ScalarField(base, np.asarray(values, dtype=float), far)
 
 
-def _ambient_table(sg: SubgraphSet, s: float):
-    # the truncated perimeter pads the base axes out to the pad radius, so
-    # the table must reach across the padded universe, not just the box
+def _ambient_table(sg: SubgraphSet, s: float, pad_radius: float = 0.0):
+    """Table reaching across the ambient box with its base axes padded
+    out to ``pad_radius`` (the padded predecessor's universe)."""
     amb = sg.ambient_spec()
-    pad = int(np.ceil(_PAD_RADIUS / amb.h))
+    pad = int(np.ceil(pad_radius / amb.h))
     reach = max(tuple(n + 2 * pad for n in amb.extent[:-1]) + (amb.extent[-1],)) - 1
     return build_table(amb, KernelParams(s, amb.dim), max_offset=reach)
+
+
+def _padded_cylinder_perimeter(sg: SubgraphSet, omega_base: DomainWindow, k: float,
+                               table, pad_radius: float) -> tuple[float, float]:
+    """(total, bound): the padded predecessor of the exact perimeter.
+
+    Beyond the vertical box every column is full below and empty above,
+    whose masses are exact by ``functional._half_space_masses``.  Inside
+    the box the base plane is padded out to ``pad_radius``; the columns
+    beyond the pad are left out, and the bound is the window's mass to
+    the horizontal half-spaces beyond the pad edges.
+    """
+    cell = sg.cellset()
+    spec = cell.spec
+    n_amb, h, s = spec.dim, spec.h, table.params.s
+    pad = int(math.ceil(pad_radius / h))
+    uni = spec.padded((pad,) * (n_amb - 1) + (0,))
+    occ = cell.occupancy_on(uni)
+    nz = uni.extent[-1]
+    z = uni.origin[-1] + (np.arange(nz) + 0.5) * h
+    om = np.pad(omega_base.omega, pad)[..., None] & (np.abs(z) < k)
+    e_in = occ & om
+    c_in = ~occ & om
+    f_in, f_out = functional._fields((e_in, occ & ~om), table, {})
+    # row r lies r cells above the lower half-space and nz - 1 - r below
+    # the upper one
+    masses = functional._half_space_masses(n_amb, h, s, np.arange(max(uni.extent)))
+    bot = masses[:nz]
+    nl = [float(f_in[~occ & ~om].sum()) + float(f_out[c_in].sum()),
+          math.fsum(bot[::-1] * e_in.reshape(-1, nz).sum(axis=0)),
+          math.fsum(bot * c_in.reshape(-1, nz).sum(axis=0))]
+    cols = np.argwhere(om)[:, :-1]
+    last = np.asarray(uni.extent[:-1]) - 1
+    bound = math.fsum(masses[cols].sum(axis=1) + masses[last - cols].sum(axis=1))
+    return float(f_in[c_in].sum()) + math.fsum(nl), bound
 
 
 class TestSubgraphSet:
@@ -64,6 +106,14 @@ class TestSubgraphSet:
         assert np.all(diffs <= 0)
 
 
+def _bases():
+    """(base, heights) on a 1D and a 2D base grid."""
+    b1 = _base()
+    b2 = GridSpec(2, (0.0, 0.0), (3, 3), 0.5)
+    return [(b1, _graph(b1, 0.2 * np.cos(np.arange(8)))),
+            (b2, _graph(b2, 0.3 * np.cos(np.arange(9)).reshape(3, 3), 0.1))]
+
+
 class TestTruncatedPerimeter:
     def test_vertical_box_requirement(self):
         base = _base()
@@ -71,8 +121,7 @@ class TestTruncatedPerimeter:
         sg = SubgraphSet(base, v, 1.5)
         table = _ambient_table(sg, 0.5)
         with pytest.raises(WindowTooShort):
-            truncated_cylinder_perimeter(sg, full_window(base), 1.0, table,
-                                         pad_radius=_PAD_RADIUS)
+            truncated_cylinder_perimeter(sg, full_window(base), 1.0, table)
 
     def test_flip_symmetry(self):
         # reflecting the graph through zero preserves the perimeter
@@ -83,8 +132,7 @@ class TestTruncatedPerimeter:
         for v_arr in (vals, -vals):
             sg = SubgraphSet(base, _graph(base, v_arr), k + 1.0)
             table = _ambient_table(sg, 0.5)
-            bd = truncated_cylinder_perimeter(sg, full_window(base), k, table,
-                                              pad_radius=_PAD_RADIUS)
+            bd = truncated_cylinder_perimeter(sg, full_window(base), k, table)
             totals.append(bd.total)
         assert totals[0] == pytest.approx(totals[1], rel=1e-9)
 
@@ -94,10 +142,8 @@ class TestTruncatedPerimeter:
         sg = SubgraphSet(base, v, 3.5)
         table = _ambient_table(sg, 0.5)
         win = full_window(base)
-        p1 = truncated_cylinder_perimeter(sg, win, 1.0, table,
-                                          pad_radius=_PAD_RADIUS).total
-        p2 = truncated_cylinder_perimeter(sg, win, 2.0, table,
-                                          pad_radius=_PAD_RADIUS).total
+        p1 = truncated_cylinder_perimeter(sg, win, 1.0, table).total
+        p2 = truncated_cylinder_perimeter(sg, win, 2.0, table).total
         assert p2 > p1
 
     def test_local_part_below_explicit_bound(self):
@@ -106,64 +152,89 @@ class TestTruncatedPerimeter:
         k = 1.0
         sg = SubgraphSet(base, v, k + 1.0)
         table = _ambient_table(sg, 0.5)
-        bd = truncated_cylinder_perimeter(sg, full_window(base), k, table,
-                                          pad_radius=_PAD_RADIUS)
+        bd = truncated_cylinder_perimeter(sg, full_window(base), k, table)
         bound = local_part_bound(full_window(base), k, bd.local, 0.5)
         assert bd.local <= bound
 
-    @pytest.mark.parametrize("pad_radius", [0.0, _PAD_RADIUS])
-    def test_local_part_matches_explicit_pair_sum(self, pad_radius):
+    def test_local_part_matches_explicit_pair_sum(self):
         base = _base()
         k = 1.0
         sg = SubgraphSet(base, _graph(base, 0.2 * np.cos(np.arange(8)), 0.1), k + 1.0)
         mask = np.zeros(8, dtype=bool)
         mask[2:7] = True
         table = _ambient_table(sg, 0.5)
-        bd = truncated_cylinder_perimeter(sg, DomainWindow(base, mask), k, table,
-                                          pad_radius=pad_radius)
-        # the universe by hand: base cells -pad .. n+pad-1, the vertical box
-        amb = sg.ambient_spec()
-        pad = int(np.ceil(pad_radius / amb.h))
-        cols = np.arange(-pad, 8 + pad)
-        x = amb.origin[0] + (cols + 0.5) * amb.h
-        t = amb.origin[1] + (np.arange(amb.extent[1]) + 0.5) * amb.h
-        X, T = np.meshgrid(x, t, indexing="ij")
-        occ = sg.exterior().contains(np.stack([X.ravel(), T.ravel()], axis=1))
-        occ = occ.reshape(X.shape)
-        in_window = np.array([0 <= c < 8 and mask[c] for c in cols])
-        om = in_window[:, None] & (np.abs(T) < k)
-        ref = interaction(occ & om, ~occ & om, table, exact=True)
+        bd = truncated_cylinder_perimeter(sg, DomainWindow(base, mask), k, table)
+        cell = sg.cellset()
+        t = sg.ambient_spec().centers()[:, 1].reshape(cell.inside.shape)
+        om = mask[:, None] & (np.abs(t) < k)
+        ref = interaction(cell.inside & om, ~cell.inside & om, table, exact=True)
         assert bd.local == pytest.approx(ref, rel=1e-12)
+
+    @pytest.mark.parametrize("s,ref", [(0.3, 45.5944020774186), (0.5, 32.989019372276),
+                                       (0.7, 35.0782766982092)])
+    def test_exact_total(self, s, ref):
+        base, v = _bases()[0]
+        sg = SubgraphSet(base, v, 2.0)
+        bd = truncated_cylinder_perimeter(sg, full_window(base), 1.0, _ambient_table(sg, s))
+        assert bd.total == pytest.approx(ref, rel=1e-10)
+        assert bd.truncation_error_bound == 0.0
+
+    @pytest.mark.parametrize("s", [0.3, 0.5, 0.7])
+    @pytest.mark.parametrize("case", [0, 1], ids=["1d_base", "2d_base"])
+    def test_complement_invariance(self, case, s):
+        # the tails follow E's exterior: {t >= farfield} for the complement
+        base, v = _bases()[case]
+        sg = SubgraphSet(base, v, 2.0, v.exterior)
+        table = _ambient_table(sg, s)
+        win = full_window(base)
+        p = truncated_cylinder_perimeter(sg, win, 1.0, table).total
+        pc = truncated_cylinder_perimeter(sg.cellset().complement(), win, 1.0, table).total
+        assert abs(p - pc) <= 1e-12 * p
+
+    @pytest.mark.parametrize("heights,far", [((0.0,) * 7 + (2.5,), 0.0),
+                                             ((0.0,) * 8, -3.0)],
+                             ids=["height", "farfield"])
+    def test_subgraph_beyond_the_vertical_box_is_rejected(self, heights, far):
+        # beyond the box E must be the half-space {t < farfield}
+        base = _base()
+        amb = SubgraphSet(base, _graph(base, np.zeros(8)), 2.0).ambient_spec()
+        ext = SubgraphExterior(base, heights, far)
+        E = CellSet(amb, ext.contains(amb.centers()).reshape(amb.extent), ext)
+        with pytest.raises(WindowTooShort):
+            truncated_cylinder_perimeter(E, full_window(base), 1.0,
+                                         build_table(amb, KernelParams(0.5, 2), 15))
 
 
 class TestTruncationBound:
-    # the omitted columns beyond the pad lie in the horizontal half-spaces
-    # beyond the pad edges, whose masses the bound charges per side
+    # the padded predecessor omits the columns beyond its pad, which lie in
+    # the horizontal half-spaces beyond the pad edges; its bound charges
+    # each window cell's mass to those, per side
     @pytest.mark.parametrize("s", [0.3, 0.5, 0.7])
     def test_bound_covers_a_wider_pad_and_beats_the_ball_tail(self, s):
         base = _base()
         sg = SubgraphSet(base, _graph(base, 0.2 * np.cos(np.arange(8))), 2.0)
         amb = sg.ambient_spec()
-        bd = truncated_cylinder_perimeter(sg, full_window(base), 1.0,
-                                          _ambient_table(sg, s), pad_radius=_PAD_RADIUS)
-        wide = 16.0
-        pad = int(np.ceil(wide / amb.h))
-        table = build_table(amb, KernelParams(s, amb.dim),
-                            max(8 + 2 * pad, amb.extent[1]) - 1)
-        far = truncated_cylinder_perimeter(sg, full_window(base), 1.0, table,
-                                           pad_radius=wide)
-        assert far.total > bd.total
-        assert bd.truncation_error_bound >= far.total - bd.total
+        table = _ambient_table(sg, s, 48.0)
+        win = full_window(base)
+        exact = truncated_cylinder_perimeter(sg, win, 1.0, table).total
+        totals = []
+        for R in (_PAD_RADIUS, 4.0, 16.0, 48.0):
+            total, bound = _padded_cylinder_perimeter(sg, win, 1.0, table, R)
+            assert 0.0 < exact - total <= bound
+            totals.append(total)
+        assert totals == sorted(totals)
         # the whole point tail at each window cell's distance to the pad edge
+        _, bound = _padded_cylinder_perimeter(sg, win, 1.0, table, _PAD_RADIUS)
         x = amb.centers()[:, 0].reshape(amb.extent)
         t = amb.centers()[:, 1].reshape(amb.extent)
         r = np.minimum(x + _PAD_RADIUS, 2.0 + _PAD_RADIUS - x)[np.abs(t) < 1.0]
         ball_tail = float(_tail_terms(r, amb.h, KernelParams(s, amb.dim)).sum())
-        assert bd.truncation_error_bound < ball_tail
+        assert bound < ball_tail
 
 
 def _box_growth_loss(sg: SubgraphSet, k: float, pad: int, T2: float, table) -> float:
-    """What growing the vertical box from T to T2 removes from the total.
+    """What growing the vertical box from T to T2 removes from the padded
+    predecessor's total.
 
     Each window cell in E loses its mass to the rows between T and T2
     above the box, each complement cell its mass to those below, over the
@@ -195,46 +266,39 @@ def _box_growth_loss(sg: SubgraphSet, k: float, pad: int, T2: float, table) -> f
 
 
 class TestBoxHeight:
-    # raising T moves the rows between T and T2 from the half-spaces into
-    # the box, where only the universe's columns are counted
+    @pytest.mark.parametrize("s", [0.3, 0.5, 0.7])
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_total_is_independent_of_the_box_height(self, s, dim):
+        # nothing is truncated, so moving rows between the tails and the
+        # box moves no mass
+        base, v = _bases()[dim - 2]
+        heights = (2.0, 3.0, 5.0) if dim == 2 else (2.0, 3.0)
+        table = _ambient_table(SubgraphSet(base, v, heights[-1], v.exterior), s)
+        totals = [truncated_cylinder_perimeter(SubgraphSet(base, v, T, v.exterior),
+                                               full_window(base), 1.0, table).total
+                  for T in heights]
+        assert max(totals) - min(totals) <= 1e-12 * totals[0]
+
+    # in the padded predecessor, raising T moves the rows between T and T2
+    # from the half-spaces into the box, where only the universe's columns
+    # are counted
     @pytest.mark.parametrize("s", [0.3, 0.5, 0.7])
     @pytest.mark.parametrize("dim", [2, 3])
     def test_growth_removes_exactly_the_outer_row_mass(self, s, dim):
         k = 1.0
-        if dim == 2:
-            base = _base()
-            v = _graph(base, 0.2 * np.cos(np.arange(8)))
-            heights = (2.0, 3.0, 5.0)
-        else:
-            base = GridSpec(2, (0.0, 0.0), (3, 3), 0.5)
-            v = _graph(base, 0.3 * np.cos(np.arange(9)).reshape(3, 3), 0.1)
-            heights = (2.0, 3.0)
+        base, v = _bases()[dim - 2]
+        heights = (2.0, 3.0, 5.0) if dim == 2 else (2.0, 3.0)
         pad = int(np.ceil(_PAD_RADIUS / base.h))
-        table = _ambient_table(SubgraphSet(base, v, heights[-1]), s)
+        table = _ambient_table(SubgraphSet(base, v, heights[-1]), s, _PAD_RADIUS)
         totals = []
         for T in heights:
             sg = SubgraphSet(base, v, T)
-            totals.append(truncated_cylinder_perimeter(
-                sg, full_window(base), k, table, pad_radius=_PAD_RADIUS).total)
+            totals.append(_padded_cylinder_perimeter(
+                sg, full_window(base), k, table, _PAD_RADIUS)[0])
         for i, T in enumerate(heights[:-1]):
             loss = _box_growth_loss(SubgraphSet(base, v, T), k, pad,
                                     heights[i + 1], table)
             assert totals[i] - totals[i + 1] == pytest.approx(loss, rel=1e-12)
-
-    def test_no_quadrature(self, monkeypatch):
-        base = _base()
-        sg = SubgraphSet(base, _graph(base, 0.2 * np.cos(np.arange(8))), 2.0)
-        table = _ambient_table(sg, 0.5)
-        ref = truncated_cylinder_perimeter(sg, full_window(base), 1.0, table,
-                                           pad_radius=_PAD_RADIUS)
-
-        def forbidden(*args, **kwargs):
-            raise AssertionError("the cylinder perimeter must not use quadrature")
-
-        monkeypatch.setattr(integrate, "quad", forbidden)
-        bd = truncated_cylinder_perimeter(sg, full_window(base), 1.0, table,
-                                          pad_radius=_PAD_RADIUS)
-        assert bd == ref
 
 
 class TestDivergenceScans:

@@ -39,6 +39,7 @@ from fracperim.grid import (
     cellset_from_shape,
     full_window,
 )
+from fracperim.kernel import interval_pair_exact, interval_ray_exact
 from tests.conftest import table_for
 
 
@@ -91,8 +92,6 @@ class TestPerimeter:
         # in (0,1) is the kernel pair integral across the cut, which has
         # the closed form 2 / (s (1-s)) (2^(1-s) - 1) ... assembled from
         # interval terms; compare against a direct fine-grid computation
-        from fracperim.kernel import interval_pair_exact, interval_ray_exact
-
         s = 0.5
         spec = GridSpec(1, (0.0,), (8,), 0.125)
         centers = spec.centers().ravel()
@@ -145,6 +144,15 @@ class TestInteraction:
         assert d == pytest.approx(f, rel=1e-11)
 
 
+def _beyond_universe(eng, exterior):
+    """(mass to E, mass to cE) per box cell beyond the engine's universe,
+    by ``pad_masses``: the whole exterior when the universe is the box (1D
+    under AnalyticTail), nothing where a pad carries it."""
+    masses = {} if eng.pad else dict(eng.pad_masses(exterior))
+    zero = np.zeros(eng.spec.extent)
+    return masses.get(1.0, zero), masses.get(0.0, zero)
+
+
 class TestExplicitOracle:
     """FFT correlations against the explicit sum over cell pairs, on
     universes above the size where the explicit sum is the default."""
@@ -170,10 +178,10 @@ class TestExplicitOracle:
 
         local = exact(occ & om, ~occ & om)
         nl = [exact(occ & om, ~occ & ~om), exact(occ & ~om, ~occ & om)]
-        if eng.analytic_rays:
-            mass_e, mass_c = eng.ray_masses(E.exterior)
-            nl += [math.fsum(mass_c[(occ & om).ravel()]),
-                   math.fsum(mass_e[(~occ & om).ravel()])]
+        # in 1D the universe is the box and the exterior enters whole, here
+        # by the explicit route (closed forms minus explicit box row sums)
+        mass_e, mass_c = _beyond_universe(eng, E.exterior)
+        nl += [math.fsum(mass_c[E.inside & outer]), math.fsum(mass_e[~E.inside & outer])]
         bd = perimeter(E, DomainWindow(spec, outer, policy), table)
         assert bd.local == pytest.approx(local, rel=1e-12)
         assert bd.nonlocal_ == pytest.approx(math.fsum(nl), rel=1e-12)
@@ -184,8 +192,7 @@ class TestExplicitOracle:
         outer_win = DomainWindow(spec, outer, policy)
         cross = functional._cross_terms(E, inner_win, outer_win,
                                         functional._engine_for(outer_win, table))
-        # the cross terms also hold the strip's mass to the 1D exterior rays
-        mass_e, mass_c = eng.ray_masses(E.exterior)
+        # the cross terms also hold the strip's mass to the 1D exterior
         box_strip = outer & ~inner
         for A, B, got, ray in ((occ & strip, ~occ & ~eng.embed(inner), cross[0],
                                 mass_c[E.inside & box_strip].sum()),
@@ -195,6 +202,123 @@ class TestExplicitOracle:
             assert got == pytest.approx(exact(A, B) + ray, rel=1e-12)
         res = decomposition_check(E, inner_win, outer_win, table)
         assert res <= 1e-12 * bd.total
+
+
+# ---------------------------------------------------------------------------
+# The exterior rule against its slow predecessors.
+# ---------------------------------------------------------------------------
+
+
+def _ray_segments_1d(spec, exterior):
+    """Exterior rays as (lo, hi, in_E) segments; lo may be -inf, hi +inf.
+    The level of a half-space is continuous, not sampled at cell centres."""
+    x_lo = float(spec.box_lo[0])
+    x_hi = float(spec.box_hi[0])
+    if isinstance(exterior, EmptyExterior):
+        return [(-math.inf, x_lo, False), (x_hi, math.inf, False)]
+    if isinstance(exterior, FullExterior):
+        return [(-math.inf, x_lo, True), (x_hi, math.inf, True)]
+    lv = exterior.level
+    below = exterior.below
+    segs = []
+    if lv >= x_lo:
+        segs.append((-math.inf, x_lo, below))
+    else:
+        segs.append((-math.inf, lv, below))
+        segs.append((lv, x_lo, not below))
+    if lv <= x_hi:
+        segs.append((x_hi, math.inf, not below))
+    else:
+        segs.append((x_hi, lv, below))
+        segs.append((lv, math.inf, not below))
+    return segs
+
+
+def _cell_segment_mass(a, b, lo, hi, s):
+    """Closed-form interaction of cell (a,b) with segment (lo,hi) outside it."""
+    if hi <= a:  # segment left of the cell: reflect
+        if lo == -math.inf:
+            return interval_ray_exact(-b, -a, -hi, s)
+        return interval_pair_exact(lo, hi, a, b, s)
+    if lo >= b:  # right of the cell
+        if hi == math.inf:
+            return interval_ray_exact(a, b, lo, s)
+        return interval_pair_exact(a, b, lo, hi, s)
+    raise ValueError("segment overlaps cell")
+
+
+def _ray_masses_1d(spec, exterior, s):
+    """Per-cell interaction mass with the E / complement-E exterior rays."""
+    n = spec.extent[0]
+    mass_e = np.zeros(n)
+    mass_c = np.zeros(n)
+    for i in range(n):
+        a = spec.origin[0] + i * spec.h
+        b = a + spec.h
+        for lo, hi, in_e in _ray_segments_1d(spec, exterior):
+            if hi > lo:
+                m = _cell_segment_mass(a, b, lo, hi, s)
+                if in_e:
+                    mass_e[i] += m
+                else:
+                    mass_c[i] += m
+    return mass_e, mass_c
+
+
+class TestExteriorRule:
+    """Lattice half-space masses and the one-cell constant against the
+    continuous 1D ray masses and against a second fit of the constant."""
+
+    _SPEC = GridSpec(1, (0.0,), (8,), 0.125)
+
+    @pytest.mark.parametrize("s", [0.3, 0.5, 0.7])
+    @pytest.mark.parametrize("exterior", [
+        EmptyExterior(), FullExterior(),
+        HalfSpaceExterior(0, 0.375), HalfSpaceExterior(0, 0.375, below=False),
+        HalfSpaceExterior(0, 1.25), HalfSpaceExterior(0, -0.5, below=False),
+        HalfSpaceExterior(0, 3.0), HalfSpaceExterior(0, 0.0),
+        HalfSpaceExterior(0, math.inf), HalfSpaceExterior(0, -math.inf),
+    ], ids=repr)
+    def test_face_aligned_exteriors_match_the_rays(self, exterior, s):
+        # on a cell face (or inside the box) the lattice half-space is the
+        # continuous one, so both routes of the rule equal the rays
+        table = table_for(self._SPEC, s, AnalyticTail())
+        eng = PairEngine(self._SPEC, AnalyticTail(), table)
+        ref_e, ref_c = _ray_masses_1d(self._SPEC, exterior, s)
+        pad = dict(eng.pad_masses(exterior))
+        zero = np.zeros(self._SPEC.extent)
+        routes = (eng.exterior_fields(exterior), (pad.get(1.0, zero), pad.get(0.0, zero)))
+        scale = functional._cell_constant(1, s) * self._SPEC.h ** (1.0 - s)
+        for got_e, got_c in routes:
+            assert np.abs(got_e - ref_e).max() <= 1e-13 * scale
+            assert np.abs(got_c - ref_c).max() <= 1e-13 * scale
+
+    def test_off_face_level_outside_the_box_is_a_lattice_count(self):
+        # level 1.3 beyond the box [0, 1]: the lattice cells with centres
+        # below it are cells 8 and 9 (centres 1.0625, 1.1875), so E holds
+        # the exterior up to the face at 1.25, not up to 1.3
+        s = 0.4
+        eng = PairEngine(self._SPEC, AnalyticTail(), table_for(self._SPEC, s, AnalyticTail()))
+        got_e, got_c = eng.exterior_fields(HalfSpaceExterior(0, 1.3))
+        ref_e, ref_c = _ray_masses_1d(self._SPEC, HalfSpaceExterior(0, 1.25), s)
+        scale = functional._cell_constant(1, s) * self._SPEC.h ** (1.0 - s)
+        assert np.abs(got_e - ref_e).max() <= 1e-13 * scale
+        assert np.abs(got_c - ref_c).max() <= 1e-13 * scale
+        continuous_e, _ = _ray_masses_1d(self._SPEC, HalfSpaceExterior(0, 1.3), s)
+        assert np.all(continuous_e > got_e)
+
+    @pytest.mark.parametrize("s", [0.3, 0.5, 0.7])
+    @pytest.mark.parametrize("n,second", [(2, (31, 63, 127)), (3, (23, 31, 47))])
+    def test_cell_constant_against_a_second_fit(self, n, second, s):
+        ref = functional._fit_cell_constant(n, s, second)
+        assert abs(functional._cell_constant(n, s) - ref) <= 1e-12 * ref
+
+    def test_cell_constant_values(self):
+        assert functional._cell_constant(1, 0.5) == 8.0
+        for n, s, ref in ((2, 0.3, 31.1746471476), (2, 0.5, 27.2119083603),
+                          (2, 0.7, 34.0833249684), (3, 0.3, 64.4124508799),
+                          (3, 0.5, 57.8316948034), (3, 0.7, 74.9989462575)):
+            assert functional._cell_constant(n, s) == pytest.approx(ref, rel=1e-10)
 
 
 def _box_route_case(dim, policy, kind, seed=3):
@@ -486,13 +610,24 @@ def _offset_loop_energy(u, window, table):
         fac = np.where(om[dst], 0.5, 1.0)
         w = table.weight(off)
         partials.append(w * float(np.sum(np.abs(vals[src] - vals[dst]) * fac * om[src])))
-    total = math.fsum(partials)
-    if eng.analytic_rays:
-        mass_e, mass_c = eng.ray_masses(functional._field_exterior_model(u))
-        v, o = vals.ravel(), om.ravel()
-        total += math.fsum(np.abs(v - 1.0)[o] * mass_e[o]) + math.fsum(
-            np.abs(v)[o] * mass_c[o])
-    return total
+    return math.fsum(partials) + _exterior_energy(u, eng, window.omega)
+
+
+def _exterior_energy(u, eng, omega):
+    """Sum over window cells a of |u_a - v| times the mass of a to the
+    exterior cells holding v beyond the engine's universe, by the FFT
+    route (``exterior_fields``): the whole exterior when the universe is
+    the box (1D under AnalyticTail), nothing where a pad carries it."""
+    if eng.pad:
+        return 0.0
+    ext = u.exterior
+    v = u.values[omega]
+    if isinstance(ext, (int, float)):
+        # a constant holds its value on every exterior cell
+        x_e, x_c = eng.exterior_fields(FullExterior())
+        return math.fsum(np.abs(v - ext) * (x_e + x_c)[omega])
+    x_e, x_c = eng.exterior_fields(ext)
+    return math.fsum(np.abs(v - 1.0) * x_e[omega]) + math.fsum(np.abs(v) * x_c[omega])
 
 
 class TestRelaxedEnergyOracle:
@@ -514,7 +649,7 @@ class TestRelaxedEnergyOracle:
         u = ScalarField(spec, rng.integers(0, 5, spec.extent) / 4.0,
                         HalfSpaceExterior(0, 0.4))
         table = table_for(spec, 0.3, AnalyticTail())
-        assert PairEngine(spec, AnalyticTail(), table).analytic_rays
+        assert PairEngine(spec, AnalyticTail(), table).pad == 0
         self._check(u, win, table)
 
     @pytest.mark.parametrize("policy", [AnalyticTail(), TruncateAtRadius(0.3)],
@@ -561,12 +696,7 @@ def _padded_pair_sum_energy(u, window, table):
     total = math.fsum(
         float((np.abs(v_om[lo:lo + len(rows), None] - vflat) * half * rows).sum())
         for lo, rows in functional._weight_rows(np.argwhere(om), vals.shape, table))
-    if eng.analytic_rays:
-        mass_e, mass_c = eng.ray_masses(functional._field_exterior_model(u))
-        o = om.ravel()
-        total += math.fsum(np.abs(v_om - 1.0) * mass_e[o]) + math.fsum(
-            np.abs(v_om) * mass_c[o])
-    return total
+    return total + _exterior_energy(u, eng, window.omega)
 
 
 class TestRelaxedEnergyOnTheBox:
@@ -580,12 +710,16 @@ class TestRelaxedEnergyOnTheBox:
         assert abs(relaxed_energy(u, window, table) - ref) <= 1e-12 * ref  # warm
 
     def test_constant_non_binary_exterior(self, rng):
-        spec = GridSpec(2, (0.0, 0.0), (9, 9), 1.0 / 9)
-        omega = np.zeros(spec.extent, dtype=bool)
-        omega[1:7, 2:9] = True
-        win = DomainWindow(spec, omega, AnalyticTail())
-        u = ScalarField(spec, rng.random(spec.extent), 0.25)
-        self._check(u, win, table_for(spec, 0.4, AnalyticTail()))
+        for dim, n in ((1, 24), (2, 9)):
+            spec = GridSpec(dim, (0.0,) * dim, (n,) * dim, 1.0 / n)
+            omega = np.zeros(spec.extent, dtype=bool)
+            omega[(slice(1, 7),) + (slice(2, 9),) * (dim - 1)] = True
+            win = DomainWindow(spec, omega, AnalyticTail())
+            u = ScalarField(spec, rng.random(spec.extent), 0.25)
+            table = table_for(spec, 0.4, AnalyticTail())
+            self._check(u, win, table)
+            lhs, rhs = coarea_check(u, win, table)
+            assert abs(lhs - rhs) <= 1e-10 * rhs
 
     def test_halfspace_exterior_truncated(self, rng):
         spec = GridSpec(2, (0.0, 0.0), (10, 10), 0.1)
@@ -604,7 +738,7 @@ class TestRelaxedEnergyOnTheBox:
         win = DomainWindow(spec, omega, AnalyticTail())
         u = ScalarField(spec, rng.random(spec.extent), HalfSpaceExterior(0, 0.4))
         table = table_for(spec, 0.3, AnalyticTail())
-        assert PairEngine(spec, AnalyticTail(), table).analytic_rays
+        assert PairEngine(spec, AnalyticTail(), table).pad == 0
         self._check(u, win, table)
 
 

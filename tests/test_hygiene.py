@@ -1,6 +1,7 @@
 """Source hygiene: every name a module imports is used by that module;
 importing the command line loads no SciPy module, and neither do
-`compute` and `davila-scan` while they run."""
+`compute` and `davila-scan` while they run, nor the cylinder perimeter
+with its one-cell constant."""
 
 import ast
 import os
@@ -65,4 +66,29 @@ def test_command_runs_without_scipy(args):
             f"print('scipy:', *{_SCIPY_LOADED}, file=sys.stderr)")
     out = _fresh_python("-c", code, *args)
     assert out.stdout
+    assert out.stderr.split() == ["scipy:"]
+
+
+@pytest.mark.parametrize("base_dim", [1, 2], ids=["2d", "3d"])
+def test_cylinder_perimeter_runs_without_scipy(base_dim):
+    # a fresh process fits the one-cell constant C_n(s) from a cold cache
+    code = f"""
+import sys
+import numpy as np
+from fracperim.cylinder import SubgraphSet, truncated_cylinder_perimeter
+from fracperim.functional import _cell_constant
+from fracperim.grid import GridSpec, ScalarField, full_window
+from fracperim.kernel import KernelParams, build_table
+n = {base_dim}
+base = GridSpec(n, (0.0,) * n, (3,) * n, 0.5)
+sg = SubgraphSet(base, ScalarField(base, 0.2 * np.ones((3,) * n)), 2.0)
+amb = sg.ambient_spec()
+table = build_table(amb, KernelParams(0.5, n + 1), max(amb.extent) - 1)
+assert _cell_constant.cache_info().currsize == 0
+print(truncated_cylinder_perimeter(sg, full_window(base), 1.0, table).total)
+assert _cell_constant.cache_info().currsize == 1
+print('scipy:', *{_SCIPY_LOADED}, file=sys.stderr)
+"""
+    out = _fresh_python("-c", code)
+    assert float(out.stdout) > 0.0
     assert out.stderr.split() == ["scipy:"]

@@ -54,18 +54,20 @@ def _problem_2d(rng, n=6, s=0.5, policy=AnalyticTail()):
 
 def _direct_linear_terms(p):
     """p and q by direct convolution over the padded universe (the
-    reference for the FFT assembly)."""
+    reference for the FFT assembly), plus, when the universe is the box
+    (1D under AnalyticTail), the whole exterior by the explicit route
+    (``pad_masses``)."""
     eng = PairEngine(p.window.spec, p.window.complement_policy, p.table)
     om = eng.embed(p.window.omega)
     occ = eng.occupancy(p.exterior_data)
     block = p.table.block(tuple(n - 1 for n in om.shape))
     sel = tuple(np.argwhere(om).T)
+    beyond = {} if eng.pad else dict(eng.pad_masses(p.exterior_data.exterior))
     lin = []
-    for fixed, ray in zip((occ & ~om, ~occ & ~om),
-                          eng.ray_masses(p.exterior_data.exterior)):
+    for fixed, v in ((occ & ~om, 1.0), (~occ & ~om, 0.0)):
         conv = signal.convolve(fixed.astype(float), block, mode="same",
                                method="direct")
-        lin.append(conv[sel] + ray[tuple(np.argwhere(p.window.omega).T)])
+        lin.append(conv[sel] + beyond.get(v, np.zeros(om.shape))[sel])
     return lin
 
 
