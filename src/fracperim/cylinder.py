@@ -74,6 +74,9 @@ class SubgraphSet:
         T = self.vertical_extent
         if not T > 0:
             raise ValueError("vertical_extent must be positive")
+        cells = 2.0 * T / self.base_spec.h
+        if abs(cells - round(cells)) > 1e-9 * cells:
+            raise SpecMismatch(f"the vertical window (-{T}, {T}) is {cells} cells, not whole")
         vmax = max(float(np.max(np.abs(self.heights.values))), abs(self.farfield))
         if vmax >= T:
             raise WindowTooShort(
@@ -137,7 +140,7 @@ def truncated_cylinder_perimeter(E, omega_base: DomainWindow, k: float,
     z = spec.origin[-1] + (np.arange(spec.extent[-1]) + 0.5) * spec.h
     om = omega_base.omega[..., None] & (np.abs(z) < k)
     eng = _engine_for(DomainWindow(spec, om), table)
-    x_e, x_c = _exterior_fields(spec, cell.exterior, table.params.s, eng.fields)
+    x_e, x_c = _exterior_fields(spec, cell.exterior, table, None, eng.fields)
     local, nonlocal_ = _perimeter_sums(cell.inside, om, eng.fields, x_e, x_c)
     return PerimeterBreakdown(
         local=local,

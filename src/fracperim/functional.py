@@ -17,24 +17,25 @@ transform.  The exterior data are fixed, so they enter as two fields on
 the box per exterior model: X_E and X_C, the mass of each box cell to the
 exterior inside E and to the exterior outside it.  A PairEngine computes
 them once and caches them with its weight spectra, and the table keeps
-one engine per (spec, policy); every other correlation runs on the box.
-A perimeter takes the two box fields of one batch.
+one engine per (spec, policy).  Every correlation runs on the box.  A
+perimeter takes the two box fields of one batch.
 ``interaction(..., exact=True)``, the default up to _DIRECT_LIMIT cells,
 weighs every cell pair explicitly instead and serves as the independent
 oracle.  The module imports no SciPy.
 
-In 1D under AnalyticTail (and for the cylinder perimeter) the exterior
-rule is exact: beyond the box every exterior model is a lattice set H, so
-X_E = m(. -> H) - (1_(H n box) (*) w) with closed-form masses m
-(``_exterior_parts``), and X_C likewise with H^c.  Otherwise a padded
-margin carries the exterior, and the mass beyond it is bounded.
+Beyond the box every exterior model is a lattice set H, so in a universe
+U, X_E = m(. -> H n U) - (1_(H n box) (*) w) and X_C likewise with H^c
+(``_exterior_parts``).  U is Z^n, with closed-form m, in 1D under
+AnalyticTail and for the cylinder perimeter; otherwise it is the box
+plus the policy's pad, m is a rectangle sum of the weight block, and the
+mass beyond U is bounded.
 
 The relaxed energy F(u, Omega) is an explicit pair sum too, over (window
 cell, box cell) pairs in chunks, reading the same weight rows as
 ``interaction(exact=True)``, plus the window's mass to the exterior cells
-of each exterior value (``PairEngine.pad_masses``, explicit as well, once
-per exterior).  It never touches the FFT, so the coarea identity
-compares two independent routes.
+of each exterior value (``PairEngine.pad_masses``: the same rule with
+explicit box sums, once per exterior).  It never touches the FFT, so the
+coarea identity compares two independent routes.
 """
 
 from __future__ import annotations
@@ -239,7 +240,8 @@ def interaction(A: np.ndarray, B: np.ndarray, table: InteractionTable,
 
 
 # ---------------------------------------------------------------------------
-# The exact exterior rule: lattice half-spaces and the one-cell constant.
+# The exterior rule: lattice half-spaces, the one-cell constant and
+# rectangle sums of the weight block.
 # ---------------------------------------------------------------------------
 
 # lattice reaches of the three partial sums each C_n(s) fit uses
@@ -300,27 +302,37 @@ def _half_space_masses(n: int, h: float, s: float, j) -> np.ndarray:
     return h ** (n - s) * b_m * ray / (s * p)
 
 
-def _exterior_parts(spec: GridSpec, exterior, s: float):
-    """The exterior as lattice sets, one per value it holds beyond the box:
-    a list of (v, H & box, m) with m(c) the mass of box cell c to all of H.
+def _rectangle_masses(table: InteractionTable, extent, pad: int, lo, hi) -> np.ndarray:
+    """Per box cell c, the sum of w(j - c) over the box-relative rectangle
+    lo <= j < hi of the box padded by ``pad``: prefix sums of the weight
+    block, one axis at a time."""
+    m = table.block(tuple(n + pad - 1 for n in extent))
+    for n, a, b in zip(extent, lo, hi):
+        prefix = np.zeros((m.shape[0] + 1,) + m.shape[1:])
+        np.cumsum(m, axis=0, out=prefix[1:])
+        c = n + pad - 1 - np.arange(n)  # block index of offset -i, per box cell i
+        # offsets a - i <= d < b - i; cycling the axes restores their order
+        m = np.moveaxis(prefix[b + c] - prefix[a + c], 0, -1)
+    return m
 
-    Exteriors are sampled at cell centres, so beyond the box each is a
-    lattice set: a constant (Empty is 0, Full is 1) holds v on all of
-    Z^n, where m = C_n(s) h^(n-s); a half-space model holds 1 on its
-    lattice half-space H and 0 on H^c, where m is ``_half_space_masses``
-    across the edge and C_n(s) h^(n-s) minus that on the cell's own side.
-    A subgraph {t < v(x)} is H = {t < farfield} beyond the box when its
-    heights lie in the box's vertical range over a height grid inside the
-    box's base (else WindowTooShort / SpecMismatch).  The mass of c to
-    the cells of H beyond the box is then m(c) - ((H & box) (*) w)(c).
+
+def _exterior_parts(spec: GridSpec, exterior, table: InteractionTable,
+                    pad: int | None):
+    """The exterior in a universe U (Z^n when ``pad`` is None, else the box
+    padded by ``pad`` cells), one lattice set H per value v it holds on U
+    beyond the box: a list of (v, H & box, m), m(c) the mass of box cell c
+    to H & U, so c's mass to H & U beyond the box is m - (H & box) (*) w.
+
+    Exteriors are sampled at cell centres: a constant (Empty is 0, Full
+    is 1) holds v on all of U; a half-space model holds 1 on the cells
+    whose centres (``GridSpec.axis_centers``) lie below its level, and 0
+    on the rest.  A subgraph {t < v(x)} is H = {t < farfield} beyond the
+    box when its heights lie in the box's vertical range over a height
+    grid inside the box's base (else WindowTooShort / SpecMismatch).  On
+    Z^n, m is C_n(s) h^(n-s) less ``_half_space_masses`` across H's edge;
+    in a padded U, H & U is a rectangle and m its ``_rectangle_masses``.
     """
-    n, h = spec.dim, spec.h
-    whole = _cell_constant(n, s) * h ** (n - s)
-    if isinstance(exterior, (EmptyExterior, FullExterior)):
-        exterior = float(isinstance(exterior, FullExterior))
-    if isinstance(exterior, (int, float)):
-        return [(float(exterior), np.ones(spec.extent, dtype=bool),
-                 np.full(spec.extent, whole))]
+    n, h, s = spec.dim, spec.h, table.params.s
     if isinstance(exterior, SubgraphExterior):
         heights = np.append(exterior.heights, exterior.farfield)
         if heights.min() < spec.box_lo[-1] or heights.max() > spec.box_hi[-1]:
@@ -330,30 +342,46 @@ def _exterior_parts(spec: GridSpec, exterior, s: float):
         if np.any(base.box_lo < spec.box_lo[:-1]) or np.any(base.box_hi > spec.box_hi[:-1]):
             raise SpecMismatch("the subgraph's height grid must lie over the box's base")
         exterior = HalfSpaceExterior(n - 1, exterior.farfield, not exterior.above)
-    if not isinstance(exterior, HalfSpaceExterior):
+    if isinstance(exterior, HalfSpaceExterior) and math.isinf(exterior.level):
+        exterior = float((exterior.level > 0) == exterior.below)  # H is Z^n or empty
+    if isinstance(exterior, (EmptyExterior, FullExterior)):
+        exterior = float(isinstance(exterior, FullExterior))
+    if isinstance(exterior, (int, float)):
+        axis, edge, sides = 0, math.inf, [(float(exterior), -math.inf, math.inf)]
+    elif isinstance(exterior, HalfSpaceExterior):
+        axis, level = exterior.axis, exterior.level
+        edge = float(np.ceil((level - spec.origin[axis]) / h - 0.5))  # an estimate
+        edge += np.count_nonzero(spec.axis_centers(axis, [edge - 1, edge]) < level) - 1
+        sides = sorted([(float(exterior.below), -math.inf, edge),  # by value v
+                        (float(not exterior.below), edge, math.inf)])
+    else:
         raise SpecMismatch(f"unsupported exterior model: {exterior!r}")
-    axis, level = exterior.axis, exterior.level
-    if math.isinf(level):  # H is all of Z^n or empty
-        return _exterior_parts(spec, float((level > 0) == exterior.below), s)
-    # H's edge: the first box-relative cell whose centre is not below level
-    edge = np.ceil((level - spec.origin[axis]) / h - 0.5)
     i = np.arange(spec.extent[axis])
-    lower = i < edge
-    across = _half_space_masses(n, h, s, np.abs(i - edge + 0.5) - 0.5)
-    sides = [(lower, np.where(lower, whole - across, across)),
-             (~lower, np.where(lower, across, whole - across))]
-    (h_box, m_h), (c_box, m_c) = sides if exterior.below else sides[::-1]
     shape = tuple(-1 if k == axis else 1 for k in range(n))
-    return [(v, np.broadcast_to(mask.reshape(shape), spec.extent),
-             np.broadcast_to(m.reshape(shape), spec.extent))
-            for v, mask, m in ((0.0, c_box, m_c), (1.0, h_box, m_h))]
+    parts = []
+    for v, a, b in sides:
+        mask = (a <= i) & (i < b)
+        if pad is None:
+            across = 0.0 if math.isinf(edge) else _half_space_masses(
+                n, h, s, np.abs(i - edge + 0.5) - 0.5)
+            m = np.where(mask, _cell_constant(n, s) * h ** (n - s) - across, across)
+            m = np.broadcast_to(m.reshape(shape), spec.extent)
+        else:
+            lo, hi = [-pad] * n, [k + pad for k in spec.extent]
+            lo[axis], hi[axis] = int(max(a, -pad)), int(min(b, hi[axis]))
+            if lo[axis] >= hi[axis] or (min(lo) >= 0 and hi[axis] <= spec.extent[axis]):
+                continue  # v holds on no cell of U beyond the box
+            m = _rectangle_masses(table, spec.extent, pad, lo, hi)
+        parts.append((v, np.broadcast_to(mask.reshape(shape), spec.extent), m))
+    return parts
 
 
-def _exterior_fields(spec: GridSpec, exterior, s: float, fields):
-    """(X_E, X_C) per box cell: the mass to the exterior inside E and to
-    the exterior outside it, exactly, from ``_exterior_parts`` with the
-    box sums taken by ``fields`` (one batched transform)."""
-    parts = _exterior_parts(spec, exterior, s)
+def _exterior_fields(spec: GridSpec, exterior, table: InteractionTable,
+                     pad: int | None, fields):
+    """(X_E, X_C) per box cell: the mass to the exterior in U inside E and
+    outside it, by ``_exterior_parts`` with the box sums taken by
+    ``fields`` (one batched transform)."""
+    parts = _exterior_parts(spec, exterior, table, pad)
     out = [np.zeros(spec.extent), np.zeros(spec.extent)]
     for (v, _, m), f in zip(parts, fields(*(mask for _, mask, _ in parts))):
         out[int(v)] = m - f
@@ -361,7 +389,7 @@ def _exterior_fields(spec: GridSpec, exterior, s: float, fields):
 
 
 # ---------------------------------------------------------------------------
-# Padded-universe engine.
+# Pair engine.
 # ---------------------------------------------------------------------------
 
 
@@ -379,23 +407,22 @@ def _pad_cells(spec: GridSpec, policy) -> int:
 
 
 def table_for(spec: GridSpec, s: float, policy) -> InteractionTable:
-    """Table whose reach spans the universe the policy pads the box to."""
-    reach = max(spec.extent) + 2 * _pad_cells(spec, policy) - 1
+    """Table whose reach spans every offset the pair sums read: from a box
+    cell to any cell of the box plus the policy's pad."""
+    reach = max(spec.extent) + _pad_cells(spec, policy) - 1
     return build_table(spec, KernelParams(s, spec.dim), max_offset=reach)
 
 
 class PairEngine:
-    """Shared machinery for evaluating interactions on a padded universe.
+    """Pair sums of one grid spec and policy, all on the box.
 
-    The policy decides how exterior mass is handled: AnalyticTail in 1D
-    pads nothing and takes the exterior whole by the lattice rule;
-    otherwise TruncateAtRadius pads the box by ceil(R/h) cells (AnalyticTail
-    by twice its longest side) and reports the neglected tail mass.
-    ``occupancy`` and ``embed`` place masks on the padded universe;
-    ``fields`` takes box-shaped masks, and the exterior reaches them
-    through ``exterior_fields`` (by FFT) and ``pad_masses`` (explicitly).
-    Weight spectra and both kinds of exterior data are computed on first
-    use and kept, so building an engine costs nothing.
+    The policy sets the exterior's universe U: Z^n for AnalyticTail in 1D,
+    else the box padded by ``pad`` cells, ceil(R/h) under TruncateAtRadius
+    (AnalyticTail: twice the box's longest side), with the mass beyond in
+    ``truncation_bound``.  ``exterior_fields`` (by FFT) and ``pad_masses``
+    (explicit) take the exterior in U by ``_exterior_parts``.  Spectra and
+    exterior data are made on first use and kept.  ``occupancy`` and
+    ``embed`` place masks on ``padded_spec`` for explicit references.
     """
 
     def __init__(self, spec: GridSpec, policy, table: InteractionTable):
@@ -405,7 +432,7 @@ class PairEngine:
         self.policy = policy
         self.table = table
         self.pad = _pad_cells(spec, policy)
-        self._exact = isinstance(policy, AnalyticTail) and spec.dim == 1
+        self._universe = None if isinstance(policy, AnalyticTail) and spec.dim == 1 else self.pad
         self.padded_spec = spec.padded(self.pad)
         self._spectra: dict = {}
         self._exterior: dict = {}
@@ -428,80 +455,41 @@ class PairEngine:
         return _fields(masks, self.table, self._spectra)
 
     def exterior_fields(self, exterior) -> tuple[np.ndarray, np.ndarray]:
-        """(X_E, X_C) per box cell: the mass to the exterior inside E and
-        to the exterior outside E.
-
-        Under the lattice rule, its closed forms minus one batched box
-        correlation.  Otherwise the pad cells' fields (pad_E (*) w,
-        pad_C (*) w) on the box: at most two correlations on the padded
-        universe, one at a time (a stacked pair would double the peak
-        memory) and none for an empty pad side, kept as owned arrays (a
-        view would keep the whole transform output alive).  Computed once
-        per exterior model.
-        """
+        """(X_E, X_C) per box cell: the mass to the exterior in U inside E
+        and outside E.  The rule's masses minus one batched box
+        correlation, computed once per exterior model."""
         if exterior not in self._exterior:
-            if self._exact:
-                self._exterior[exterior] = _exterior_fields(
-                    self.spec, exterior, self.table.params.s, self.fields)
-            else:
-                occ = self.occupancy(CellSet(self.spec, np.zeros(self.spec.extent, bool),
-                                             exterior))
-                pad = ~self.embed(np.ones(self.spec.extent, dtype=bool))
-                box = tuple(slice(self.pad, self.pad + n) for n in self.spec.extent)
-                spectra: dict = {}  # the universe spectrum is not kept
-                self._exterior[exterior] = tuple(
-                    _fields((side,), self.table, spectra)[0][box].copy()
-                    for side in (occ & pad, ~occ & pad))
+            self._exterior[exterior] = _exterior_fields(
+                self.spec, exterior, self.table, self._universe, self.fields)
         return self._exterior[exterior]
 
     def pad_masses(self, exterior) -> list[tuple[float, np.ndarray]]:
-        """(v, M_v) for each distinct value v that a field with this
-        exterior (a constant or an occupancy model) takes beyond the box:
-        M_v(a) is the mass of box cell a to the exterior cells holding v.
-
-        Under the lattice rule, its closed forms minus explicit box row
-        sums; otherwise the explicit row sums over the pad cells.  One
-        pass of weight rows over the box cells, no FFT, once per exterior.
-        """
+        """(v, M_v) for each value v a field with this exterior (a constant
+        or an occupancy model) takes in U beyond the box, M_v(a) the mass of
+        box cell a to the cells holding v: the rule's masses minus one pass
+        of explicit box weight rows, no FFT, once per exterior."""
         if exterior not in self._pad_masses:
             extent = self.spec.extent
-            if self._exact:
-                parts = _exterior_parts(self.spec, exterior, self.table.params.s)
-                onehot = np.stack([mask.ravel() for _, mask, _ in parts], axis=1)
-                sums = self._row_sums(onehot.astype(float), extent)
-                self._pad_masses[exterior] = [
-                    (v, m - col.reshape(extent)) for (v, _, m), col in zip(parts, sums.T)]
-            else:
-                vals = ScalarField(self.spec, np.zeros(extent), exterior).values_on(
-                    self.padded_spec)
-                box = self.embed(np.ones(extent, dtype=bool))
-                levels = np.unique(vals[~box])
-                onehot = ((vals[..., None] == levels) & ~box[..., None]).reshape(
-                    -1, len(levels))
-                masses = self._row_sums(onehot.astype(float), vals.shape)
-                self._pad_masses[exterior] = [
-                    (float(v), np.ascontiguousarray(m).reshape(extent))
-                    for v, m in zip(levels, masses.T)]
+            parts = _exterior_parts(self.spec, exterior, self.table, self._universe)
+            onehot = np.zeros((self.spec.n_cells, len(parts)))
+            for k, (_, mask, _) in enumerate(parts):
+                onehot[:, k] = mask.ravel()
+            sums = np.empty(onehot.shape)  # rows @ onehot for every box cell
+            for lo, rows in _weight_rows(np.argwhere(np.ones(extent, bool)), extent, self.table):
+                sums[lo:lo + len(rows)] = rows @ onehot
+            self._pad_masses[exterior] = [
+                (v, m - col.reshape(extent)) for (v, _, m), col in zip(parts, sums.T)]
         return self._pad_masses[exterior]
-
-    def _row_sums(self, onehot: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-        """rows @ onehot for the weight rows of every box cell over the
-        universe of ``shape`` (the box or the padded universe)."""
-        cells = np.argwhere(self.embed(np.ones(self.spec.extent, dtype=bool)))
-        out = np.empty((len(cells), onehot.shape[1]))
-        for lo, rows in _weight_rows(cells, shape, self.table):
-            out[lo:lo + len(rows)] = rows @ onehot
-        return out
 
     def truncation_bound(self, omega_box: np.ndarray, E: CellSet) -> float:
         """Neglected-mass bound: per-cell volume times the point tail mass.
 
-        Zero under the lattice rule, which neglects nothing.  Otherwise
+        Zero when the universe is Z^n, which neglects nothing.  Otherwise
         only window cells whose phase can differ from the exterior beyond
         the universe lose mass there: E's cells under EmptyExterior, its
         complement's under FullExterior, every cell otherwise.
         """
-        if self._exact:
+        if self._universe is None:
             return 0.0
         cells = np.asarray(omega_box, dtype=bool)
         if isinstance(E.exterior, EmptyExterior):

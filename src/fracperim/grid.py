@@ -69,12 +69,18 @@ class GridSpec:
     def box_hi(self) -> np.ndarray:
         return np.asarray(self.origin) + self.h * np.asarray(self.extent)
 
-    def centers(self) -> np.ndarray:
-        """Cell centers as an (n_cells, dim) array in C order."""
-        axes = [
-            self.origin[a] + (np.arange(self.extent[a]) + 0.5) * self.h
-            for a in range(self.dim)
-        ]
+    def axis_centers(self, axis: int, i) -> np.ndarray:
+        """Centres origin + (i + 0.5) h along ``axis`` of the box-relative
+        cell indices ``i``: one expression for the box, its pad and beyond,
+        so a level splits them all alike."""
+        return self.origin[axis] + (np.asarray(i) + 0.5) * self.h
+
+    def centers(self, pad_cells=0) -> np.ndarray:
+        """Cell centers as an (n_cells, dim) array in C order, of the box
+        padded by ``pad_cells`` (one int or one per axis) on both sides."""
+        pads = np.broadcast_to(pad_cells, (self.dim,))
+        axes = [self.axis_centers(a, np.arange(-k, n + k))
+                for a, (n, k) in enumerate(zip(self.extent, pads))]
         grids = np.meshgrid(*axes, indexing="ij")
         return np.stack([g.ravel() for g in grids], axis=-1)
 
@@ -96,6 +102,8 @@ def _sample_padded(spec: GridSpec, box: np.ndarray, exterior, target: GridSpec) 
     """``box`` (on ``spec``) placed into ``target``, the box padded by whole
     cells; the pad holds ``exterior``, a constant or an exterior model
     evaluated at the pad's cell centers (Empty and Full fill as constants).
+    The centers are placed from the box's origin (``GridSpec.centers``),
+    so the pad and the box round a level on a cell centre alike.
 
     Raises SpecMismatch unless ``target == spec.padded(k)`` for some
     non-negative per-axis cell counts k.
@@ -108,7 +116,7 @@ def _sample_padded(spec: GridSpec, box: np.ndarray, exterior, target: GridSpec) 
     if isinstance(exterior, (int, float)):
         out = np.full(target.extent, exterior, dtype=box.dtype)
     else:
-        out = exterior.contains(target.centers()).astype(box.dtype, copy=False)
+        out = exterior.contains(spec.centers(pads)).astype(box.dtype, copy=False)
         out = out.reshape(target.extent)
     out[tuple(slice(k, k + n) for k, n in zip(pads, spec.extent))] = box
     return out
@@ -258,9 +266,10 @@ class TruncateAtRadius:
 class AnalyticTail:
     """Resolve exterior mass analytically where closed forms exist.
 
-    Exact for dim 1 (lattice half-space masses).  In higher dimensions
-    this falls back to a padded truncation at twice the box's longest
-    side, with the remainder reported in ``truncation_error_bound``.
+    Exact for dim 1 (lattice half-space masses over all of Z).  In higher
+    dimensions the exterior is taken over the box padded by twice its
+    longest side, by the same lattice rule, with the mass beyond reported
+    in ``truncation_error_bound``.
     """
 
 

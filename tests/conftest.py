@@ -32,10 +32,23 @@ def _policy_key(policy) -> tuple:
 
 
 def table_for(spec: GridSpec, s: float, policy) -> InteractionTable:
-    """Table whose reach covers the padded universe of the policy."""
+    """The program's table for the policy (``functional.table_for``):
+    reach max(extent) + pad - 1, from the box to the box plus its pad."""
     key = (spec, float(s), _policy_key(policy))
     if key not in _TABLE_CACHE:
         _TABLE_CACHE[key] = functional.table_for(spec, float(s), policy)
+    return _TABLE_CACHE[key]
+
+
+def universe_table(spec: GridSpec, s: float, policy) -> InteractionTable:
+    """Table reaching across the whole padded universe of the policy, for
+    explicit references that sum over it (the reach perfbench's
+    ``worker.table_for`` builds): max(padded extent) - 1."""
+    key = (spec, float(s), _policy_key(policy), "universe")
+    if key not in _TABLE_CACHE:
+        pad = functional._pad_cells(spec, policy)
+        _TABLE_CACHE[key] = build_table(spec, KernelParams(float(s), spec.dim),
+                                        max_offset=max(spec.padded(pad).extent) - 1)
     return _TABLE_CACHE[key]
 
 

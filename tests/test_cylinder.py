@@ -22,6 +22,7 @@ from fracperim.errors import (
     ConfinementUndetermined,
     HypothesisViolated,
     InvalidSequence,
+    SpecMismatch,
     WindowTooShort,
 )
 from fracperim.functional import _tail_terms, interaction
@@ -96,6 +97,15 @@ class TestSubgraphSet:
         v = _graph(base, np.full(8, 0.9))
         with pytest.raises(WindowTooShort):
             SubgraphSet(base, v, 0.5)
+
+    def test_window_must_be_whole_cells(self):
+        # 2T/h = 16.4: a box of 16 cells from -T would end at 1.95, below
+        # the heights of 2.0 that T = 2.05 admits
+        base = _base()
+        with pytest.raises(SpecMismatch):
+            SubgraphSet(base, _graph(base, np.full(8, 2.0)), 2.05)
+        assert SubgraphSet(base, _graph(base, np.full(8, 2.0)), 2.125).ambient_spec().extent \
+            == (8, 17)
 
     def test_cellset_is_monotone_in_height(self):
         base = _base()

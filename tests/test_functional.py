@@ -12,6 +12,7 @@ from fracperim.errors import (
     NotDisjoint,
     NotNested,
     SpecMismatch,
+    WindowTooShort,
 )
 from fracperim.functional import (
     PairEngine,
@@ -39,8 +40,8 @@ from fracperim.grid import (
     cellset_from_shape,
     full_window,
 )
-from fracperim.kernel import interval_pair_exact, interval_ray_exact
-from tests.conftest import table_for
+from fracperim.kernel import InteractionTable, interval_pair_exact, interval_ray_exact
+from tests.conftest import table_for, universe_table
 
 
 def _random_instance(rng, dim=2, n=8, s=0.5, policy=None):
@@ -163,7 +164,7 @@ class TestExplicitOracle:
         spec = GridSpec(dim, (0.0,) * dim, (n,) * dim, 1.0 / n)
         E = CellSet(spec, rng.random(spec.extent) < 0.5)
         policy = AnalyticTail()
-        table = table_for(spec, 0.4, policy)
+        table = universe_table(spec, 0.4, policy)
         outer = np.zeros(spec.extent, dtype=bool)
         outer[(slice(n // 8, n - n // 10),) * dim] = True
         inner = np.zeros(spec.extent, dtype=bool)
@@ -307,6 +308,23 @@ class TestExteriorRule:
         continuous_e, _ = _ray_masses_1d(self._SPEC, HalfSpaceExterior(0, 1.3), s)
         assert np.all(continuous_e > got_e)
 
+    @pytest.mark.parametrize("policy", [AnalyticTail(), TruncateAtRadius(2.0)],
+                             ids=["analytic", "truncate"])
+    def test_level_on_a_centre_beyond_the_box(self, policy):
+        # the level sits on cell -4's centre origin + (-4 + 0.5) h, so that
+        # cell is not below it: the lattice half-space of a level h/4 lower
+        spec = GridSpec(1, (0.0,), (3,), 1.0 / 3)
+        level = 0.0 + (-4 + 0.5) * spec.h
+        table = table_for(spec, 0.5, policy)
+        routes = []
+        for lv in (level, level - spec.h / 4):
+            eng = PairEngine(spec, policy, table)
+            masses = dict(eng.pad_masses(HalfSpaceExterior(0, lv)))
+            routes.append((*eng.exterior_fields(HalfSpaceExterior(0, lv)),
+                           masses[1.0], masses[0.0]))
+        for got, ref in zip(*routes):
+            assert np.abs(got - ref).max() <= 1e-13 * ref.max()
+
     @pytest.mark.parametrize("s", [0.3, 0.5, 0.7])
     @pytest.mark.parametrize("n,second", [(2, (31, 63, 127)), (3, (23, 31, 47))])
     def test_cell_constant_against_a_second_fit(self, n, second, s):
@@ -342,7 +360,7 @@ def _box_route_case(dim, policy, kind, seed=3):
     outer &= rng.random(spec.extent) < 0.8
     inner = outer & (rng.random(spec.extent) < 0.5)
     return (E, DomainWindow(spec, inner, policy), DomainWindow(spec, outer, policy),
-            table_for(spec, 0.45, policy))
+            universe_table(spec, 0.45, policy))
 
 
 _KINDS = ["empty", "full", "below", "above", "subgraph"]
@@ -398,6 +416,160 @@ class TestBoxRoute:
             a[tuple(cell)] = True
             self._close(cond.p[k], interaction(a, occ & ~om, table, exact=True))
             self._close(cond.q[k], interaction(a, ~occ & ~om, table, exact=True))
+
+
+# ---------------------------------------------------------------------------
+# The rule in a padded universe against its padded-universe predecessors.
+# ---------------------------------------------------------------------------
+
+
+def _padded_exterior_fields(eng, exterior):
+    """(X_E, X_C) as the pad cells' fields (pad_E (*) w, pad_C (*) w) read
+    on the box: one correlation per pad side over the whole padded
+    universe."""
+    occ = eng.occupancy(CellSet(eng.spec, np.zeros(eng.spec.extent, bool), exterior))
+    pad = ~eng.embed(np.ones(eng.spec.extent, dtype=bool))
+    box = tuple(slice(eng.pad, eng.pad + n) for n in eng.spec.extent)
+    return tuple(functional._fields((side,), eng.table, {})[0][box]
+                 for side in (occ & pad, ~occ & pad))
+
+
+def _padded_pad_masses(eng, exterior):
+    """{v: M_v} from the explicit weight rows of the box cells over the
+    whole padded universe, one column per value the pad cells hold."""
+    extent = eng.spec.extent
+    vals = ScalarField(eng.spec, np.zeros(extent), exterior).values_on(eng.padded_spec)
+    box = eng.embed(np.ones(extent, dtype=bool))
+    levels = np.unique(vals[~box])
+    onehot = ((vals[..., None] == levels) & ~box[..., None]).reshape(-1, len(levels))
+    masses = np.empty((int(box.sum()), len(levels)))
+    for lo, rows in functional._weight_rows(np.argwhere(box), vals.shape, eng.table):
+        masses[lo:lo + len(rows)] = rows @ onehot
+    return {float(v): m.reshape(extent) for v, m in zip(levels, masses.T)}
+
+
+def _padded_cases(spec, pad):
+    """The five exterior kinds, with half-space levels inside the box,
+    beyond the padded universe on either side and on a pad cell face."""
+    dim, n, h = spec.dim, spec.extent[0], spec.h
+    base = GridSpec(dim - 1, (0.0,) * (dim - 1), (n,) * (dim - 1), h)
+    heights = 0.3 + 0.4 * np.random.default_rng(7).random(n ** (dim - 1))
+    return {
+        "empty": EmptyExterior(),
+        "full": FullExterior(),
+        "below": HalfSpaceExterior(dim - 1, 0.45),
+        "above": HalfSpaceExterior(0, 0.6, below=False),
+        "subgraph": SubgraphExterior(base, tuple(heights), 0.55),
+        "beyond_high": HalfSpaceExterior(0, 1.0 + (pad + 1.5) * h),
+        "beyond_low": HalfSpaceExterior(dim - 1, -(pad + 1.5) * h),
+        "pad_face": HalfSpaceExterior(0, -h, below=False),
+    }
+
+
+class TestRuleInThePaddedUniverse:
+    """``exterior_fields`` and ``pad_masses`` (the lattice rule with box
+    sums) against their predecessors over the whole padded universe."""
+
+    @pytest.mark.parametrize("kind", _KINDS + ["beyond_high", "beyond_low", "pad_face"])
+    @pytest.mark.parametrize("policy", [AnalyticTail(), TruncateAtRadius(0.34)],
+                             ids=["analytic", "truncate"])
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_matches_the_padded_universe(self, dim, policy, kind):
+        n, s = (6 if dim == 2 else 3), 0.45
+        spec = GridSpec(dim, (0.0,) * dim, (n,) * dim, 1.0 / n)
+        eng = PairEngine(spec, policy, universe_table(spec, s, policy))
+        exterior = _padded_cases(spec, eng.pad)[kind]
+        tol = 1e-13 * functional._cell_constant(dim, s) * spec.h ** (dim - s)
+        for got, ref in zip(eng.exterior_fields(exterior),
+                            _padded_exterior_fields(eng, exterior)):
+            assert np.abs(got - ref).max() <= tol
+        masses = dict(eng.pad_masses(exterior))
+        ref = _padded_pad_masses(eng, exterior)
+        assert masses.keys() == ref.keys()
+        for v, m in ref.items():
+            assert np.abs(masses[v] - m).max() <= tol
+
+
+class TestTableReach:
+    """``table_for`` reaches from the box to the box plus its pad, and the
+    outputs read nothing further."""
+
+    @pytest.mark.parametrize("policy", _POLICIES, ids=["analytic", "truncate"])
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_outputs_equal_a_universe_table(self, dim, policy):
+        E, _, outer, big = _box_route_case(dim, policy, "subgraph")
+        spec = E.spec
+        reach = max(spec.extent) + functional._pad_cells(spec, policy) - 1
+        assert functional.table_for(spec, 0.45, policy).max_offset == reach < big.max_offset
+        # the universe table's own weights cut at that reach: the quadrature
+        # can round a weight differently at another reach
+        small = InteractionTable(spec, big.params, reach, big.block(reach))
+        u = ScalarField(spec, np.random.default_rng(dim).random(spec.extent), E.exterior)
+        outs = []
+        for table in (small, big):
+            eng = PairEngine(spec, policy, table)
+            outs.append((perimeter(E, outer, table), *eng.exterior_fields(E.exterior),
+                         *(m for _, m in eng.pad_masses(E.exterior)),
+                         relaxed_energy(u, outer, table)))
+        assert outs[0][0] == outs[1][0]
+        assert outs[0][-1] == outs[1][-1]
+        for a, b in zip(outs[0][1:-1], outs[1][1:-1]):
+            assert np.array_equal(a, b)
+
+
+class TestBoxOnlyTransforms:
+    """No FFT runs on a grid other than the box's, exterior fields
+    included."""
+
+    @pytest.mark.parametrize("policy", _POLICIES, ids=["analytic", "truncate"])
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_every_correlation_is_box_sized(self, dim, policy, monkeypatch):
+        from fracperim.approx import approximate_set
+        from fracperim.minimize import MinimizationProblem, solve_and_threshold
+
+        E, inner, outer, _ = _box_route_case(dim, policy, "below")
+        table = functional.table_for(E.spec, 0.45, policy)  # no engine cached yet
+        shapes = []
+        original = functional._correlate
+
+        def box_only(stack, *args):
+            shapes.append(stack.shape[1:])
+            assert stack.shape[1:] == E.spec.extent
+            return original(stack, *args)
+
+        monkeypatch.setattr(functional, "_correlate", box_only)
+        perimeter(E, outer, table)
+        decomposition_check(E, inner, outer, table)
+        u = ScalarField(E.spec, np.random.default_rng(1).integers(0, 3, E.spec.extent) / 2.0,
+                        E.exterior)
+        coarea_check(u, outer, table)
+        solve_and_threshold(MinimizationProblem(outer, E, table))
+        approximate_set(E, outer, [2 * E.spec.h, E.spec.h], table)
+        assert shapes
+
+
+class TestSubgraphExterior:
+    """A subgraph exterior must lie in the box's vertical range over the
+    box's base, under every policy."""
+
+    @pytest.mark.parametrize("policy", _POLICIES, ids=["analytic", "truncate"])
+    def test_leaving_the_box_raises(self, policy):
+        spec = GridSpec(2, (0.0, 0.0), (6, 6), 1.0 / 6)
+        base = GridSpec(1, (0.0,), (6,), 1.0 / 6)
+        wide = GridSpec(1, (-1.0 / 6,), (7,), 1.0 / 6)
+        table = table_for(spec, 0.45, policy)
+        window = full_window(spec, policy)
+        for exterior, error in (
+            (SubgraphExterior(base, (0.5,) * 5 + (1.2,), 0.5), WindowTooShort),
+            (SubgraphExterior(base, (0.5,) * 6, -0.1), WindowTooShort),
+            (SubgraphExterior(wide, (0.5,) * 7, 0.5), SpecMismatch),
+        ):
+            E = CellSet(spec, np.zeros(spec.extent, dtype=bool), exterior)
+            with pytest.raises(error):
+                perimeter(E, window, table)
+            with pytest.raises(error):
+                relaxed_energy(ScalarField(spec, np.zeros(spec.extent), exterior),
+                               window, table)
 
 
 def test_fast_len_matches_scipy():
@@ -460,7 +632,7 @@ class TestEngineCache:
 
         monkeypatch.setattr(functional, "_weight_spectrum", counted)
         first = perimeter(E, window, table)
-        assert calls  # the cold call builds the box and universe spectra
+        assert calls  # the cold call builds the box spectrum
         calls.clear()
         assert perimeter(E, window, table) == first
         assert perimeter(E, inner, table).total > 0.0
@@ -648,7 +820,7 @@ class TestRelaxedEnergyOracle:
         win = DomainWindow(spec, omega, AnalyticTail())
         u = ScalarField(spec, rng.integers(0, 5, spec.extent) / 4.0,
                         HalfSpaceExterior(0, 0.4))
-        table = table_for(spec, 0.3, AnalyticTail())
+        table = universe_table(spec, 0.3, AnalyticTail())
         assert PairEngine(spec, AnalyticTail(), table).pad == 0
         self._check(u, win, table)
 
@@ -660,17 +832,18 @@ class TestRelaxedEnergyOracle:
         omega[2:9, 1:6] = True
         win = DomainWindow(spec, omega, policy)
         u = ScalarField(spec, rng.random(spec.extent), 1.0)
-        self._check(u, win, table_for(spec, 0.6, policy))
+        self._check(u, win, universe_table(spec, 0.6, policy))
 
     def test_3d_small_field(self, rng):
         spec = GridSpec(3, (0.0,) * 3, (4, 4, 4), 0.25)
         policy = TruncateAtRadius(0.25)
         win = full_window(spec, policy)
         u = ScalarField(spec, rng.integers(0, 3, spec.extent) / 2.0, 0.0)
-        self._check(u, win, table_for(spec, 0.5, policy))
+        self._check(u, win, universe_table(spec, 0.5, policy))
 
     def test_independent_of_the_fft(self, rng, monkeypatch):
-        _, win, table = _random_instance(rng, n=12)
+        _, win, _ = _random_instance(rng, n=12)
+        table = universe_table(win.spec, 0.5, win.complement_policy)
         u = ScalarField(win.spec, rng.random(win.spec.extent), 0.0)
 
         def forbidden(*args, **kwargs):
@@ -716,7 +889,7 @@ class TestRelaxedEnergyOnTheBox:
             omega[(slice(1, 7),) + (slice(2, 9),) * (dim - 1)] = True
             win = DomainWindow(spec, omega, AnalyticTail())
             u = ScalarField(spec, rng.random(spec.extent), 0.25)
-            table = table_for(spec, 0.4, AnalyticTail())
+            table = universe_table(spec, 0.4, AnalyticTail())
             self._check(u, win, table)
             lhs, rhs = coarea_check(u, win, table)
             assert abs(lhs - rhs) <= 1e-10 * rhs
@@ -729,7 +902,20 @@ class TestRelaxedEnergyOnTheBox:
         win = DomainWindow(spec, omega, policy)
         u = ScalarField(spec, rng.integers(0, 5, spec.extent) / 4.0,
                         HalfSpaceExterior(1, 0.45, below=False))
-        self._check(u, win, table_for(spec, 0.6, policy))
+        self._check(u, win, universe_table(spec, 0.6, policy))
+
+    def test_zero_radius_has_no_exterior(self, rng):
+        # TruncateAtRadius(0) pads nothing: the field takes no value beyond
+        # the box, and the energy is the box pairs' alone
+        spec = GridSpec(2, (0.0, 0.0), (8, 8), 0.125)
+        policy = TruncateAtRadius(0.0)
+        win = full_window(spec, policy)
+        u = ScalarField(spec, rng.random(spec.extent), HalfSpaceExterior(0, 0.3))
+        table = universe_table(spec, 0.5, policy)
+        assert PairEngine(spec, policy, table).pad_masses(u.exterior) == []
+        self._check(u, win, table)
+        lhs, rhs = coarea_check(u, win, table)
+        assert abs(lhs - rhs) <= 1e-10 * rhs
 
     def test_1d_rays(self, rng):
         spec = GridSpec(1, (0.0,), (24,), 1.0 / 24)
@@ -737,7 +923,7 @@ class TestRelaxedEnergyOnTheBox:
         omega[3:20] = True
         win = DomainWindow(spec, omega, AnalyticTail())
         u = ScalarField(spec, rng.random(spec.extent), HalfSpaceExterior(0, 0.4))
-        table = table_for(spec, 0.3, AnalyticTail())
+        table = universe_table(spec, 0.3, AnalyticTail())
         assert PairEngine(spec, AnalyticTail(), table).pad == 0
         self._check(u, win, table)
 

@@ -123,20 +123,32 @@ class TestCellSet:
 
     @staticmethod
     def _reference(spec, box, exterior, target):
-        """Per target cell: the box value of the box cell with the same
-        center, otherwise the exterior at the cell's own center."""
+        """Per target cell, at box-relative index j: the box value when j
+        lies in the box, otherwise the exterior at the cell's centre
+        origin + (j + 0.5) h, placed from the box's origin."""
+        pads = np.rint((spec.box_lo - target.box_lo) / spec.h).astype(int)
         out = np.empty(target.extent, dtype=box.dtype)
         for idx in np.ndindex(*target.extent):
-            c = np.asarray(target.origin) + (np.asarray(idx) + 0.5) * target.h
-            j = np.rint((c - spec.box_lo) / spec.h - 0.5).astype(int)
+            j = np.asarray(idx) - pads
             if np.all(j >= 0) and np.all(j < spec.extent):
-                assert np.allclose(spec.box_lo + (j + 0.5) * spec.h, c)
                 out[idx] = box[tuple(j)]
             elif isinstance(exterior, float):
                 out[idx] = exterior
             else:
+                c = spec.box_lo + (j + 0.5) * spec.h
                 out[idx] = exterior.contains(c[None, :])[0]
         return out
+
+    def test_level_on_a_centre_splits_box_and_pad_alike(self):
+        # box row 4 has its centres on the level 0.45, so it is out of E;
+        # the pad cells of that row must be out of E too
+        spec = GridSpec(2, (0.0, 0.0), (10, 10), 0.1)
+        E = cellset_from_shape(spec, {"shape": "halfspace", "axis": 1, "level": 0.45})
+        assert not E.inside[:, 4].any() and E.inside[:, 3].all()
+        occ = E.occupancy_on(spec.padded(3))
+        assert np.array_equal(occ[:, 3 + 4], np.zeros(16, dtype=bool))
+        assert np.array_equal(occ[3:-3, 3:-3], E.inside)
+        assert np.array_equal(occ, np.broadcast_to(occ[0], occ.shape))
 
     @pytest.mark.parametrize("exterior", [
         EmptyExterior(),

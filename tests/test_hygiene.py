@@ -92,3 +92,21 @@ print('scipy:', *{_SCIPY_LOADED}, file=sys.stderr)
     out = _fresh_python("-c", code)
     assert float(out.stdout) > 0.0
     assert out.stderr.split() == ["scipy:"]
+
+
+def test_3d_compute_peak_memory():
+    # a 16^3 ball under the default policy: a 95^3 weight table and
+    # box-sized transforms, where the padded universe would be 80^3 cells.
+    # The compute process reads its own peak RSS.  A small launcher starts
+    # it, since a peak read by getrusage includes the process it forked from.
+    child = ("import resource, sys; from fracperim.cli import main; "
+             "main(sys.argv[1:], standalone_mode=False); "
+             "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0, "
+             "file=sys.stderr)")
+    launcher = ("import subprocess, sys; sys.exit(subprocess.run("
+                f"[sys.executable, '-c', {child!r}, *sys.argv[1:]]).returncode)")
+    out = _fresh_python("-c", launcher, "compute", "--s", "0.5", "--extent", "16,16,16",
+                        "--h", "0.0625", "--shape",
+                        '{"shape": "ball", "center": [0.5, 0.5, 0.5], "radius": 0.3}')
+    assert '"total"' in out.stdout
+    assert float(out.stderr) < 150.0  # MB

@@ -27,20 +27,20 @@ from fracperim.minimize import (
     solve_and_threshold,
     solve_locally_minimal,
 )
-from tests.conftest import table_for
+from tests.conftest import table_for, universe_table
 
 
-def _problem_1d(n=12, free=slice(4, 9), level=0.5):
+def _problem_1d(n=12, free=slice(4, 9), level=0.5, tables=table_for):
     spec = GridSpec(1, (0.0,), (n,), 1.0 / n)
     E0 = cellset_from_shape(spec, {"shape": "halfspace", "axis": 0, "level": level})
     omega = np.zeros(spec.extent, dtype=bool)
     omega[free] = True
     win = DomainWindow(spec, omega, AnalyticTail())
-    table = table_for(spec, 0.5, AnalyticTail())
+    table = tables(spec, 0.5, AnalyticTail())
     return MinimizationProblem(win, E0, table)
 
 
-def _problem_2d(rng, n=6, s=0.5, policy=AnalyticTail()):
+def _problem_2d(rng, n=6, s=0.5, policy=AnalyticTail(), tables=table_for):
     spec = GridSpec(2, (0.0, 0.0), (n, n), 1.0 / n)
     E0 = CellSet(spec, rng.random(spec.extent) < 0.5)
     omega = np.zeros(spec.extent, dtype=bool)
@@ -48,7 +48,7 @@ def _problem_2d(rng, n=6, s=0.5, policy=AnalyticTail()):
     if not omega.any():
         omega[2, 2] = True
     win = DomainWindow(spec, omega, policy)
-    table = table_for(spec, s, policy)
+    table = tables(spec, s, policy)
     return MinimizationProblem(win, E0, table)
 
 
@@ -285,11 +285,11 @@ class TestCondensedEnergy:
                                       "2d_halfspace", "3d_full", "empty"])
     def test_fft_linear_terms_match_direct_convolution(self, case, rng):
         if case == "1d_rays":
-            p = _problem_1d()
+            p = _problem_1d(tables=universe_table)
         elif case == "2d_analytic":
-            p = _problem_2d(rng)
+            p = _problem_2d(rng, tables=universe_table)
         elif case == "2d_truncate":
-            p = _problem_2d(rng, policy=TruncateAtRadius(0.5))
+            p = _problem_2d(rng, policy=TruncateAtRadius(0.5), tables=universe_table)
         elif case in ("2d_halfspace", "3d_full"):
             dim = int(case[0])
             spec = GridSpec(dim, (0.0,) * dim, (5,) * dim, 0.2)
@@ -299,9 +299,9 @@ class TestCondensedEnergy:
             policy = AnalyticTail() if dim == 2 else TruncateAtRadius(0.4)
             p = MinimizationProblem(DomainWindow(spec, omega, policy),
                                     CellSet(spec, rng.random(spec.extent) < 0.5, ext),
-                                    table_for(spec, 0.5, policy))
+                                    universe_table(spec, 0.5, policy))
         else:
-            base = _problem_2d(rng)
+            base = _problem_2d(rng, tables=universe_table)
             win = DomainWindow(base.window.spec,
                                np.zeros(base.window.spec.extent, dtype=bool),
                                AnalyticTail())
