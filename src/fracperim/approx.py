@@ -61,13 +61,10 @@ class MollifierSpec:
     """
 
     eps: float
-    profile: str = "PolynomialBump"
 
     def __post_init__(self):
         if not self.eps > 0:
             raise ValueError("eps must be positive")
-        if self.profile != "PolynomialBump":
-            raise ValueError(f"unknown mollifier profile {self.profile!r}")
 
     def sampled(self, spec: GridSpec) -> np.ndarray:
         """Kernel sampled at cell-center offsets, normalized to unit sum."""

@@ -4,9 +4,9 @@ The vertical axis is only gridded inside a finite window; beyond the
 gridded box a subgraph {t < v} is the lattice half-space {t < farfield},
 so the infinite tails enter through closed-form masses rather than
 through truncation: the functional module's exact exterior rule
-(half-space masses and the one-cell constant) for the perimeter, an
-incomplete beta function under one quadrature over the horizontal
-separation for the divergence scans.  This is what makes divergence
+(half-space masses and the one-cell constant) for the perimeter, one
+tensor Gauss-Legendre rule over the two base points and the vertical
+gap for the divergence scans.  This is what makes divergence
 rates and finiteness bounds testable: the tails are the whole story.
 """
 
@@ -34,6 +34,7 @@ from .grid import CellSet, DomainWindow, GridSpec, ScalarField, SubgraphExterior
 from .kernel import (
     InteractionTable,
     KernelParams,
+    _gauss_legendre,
     build_table,
     unit_ball_volume,
 )
@@ -51,6 +52,8 @@ __all__ = [
     "fit_tail_slope",
     "classical_graph_area",
 ]
+
+_TAIL_NODES = 32  # Gauss-Legendre nodes per axis of the divergence-scan rule
 
 
 @dataclass(frozen=True)
@@ -137,7 +140,7 @@ def truncated_cylinder_perimeter(E, omega_base: DomainWindow, k: float,
     if omega_base.spec.dim != spec.dim - 1:
         raise SpecMismatch("omega_base dimension must be ambient dim - 1")
 
-    z = spec.origin[-1] + (np.arange(spec.extent[-1]) + 0.5) * spec.h
+    z = spec.axis_centers(-1, np.arange(spec.extent[-1]))
     om = omega_base.omega[..., None] & (np.abs(z) < k)
     eng = _engine_for(DomainWindow(spec, om), table)
     x_e, x_c = _exterior_fields(spec, cell.exterior, table, None, eng.fields)
@@ -186,80 +189,35 @@ def _omega_intervals(omega_base: DomainWindow) -> list[tuple[float, float]]:
     spec = omega_base.spec
     if spec.dim != 1:
         raise SpecMismatch("divergence scans support 1D bases only")
-    mask = omega_base.omega
-    runs = []
-    start = None
-    for i, v in enumerate(mask):
-        if v and start is None:
-            start = i
-        if not v and start is not None:
-            runs.append((start, i))
-            start = None
-    if start is not None:
-        runs.append((start, len(mask)))
+    edges = np.flatnonzero(np.diff(np.pad(omega_base.omega.astype(np.int8), 1)))
     o = spec.origin[0]
     h = spec.h
-    return [(o + a * h, o + b * h) for a, b in runs]
+    return [(o + a * h, o + b * h) for a, b in edges.reshape(-1, 2).tolist()]
 
 
-def _tail_kernel(d: float, T: float, p: float) -> float:
-    """int_{2T}^inf (g - 2T) (d^2 + g^2)^(-p/2) dg, in closed form (p > 2).
-
-    The first moment integrates directly; the zeroth is an incomplete beta
-    function in x = d^2 / (d^2 + 4T^2) (substitute x = d^2 / (d^2 + g^2)):
-    int_{2T}^inf (d^2 + g^2)^(-p/2) dg = d^(1-p) B(a, 1/2) I_x(a, 1/2) / 2,
-    a = (p - 1)/2, which is (2T)^(1-p) / (p - 1) at d = 0.
-    """
-    from scipy import special
-
-    first = (d * d + 4.0 * T * T) ** (1.0 - p / 2.0) / (p - 2.0)
-    if d == 0.0:
-        zeroth = (2.0 * T) ** (1.0 - p) / (p - 1.0)
-    else:
-        a = (p - 1.0) / 2.0
-        x = d * d / (d * d + 4.0 * T * T)
-        zeroth = 0.5 * d ** (1.0 - p) * special.beta(a, 0.5) * special.betainc(a, 0.5, x)
-    return first - 2.0 * T * zeroth
-
-
-def _cross_tail_interaction(intervals_a, intervals_b, T: float, p: float) -> float:
+def _cross_tail_interaction(intervals_a, intervals_b, T: float, s: float) -> float:
     """L_s(A x (-inf,-T), B x (T,inf)) for unions of base intervals.
 
-    The base double integral collapses onto the horizontal separation d:
-    int lam(d) K(d) dd with lam the overlap density of the two interval
-    unions (piecewise linear, trapezoid per interval pair).
+    The pair integral is int_A int_B K(y - x) over the base; with the
+    vertical gap written as g = 2T u^(-2/s),
+
+        K(d) = (8T^2/s) int_0^1 u (1 - u^(2/s)) (d^2 u^(4/s) + 4T^2)^(-(2+s)/2) du.
+
+    K is even and analytic in d (the gap is at least 2T > 0), so one
+    tensor Gauss-Legendre rule over x, y and u needs no breakpoints.
     """
-    from scipy import integrate
+    u, w = _gauss_legendre(_TAIL_NODES)
 
-    total = 0.0
-    for a0, a1 in intervals_a:
-        for b0, b1 in intervals_b:
-            # signed separations y - x for x in (a0,a1), y in (b0,b1)
-            lo = b0 - a1
-            hi = b1 - a0
-            m1 = min(b0 - a0, b1 - a1)
-            m2 = max(b0 - a0, b1 - a1)
-            plateau = min(a1 - a0, b1 - b0)
+    def nodes(intervals):
+        lo, hi = np.asarray(intervals, dtype=float).T
+        return (lo[:, None] + np.outer(hi - lo, u)).ravel(), np.outer(hi - lo, w).ravel()
 
-            def lam(d):
-                if d <= lo or d >= hi:
-                    return 0.0
-                if d <= m1:
-                    return d - lo
-                if d <= m2:
-                    return plateau
-                return hi - d
-
-            pts = sorted({lo, m1, m2, hi})
-            for c0, c1 in zip(pts[:-1], pts[1:]):
-                if c1 <= c0:
-                    continue
-                val, _ = integrate.quad(
-                    lambda d: lam(d) * _tail_kernel(abs(d), T, p),
-                    c0, c1, epsabs=1e-11, epsrel=1e-10, limit=200,
-                )
-                total += val
-    return total
+    x, wx = nodes(intervals_a)
+    y, wy = nodes(intervals_b)
+    d2 = np.subtract.outer(y, x).ravel() ** 2
+    r2 = d2[:, None] * u ** (4.0 / s) + 4.0 * T * T  # u^(4/s) (d^2 + g^2)
+    profile = w * u * (1.0 - u ** (2.0 / s))
+    return 8.0 * T * T / s * float(np.outer(wy, wx).ravel() @ r2 ** (-(2.0 + s) / 2.0) @ profile)
 
 
 def _scan_common(omega_base: DomainWindow, k: float, T_schedule,
@@ -268,7 +226,6 @@ def _scan_common(omega_base: DomainWindow, k: float, T_schedule,
     if any(b <= a for a, b in zip(Ts, Ts[1:])):
         raise InvalidSequence("T schedule must be strictly increasing")
     n = omega_base.spec.dim
-    p = n + 1 + params.s
     s = params.s
     omega = _omega_intervals(omega_base)
     if not omega:
@@ -287,8 +244,7 @@ def _scan_common(omega_base: DomainWindow, k: float, T_schedule,
             region.append((R, T))
         if -1 in directions:
             region.append((-T, -R))
-        measure = sum(b - a for a, b in region)
-        value = _cross_tail_interaction(omega, region, T, p)
+        value = _cross_tail_interaction(omega, region, T, s)
         frac = len(directions) / 2.0
         lower = (
             vol
@@ -374,7 +330,7 @@ def vertical_confinement_check(E: CellSet, omega_base: DomainWindow) -> float:
         raise ConfinementUndetermined(
             "sandwich violated at the vertical extremes; enlarge the window"
         )
-    z_centers = spec.origin[-1] + (np.arange(nz) + 0.5) * h
+    z_centers = spec.axis_centers(-1, np.arange(nz))
     m_vals = []
     for col in sel:
         top_e = z_centers[col].max() + 0.5 * h  # highest occupied cell
@@ -431,7 +387,7 @@ def graph_area_asymptotics(u_of_spec, omega_of_spec, k: float, s_schedule,
         sg = SubgraphSet(base_spec, u, k + 1.0)
         cell = sg.cellset()
         amb = cell.spec
-        z_centers = amb.origin[-1] + (np.arange(amb.extent[-1]) + 0.5) * amb.h
+        z_centers = amb.axis_centers(-1, np.arange(amb.extent[-1]))
         om = omega_base.omega[..., None] & (np.abs(z_centers) < k + 1.0)
         for s in s_schedule:
             params = KernelParams(float(s), n + 1)

@@ -18,7 +18,8 @@ class InvalidInterval(FracPerimError):
 
 
 class InvalidRadius(FracPerimError):
-    """Radius must be strictly positive."""
+    """Radius is out of range: not positive for a ball, negative or
+    non-finite for a truncation."""
 
 
 class NotDisjoint(FracPerimError):

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateDomain, InvalidShape, SpecMismatch
+from .errors import DegenerateDomain, InvalidRadius, InvalidShape, SpecMismatch
 
 __all__ = [
     "GridSpec",
@@ -257,9 +257,16 @@ class ScalarField:
 
 @dataclass(frozen=True)
 class TruncateAtRadius:
-    """Resolve exterior mass on a padded grid out to the given radius."""
+    """Resolve exterior mass on a padded grid out to the given radius.
+
+    The radius is finite and non-negative; 0 pads nothing.
+    """
 
     radius: float
+
+    def __post_init__(self):
+        if not (np.isfinite(self.radius) and self.radius >= 0):
+            raise InvalidRadius(f"truncation radius must be finite and >= 0, got {self.radius}")
 
 
 @dataclass(frozen=True)

@@ -62,6 +62,15 @@ class TestCompute:
         res = runner.invoke(main, ["compute", "--s", "0.5"])
         assert res.exit_code == 1
 
+    @pytest.mark.parametrize("radius", ["-0.1", "nan", "inf"])
+    def test_rejects_bad_truncation_radius(self, runner, radius):
+        res = runner.invoke(main, [
+            "compute", "--s", "0.5", "--shape", '{"shape": "full"}',
+            "--extent", "4,4", "--policy", f"truncate:{radius}",
+        ])
+        assert res.exit_code == 1
+        assert json.loads(res.stderr)["kind"] == "InvalidRadius"
+
     def test_grid_file_input(self, runner, ball_grid):
         res = runner.invoke(main, [
             "compute", "--s", "0.5", "--grid", ball_grid,

@@ -311,6 +311,73 @@ class TestBoxHeight:
             assert totals[i] - totals[i + 1] == pytest.approx(loss, rel=1e-12)
 
 
+def _tail_kernel_oracle(d: float, T: float, s: float) -> float:
+    """int_{2T}^inf (g - 2T) (d^2 + g^2)^(-p/2) dg, p = 2 + s, in closed form.
+
+    The first moment integrates directly; the zeroth is an incomplete beta
+    function in x = d^2 / (d^2 + 4T^2) (substitute x = d^2 / (d^2 + g^2)):
+    int_{2T}^inf (d^2 + g^2)^(-p/2) dg = d^(1-p) B(a, 1/2) I_x(a, 1/2) / 2,
+    a = (p - 1)/2, which is (2T)^(1-p) / (p - 1) at d = 0.
+    """
+    p = 2.0 + s
+    first = (d * d + 4.0 * T * T) ** (1.0 - p / 2.0) / (p - 2.0)
+    if d == 0.0:
+        zeroth = (2.0 * T) ** (1.0 - p) / (p - 1.0)
+    else:
+        a = (p - 1.0) / 2.0
+        x = d * d / (d * d + 4.0 * T * T)
+        zeroth = 0.5 * d ** (1.0 - p) * special.beta(a, 0.5) * special.betainc(a, 0.5, x)
+    return first - 2.0 * T * zeroth
+
+
+def _cross_tail_oracle(intervals_a, intervals_b, T: float, s: float) -> float:
+    """L_s(A x (-inf,-T), B x (T,inf)) by an independent route.
+
+    The base double integral collapses onto the horizontal separation d:
+    int lam(d) K(d) dd with lam the overlap density of the two interval
+    unions (piecewise linear, trapezoid per interval pair), integrated by
+    adaptive quadrature between the trapezoid's breakpoints.
+    """
+    total = 0.0
+    for a0, a1 in intervals_a:
+        for b0, b1 in intervals_b:
+            # signed separations y - x for x in (a0,a1), y in (b0,b1)
+            lo = b0 - a1
+            hi = b1 - a0
+            m1 = min(b0 - a0, b1 - a1)
+            m2 = max(b0 - a0, b1 - a1)
+            plateau = min(a1 - a0, b1 - b0)
+
+            def lam(d):
+                if d <= lo or d >= hi:
+                    return 0.0
+                if d <= m1:
+                    return d - lo
+                if d <= m2:
+                    return plateau
+                return hi - d
+
+            pts = sorted({lo, m1, m2, hi})
+            for c0, c1 in zip(pts[:-1], pts[1:]):
+                if c1 <= c0:
+                    continue
+                val, _ = integrate.quad(
+                    lambda d: lam(d) * _tail_kernel_oracle(abs(d), T, s),
+                    c0, c1, epsabs=1e-11, epsrel=1e-10, limit=200,
+                )
+                total += val
+    return total
+
+
+# base windows on (-1, 1) with h = 1/4: all of it, (0, 1), and
+# (-1, -1/4) u (1/4, 1)
+_SCAN_WINDOWS = {
+    "full": np.ones(8, dtype=bool),
+    "right": np.arange(8) >= 4,
+    "split": np.isin(np.arange(8), [0, 1, 2, 5, 6, 7]),
+}
+
+
 class TestDivergenceScans:
     def _scan_setup(self, s=0.5):
         base = _base(8, 0.25, origin=-1.0)  # omega = (-1, 1)
@@ -318,7 +385,7 @@ class TestDivergenceScans:
         return base, v, KernelParams(s, 2)
 
     @pytest.mark.parametrize("s", [0.3, 0.5, 0.7])
-    def test_tail_kernel_matches_quadrature(self, s):
+    def test_oracle_kernel_matches_direct_quadrature(self, s):
         p = 2.0 + s
         for T in (2.0, 64.0):
             for d in (0.0, 0.01, 0.7, 3.0, 50.0):
@@ -326,8 +393,24 @@ class TestDivergenceScans:
                     lambda g: (g - 2.0 * T) * (d * d + g * g) ** (-p / 2.0),
                     2.0 * T, np.inf, epsabs=1e-13, epsrel=1e-12,
                 )
-                got = cylinder._tail_kernel(d, T, p)
+                got = _tail_kernel_oracle(d, T, s)
                 assert got == pytest.approx(ref, rel=1e-11), (T, d)
+
+    @pytest.mark.parametrize("window", sorted(_SCAN_WINDOWS))
+    @pytest.mark.parametrize("s", [0.3, 0.5, 0.7])
+    def test_scan_matches_quadrature_oracle(self, s, window):
+        base, v, params = self._scan_setup(s)
+        ob = DomainWindow(base, _SCAN_WINDOWS[window])
+        Ts = [1.05] + [float(T) for T in 2.0 ** np.arange(1, 8)] + [1000.0]
+        omega = cylinder._omega_intervals(ob)
+        R = max(abs(omega[0][0]), abs(omega[-1][1]))
+        full = nonlocal_divergence_scan(v, ob, Ts, params)
+        half = sector_divergence_scan(v, 0.5, 1.0, ob, Ts, params)
+        for T, f_row, h_row in zip(Ts, full, half):
+            ref_half = _cross_tail_oracle(omega, [(R, T)], T, s)
+            ref_full = ref_half + _cross_tail_oracle(omega, [(-T, -R)], T, s)
+            assert f_row.value == pytest.approx(ref_full, rel=1e-12), T
+            assert h_row.value == pytest.approx(ref_half, rel=1e-12), T
 
     def test_values_increase_and_dominate_bound(self):
         base, v, params = self._scan_setup()
@@ -355,7 +438,7 @@ class TestDivergenceScans:
         full = sector_divergence_scan(v, 1.0, 0.5, full_window(base), [4, 8], params)
         half = sector_divergence_scan(v, 0.5, 0.5, full_window(base), [4, 8], params)
         for f, hrow in zip(full, half):
-            assert hrow.value == pytest.approx(0.5 * f.value, rel=1e-6)
+            assert hrow.value == pytest.approx(0.5 * f.value, rel=1e-12)
         with pytest.raises(HypothesisViolated):
             sector_divergence_scan(v, 0.25, 0.5, full_window(base), [4, 8], params)
 

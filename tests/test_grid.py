@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fracperim.errors import DegenerateDomain, InvalidShape, SpecMismatch
+from fracperim.errors import DegenerateDomain, InvalidRadius, InvalidShape, SpecMismatch
 from fracperim.grid import (
     AnalyticTail,
     CellSet,
@@ -16,6 +16,7 @@ from fracperim.grid import (
     HalfSpaceExterior,
     ScalarField,
     SubgraphExterior,
+    TruncateAtRadius,
     cellset_from_shape,
     full_window,
     read_grid_file,
@@ -96,6 +97,13 @@ class TestGridSpec:
         spec = GridSpec(1, (2.0,), (4,), 0.25)
         assert np.allclose(spec.box_lo, [2.0])
         assert np.allclose(spec.box_hi, [3.0])
+
+
+class TestTruncateAtRadius:
+    @pytest.mark.parametrize("radius", [-0.1, float("nan"), float("inf")])
+    def test_rejects_negative_or_non_finite_radius(self, radius):
+        with pytest.raises(InvalidRadius):
+            TruncateAtRadius(radius)
 
 
 class TestCellSet:

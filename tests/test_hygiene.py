@@ -59,11 +59,14 @@ def test_cli_import_skips_signal_and_integrate():
     ["compute", "--s", "0.5", "--extent", "16,16", "--h", "0.0625",
      "--shape", '{"shape": "ball", "center": [0.5, 0.5], "radius": 0.3}'],
     ["davila-scan", "--s-schedule", "0.9", "--n-schedule", "8"],
+    ["cylinder-scan", "--s", "0.5", "--t-schedule", "2,4,8,16,32,64,128"],
+    ["sector-scan", "--s", "0.5", "--sigma", "0.5", "--t-schedule", "2,4,8,16,32,64,128"],
 ], ids=lambda a: a[0])
 def test_command_runs_without_scipy(args):
-    code = ("import sys; from fracperim.cli import main; "
-            "main(sys.argv[1:], standalone_mode=False); "
-            f"print('scipy:', *{_SCIPY_LOADED}, file=sys.stderr)")
+    # the scans end in sys.exit with their gate's code, which must be 0
+    code = ("import sys\nfrom fracperim.cli import main\n"
+            "try:\n    main(sys.argv[1:], standalone_mode=False)\n"
+            f"finally:\n    print('scipy:', *{_SCIPY_LOADED}, file=sys.stderr)")
     out = _fresh_python("-c", code, *args)
     assert out.stdout
     assert out.stderr.split() == ["scipy:"]
