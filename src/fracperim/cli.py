@@ -43,7 +43,7 @@ from .grid import (
     window_from_shape,
     write_grid_file,
 )
-from .kernel import KernelParams, build_table, unit_ball_volume
+from .kernel import InteractionTable, KernelParams, build_table, unit_ball_volume
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -341,17 +341,24 @@ def strip_scan(s_list, strip_cells, deltas, output):
         win = full_window(spec)
         shrunk = sublevel_window(win, -d)
         geo[d] = (spec, shrunk.omega, win.omega & ~shrunk.omega)
+    reach = max(spec.extent[0] for spec, _, _ in geo.values()) - 1
+    unit_spec = GridSpec(2, (0.0, 0.0), (reach + 1,) * 2, 1.0)
 
-    def one(s, delta):
-        spec, core, strip = geo[delta]
-        table = build_table(spec, KernelParams(s, 2),
-                            max_offset=max(spec.extent) - 1)
-        val = interaction(core, strip, table)
+    rows = []
+    for s in svals:
+        params = KernelParams(s, 2)
+        # one unit-spacing table per s: each grid's weights are its block
+        # times h^(2-s), by kernel homogeneity
+        unit = build_table(unit_spec, params, max_offset=reach)
         # slices of the square at inner offsets have perimeter at most 4
         c_const = 2.0 * unit_ball_volume(2) / (s * (1.0 - s)) * 4.0
-        return s, delta, val, c_const * delta ** (1.0 - s)
-
-    rows = [one(s, d) for s in svals for d in dvals]
+        for d in dvals:
+            spec, core, strip = geo[d]
+            k = spec.extent[0] - 1
+            table = InteractionTable(spec, params, k,
+                                     unit.block(k) * spec.h ** (2.0 - s))
+            rows.append((s, d, interaction(core, strip, table),
+                         c_const * d ** (1.0 - s)))
     lines = _config_lines(command="strip-scan", s=s_list,
                           strip_cells=strip_cells, deltas=deltas)
     lines.append("s,delta,measured,bound")

@@ -404,11 +404,32 @@ def read_grid_file(path) -> CellSet:
 # ---------------------------------------------------------------------------
 
 
+# the keys a shape document of each kind may carry
+_SHAPE_KEYS = {
+    "union": {"union"},
+    "complement": {"complement"},
+    "ball": {"shape", "center", "radius"},
+    "halfspace": {"shape", "axis", "level"},
+    "empty": {"shape"},
+    "full": {"shape"},
+    "subgraph": {"shape", "heights", "farfield"},
+}
+
+
 def _shape_occupancy(doc, pts: np.ndarray):
-    """Occupancy at the given points plus the matching exterior model."""
+    """Occupancy at the given points plus the matching exterior model.
+
+    A key that the document's kind does not take raises, so that a
+    misspelt key cannot fall back to a default."""
     if not isinstance(doc, dict):
         raise InvalidShape(f"shape document must be an object, got {type(doc)}")
-    if "union" in doc:
+    kind = next((op for op in ("union", "complement") if op in doc), doc.get("shape"))
+    if not isinstance(kind, str) or kind not in _SHAPE_KEYS:
+        raise InvalidShape(f"unknown shape kind: {doc!r}")
+    unknown = sorted(set(doc) - _SHAPE_KEYS[kind])
+    if unknown:
+        raise InvalidShape(f"unknown keys {unknown} in a {kind} shape: {doc!r}")
+    if kind == "union":
         occ = np.zeros(len(pts), dtype=bool)
         exts = []
         for sub in doc["union"]:
@@ -426,10 +447,9 @@ def _shape_occupancy(doc, pts: np.ndarray):
                 else:
                     raise InvalidShape("union of two unbounded shapes is unsupported")
         return occ, ext
-    if "complement" in doc:
+    if kind == "complement":
         o, e = _shape_occupancy(doc["complement"], pts)
         return ~o, e.complement()
-    kind = doc.get("shape")
     if kind == "ball":
         c = np.asarray(doc["center"], dtype=float)
         r = float(doc["radius"])

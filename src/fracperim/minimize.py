@@ -5,8 +5,9 @@ outside the window is an affine-plus-pairwise function of the free cell
 values with nonnegative weights, so it is a cut function (Kolmogorov-Zabih,
 TPAMI 2004): an s-t minimum cut minimizes it exactly, and the cut's 0/1
 indicator also minimizes its convex [0,1] relaxation (Chambolle-Darbon,
-IJCV 2009).  The flow certifies the cut's gap to the minimum.  A
-vectorized exhaustive oracle guards correctness at small sizes.
+IJCV 2009).  The cut comes from a dense NumPy push-relabel maximum flow
+on float capacities, and the flow certifies the cut's gap to the minimum.
+A vectorized exhaustive oracle guards correctness at small sizes.
 """
 
 from __future__ import annotations
@@ -34,9 +35,8 @@ __all__ = [
 ]
 
 _ORACLE_LIMIT = 24
-# SciPy's max-flow takes int32 capacities only; a capacity plus the flow
-# on its reverse edge must stay below 2^31 as well
-_CAP_MAX = 2**30 - 1
+# pulses between the push-relabel solver's global relabels
+_RELABEL_EVERY = 8
 
 
 @dataclass(frozen=True)
@@ -67,7 +67,8 @@ class SolverReport:
 
     ``gap`` bounds how far the condensed energy of the minimizer lies
     above the minimum (nan when no dual bound is known); ``iterations``
-    counts max-flow rounds.
+    counts the push-relabel solver's pulses (one simultaneous push from
+    every active node, then a relabel).
     """
 
     relaxed_energy: float
@@ -158,71 +159,84 @@ def _min_cut(W: np.ndarray, p: np.ndarray, q: np.ndarray,
     over x in {0,1}^m by an s-t minimum cut; W, p, q >= 0, W symmetric.
 
     Nodes are the m cells, a source (the side x = 1) and a sink; edges are
-    source -> a (p_a), a -> sink (q_a) and a <-> b (W_ab).  The float
-    capacities are refined in int32 rounds: round k floors the float
-    residual at the quantum C_max 2^(-20-10k), clips it to 2^30 - 1 and
-    subtracts the round's maximum flow, which is feasible for it.  The
-    summed flow is a lower bound on the minimum, so the energy of any cut
-    minus the flow is a certified gap.  Rounds stop once the gap of the
-    best cut so far is at most tol (1 + |energy|), or when the next quantum
-    would fall below C_max 2^-52: after at most three rounds.
+    source -> a (p_a), a -> sink (q_a) and a <-> b (W_ab).  A maximum flow
+    is found by push-relabel (Goldberg-Tarjan, JACM 1988) on the dense
+    float residual, one pulse at a time: every active node (excess above
+    C_max 2^-52) pushes at once, filling its admissible edges in column
+    order up to its excess, and the nodes still active are relabelled.
+    Every ``_RELABEL_EVERY`` pulses a global relabel sets the exact
+    distances to the sink, or to the source for nodes cut off from the
+    sink.  Residuals at most C_max 2^-52 count as saturated.
 
-    Each round's cut is the set reachable from the source in its integer
-    residual graph (``_reachable``): the inclusion-minimal minimizer of
-    that graph, hence also its lexicographically smallest.  The
-    lowest-energy cut of all rounds is returned, the later one on ties.
-    Returns (bits, flow, rounds).
+    The sink's inflow is a lower bound on the minimum, so the energy of any
+    cut minus the flow is a certified gap.  The cut is the set reachable
+    from the source in the final residual: the inclusion-minimal minimizer.
+    With tol > 0 the solve may stop at a global relabel, once that set's
+    gap is at most tol (1 + |energy|).  Returns (bits, flow, pulses).
     """
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import maximum_flow
-
     m = len(p)
+    n = m + 2
     s, t = m, m + 1
-    residual = np.zeros((m + 2, m + 2))
+    residual = np.zeros((n, n))
     residual[:m, :m] = W
-    residual[s, :m] = p
     residual[:m, t] = q
-    c_max = float(residual.max(initial=0.0))
-    if not c_max > 0.0:
+    residual[:m, s] = p  # the source edges start saturated
+    excess = np.zeros(n)
+    excess[:m] = p
+    eps = float(residual.max(initial=0.0)) * 2.0**-52
+    if not eps > 0.0:
         return np.zeros(m, dtype=bool), 0.0, 0
-    quantum = c_max / 2.0**30
-    flow = 0.0
-    rounds = 0
-    best, best_energy = None, math.inf
+
+    def exact_labels():
+        # distance to the sink, else n plus the distance back to the source
+        back = (residual > eps).T
+        to_t, to_s = _layers(back, t), _layers(back, s)
+        return np.where(to_t >= 0, to_t, np.where(to_s >= 0, n + to_s, 2 * n))
+
+    label = exact_labels()
+    pulses = 0
     while True:
-        # the lower clip absorbs residuals a rounding left an ulp below 0
-        caps = np.clip(np.floor(residual / quantum), 0, _CAP_MAX).astype(np.int32)
-        rows, cols = np.nonzero(caps)
-        indptr = np.zeros(m + 3, dtype=np.int32)
-        np.cumsum(np.bincount(rows, minlength=m + 2), out=indptr[1:])
-        graph = csr_matrix((caps[rows, cols], cols.astype(np.int32), indptr),
-                           shape=caps.shape)
-        res = maximum_flow(graph, s, t, method="dinic")
-        f = res.flow.toarray()  # skew-symmetric net flow
-        residual -= quantum * f
-        flow += quantum * float(res.flow_value)
-        rounds += 1
-        bits = _reachable(caps > f, s)
-        x = bits[:m].astype(float)
-        energy = float(p.sum() + x @ (q - p) + x @ W @ (1.0 - x))
-        if energy <= best_energy:
-            best, best_energy = bits[:m], energy
-        quantum /= 2.0**10
-        if (best_energy - flow <= tol * (1.0 + abs(best_energy))
-                or quantum < c_max * 2.0**-52):
-            return best, flow, rounds
+        active = np.flatnonzero((excess[:m] > eps) & (label[:m] < 2 * n))
+        if not len(active):
+            break
+        pulses += 1
+        rows = residual[active]
+        ex = excess[active]
+        cap = np.where((rows > eps) & (label[active, None] == label + 1), rows, 0.0)
+        filled = np.cumsum(cap, axis=1)
+        push = np.clip(ex[:, None] - (filled - cap), 0.0, cap)
+        residual[active] = rows - push
+        residual[:, active] += push.T
+        excess[active] = np.where(filled[:, -1] < ex, ex - filled[:, -1], 0.0)
+        excess += push.sum(axis=0)
+        if pulses % _RELABEL_EVERY:
+            stuck = active[excess[active] > eps]
+            lowest = np.where(residual[stuck] > eps, label, 2 * n).min(axis=1)
+            label[stuck] = np.minimum(lowest + 1, 2 * n)
+            continue
+        label = exact_labels()
+        if tol > 0.0:
+            bits = _layers(residual > eps, s)[:m] >= 0
+            x = bits.astype(float)
+            energy = float(p.sum() + x @ (q - p) + x @ W @ (1.0 - x))
+            if energy - excess[t] <= tol * (1.0 + abs(energy)):
+                return bits, float(excess[t]), pulses
+    return _layers(residual > eps, s)[:m] >= 0, float(excess[t]), pulses
 
 
-def _reachable(adj: np.ndarray, source: int) -> np.ndarray:
-    """Nodes reachable from ``source`` along the True entries of the dense
-    adjacency ``adj`` (row to column), one frontier sweep per layer."""
-    seen = np.zeros(len(adj), dtype=bool)
-    seen[source] = True
-    frontier = seen.copy()
+def _layers(adj: np.ndarray, root: int) -> np.ndarray:
+    """Breadth-first depth of every node from ``root`` along the True
+    entries of the dense adjacency ``adj`` (row to column), -1 where
+    unreached; one frontier sweep per layer."""
+    depth = np.full(len(adj), -1)
+    depth[root] = 0
+    frontier = depth == 0
+    k = 0
     while frontier.any():
-        frontier = adj[frontier].any(axis=0) & ~seen
-        seen |= frontier
-    return seen
+        k += 1
+        frontier = adj[frontier].any(axis=0) & (depth < 0)
+        depth[frontier] = k
+    return depth
 
 
 def solve_relaxed(p: MinimizationProblem, tol: float = 1e-9) -> ScalarField:
@@ -272,17 +286,17 @@ def threshold_minimizer(u: ScalarField, p: MinimizationProblem,
 def solve_and_threshold(p: MinimizationProblem, tol: float = 1e-9) -> SolverReport:
     """Exact minimizer by an s-t minimum cut, with a certified gap.
 
-    Max-flow rounds refine the capacities until the gap is at most
-    ``tol`` (1 + |energy|), or down to the finest quantum (``tol=0`` runs
-    them all: three rounds).  The cut is 0/1, so any threshold in [0, 1)
-    reproduces it; 0.5 is reported.
+    Push-relabel pulses run until the flow is maximal, or until a global
+    relabel finds a cut whose gap is at most ``tol`` (1 + |energy|);
+    ``tol=0`` runs the flow to completion.  The cut is 0/1, so any
+    threshold in [0, 1) reproduces it; 0.5 is reported.
     """
     cond = _Condensed(p)
-    bits, flow, rounds = _min_cut(cond.W, cond.p, cond.q, tol)
+    bits, flow, pulses = _min_cut(cond.W, cond.p, cond.q, tol)
     relaxed = float(cond.energies_binary(bits[None, :])[0])
     minimizer = cond.set_from(bits)
     energy = perimeter(minimizer, p.window, p.table).total
-    return SolverReport(relaxed, 0.5, minimizer, energy, rounds, relaxed - flow)
+    return SolverReport(relaxed, 0.5, minimizer, energy, pulses, relaxed - flow)
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +346,7 @@ def brute_force_minimum(p: MinimizationProblem) -> tuple[CellSet, float]:
 def _is_minimal_on(E: CellSet, window: DomainWindow, table: InteractionTable,
                    rel_tol: float = 1e-9) -> bool:
     """Whether E attains the minimum on the given window, by the exact
-    cut (``tol=0`` refines down to the finest quantum)."""
+    cut (``tol=0`` runs the flow to completion)."""
     cond = _Condensed(MinimizationProblem(window, E, table))
     bits, _, _ = _min_cut(cond.W, cond.p, cond.q, 0.0)
     best = float(cond.energies_binary(bits[None, :])[0])

@@ -16,6 +16,7 @@ from fracperim.grid import (
     read_grid_file,
     write_grid_file,
 )
+from fracperim.kernel import InteractionTable
 from tests.conftest import cli_output_bytes
 
 
@@ -71,6 +72,22 @@ class TestCompute:
         assert res.exit_code == 1
         assert json.loads(res.stderr)["kind"] == "InvalidRadius"
 
+    @pytest.mark.parametrize("doc", [
+        {"shape": "halfspace", "axis": 0, "offset": 0.5},
+        {"shape": "ball", "center": [0.5, 0.5], "radius": 0.3, "radus": 9},
+        {"shape": "full", "level": 0.5},
+        {"complement": {"shape": "full"}, "shape": "empty"},
+        {"union": [{"shape": "empty", "center": [0.5, 0.5]}]},
+    ])
+    def test_rejects_unknown_shape_keys(self, runner, doc):
+        # a misspelt key would otherwise run as the kind's default
+        res = runner.invoke(main, [
+            "compute", "--s", "0.5", "--shape", json.dumps(doc),
+            "--extent", "8,8", "--h", "0.125",
+        ])
+        assert res.exit_code == 1
+        assert json.loads(res.stderr)["kind"] == "InvalidShape"
+
     def test_grid_file_input(self, runner, ball_grid):
         res = runner.invoke(main, [
             "compute", "--s", "0.5", "--grid", ball_grid,
@@ -116,6 +133,16 @@ class TestMinimize:
         )
         saved = read_grid_file(out_grid)
         assert saved.spec.extent == (8,)
+
+    def test_rejects_unknown_window_keys(self, runner):
+        res = runner.invoke(main, [
+            "minimize", "--s", "0.5",
+            "--exterior", '{"shape": "halfspace", "axis": 0, "level": 0.5}',
+            "--extent", "8", "--h", "0.125",
+            "--omega", '{"shape": "ball", "centre": [0.5], "radius": 0.2}',
+        ])
+        assert res.exit_code == 1
+        assert json.loads(res.stderr)["kind"] == "InvalidShape"
 
 
 class TestIdentityChecks:
@@ -164,7 +191,9 @@ class TestScans:
             28.0 * d ** (1.0 - s + offset) - 1.06 * 28.0 * d
             for s in svals for d in deltas
         ])
-        monkeypatch.setattr(cli, "build_table", lambda *a, **k: None)
+        monkeypatch.setattr(cli, "build_table", lambda spec, params, max_offset: (
+            InteractionTable(spec, params, max_offset,
+                             np.zeros((2 * max_offset + 1,) * spec.dim))))
         monkeypatch.setattr(cli, "interaction", lambda *a: next(values))
 
     @staticmethod

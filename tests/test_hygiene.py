@@ -1,7 +1,8 @@
 """Source hygiene: every name a module imports is used by that module;
 importing the command line loads no SciPy module, and neither do
-`compute` and `davila-scan` while they run, nor the cylinder perimeter
-with its one-cell constant."""
+`compute`, `davila-scan`, the cylinder scans and `minimize` while they
+run, nor the cylinder perimeter with its one-cell constant, nor an exact
+minimization called from Python."""
 
 import ast
 import os
@@ -61,6 +62,16 @@ def test_cli_import_skips_signal_and_integrate():
     ["davila-scan", "--s-schedule", "0.9", "--n-schedule", "8"],
     ["cylinder-scan", "--s", "0.5", "--t-schedule", "2,4,8,16,32,64,128"],
     ["sector-scan", "--s", "0.5", "--sigma", "0.5", "--t-schedule", "2,4,8,16,32,64,128"],
+    pytest.param(["minimize", "--s", "0.5", "--exterior",
+                  '{"shape": "halfspace", "axis": 0, "level": 0.5}', "--extent", "8",
+                  "--h", "0.125", "--omega",
+                  '{"shape": "ball", "center": [0.5], "radius": 0.2}', "--oracle"],
+                 id="minimize-1d"),
+    pytest.param(["minimize", "--s", "0.5", "--exterior",
+                  '{"shape": "halfspace", "axis": 1, "level": 0.375}', "--extent", "8,8",
+                  "--h", "0.125", "--omega",
+                  '{"shape": "ball", "center": [0.5, 0.5], "radius": 0.25}', "--oracle"],
+                 id="minimize-2d"),
 ], ids=lambda a: a[0])
 def test_command_runs_without_scipy(args):
     # the scans end in sys.exit with their gate's code, which must be 0
@@ -90,6 +101,27 @@ table = build_table(amb, KernelParams(0.5, n + 1), max(amb.extent) - 1)
 assert _cell_constant.cache_info().currsize == 0
 print(truncated_cylinder_perimeter(sg, full_window(base), 1.0, table).total)
 assert _cell_constant.cache_info().currsize == 1
+print('scipy:', *{_SCIPY_LOADED}, file=sys.stderr)
+"""
+    out = _fresh_python("-c", code)
+    assert float(out.stdout) > 0.0
+    assert out.stderr.split() == ["scipy:"]
+
+
+def test_solve_runs_without_scipy():
+    # the exact minimum cut is a NumPy push-relabel
+    code = f"""
+import sys
+import numpy as np
+from fracperim.functional import table_for
+from fracperim.grid import AnalyticTail, GridSpec, cellset_from_shape, window_from_shape
+from fracperim.minimize import MinimizationProblem, solve_and_threshold
+spec = GridSpec(2, (0.0, 0.0), (10, 10), 0.1)
+E0 = cellset_from_shape(spec, {{"shape": "halfspace", "axis": 0, "level": 0.45}})
+win = window_from_shape(spec, {{"shape": "ball", "center": [0.5, 0.5], "radius": 0.42}},
+                        AnalyticTail())
+rep = solve_and_threshold(MinimizationProblem(win, E0, table_for(spec, 0.3, AnalyticTail())))
+print(rep.energy)
 print('scipy:', *{_SCIPY_LOADED}, file=sys.stderr)
 """
     out = _fresh_python("-c", code)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 from scipy import optimize, signal, sparse
-from scipy.sparse.csgraph import maximum_flow
+from scipy.sparse.csgraph import breadth_first_order, maximum_flow
 
 from fracperim import minimize
 from fracperim.errors import NotNested, OracleTooLarge
@@ -181,7 +181,131 @@ def _lp_minimum(cond):
     return res.fun + float(cond.p.sum())
 
 
+# SciPy's max-flow takes int32 capacities only; a capacity plus the flow
+# on its reverse edge must stay below 2^31 as well
+_CAP_MAX = 2**30 - 1
+
+
+def _source_side(adj, s):
+    """Nodes reachable from s along the True entries of ``adj``."""
+    bits = np.zeros(len(adj), dtype=bool)
+    bits[breadth_first_order(sparse.csr_matrix(adj), s, return_predecessors=False)] = True
+    return bits
+
+
+def _scipy_min_cut(W, p, q, tol):
+    """The former solver, kept as the oracle of ``minimize._min_cut``.
+
+    SciPy's int32 maximum flow refines the float capacities in rounds:
+    round k floors the float residual at the quantum C_max 2^(-20-10k),
+    clips it to 2^30 - 1 and subtracts the round's maximum flow.  Each
+    round's cut is the set reachable from the source in its integer
+    residual; the lowest-energy cut of all rounds is returned, the later
+    one on ties.  Returns (bits, flow, rounds)."""
+    m = len(p)
+    s, t = m, m + 1
+    residual = np.zeros((m + 2, m + 2))
+    residual[:m, :m] = W
+    residual[s, :m] = p
+    residual[:m, t] = q
+    c_max = float(residual.max(initial=0.0))
+    if not c_max > 0.0:
+        return np.zeros(m, dtype=bool), 0.0, 0
+    quantum = c_max / 2.0**30
+    flow = 0.0
+    rounds = 0
+    best, best_energy = None, np.inf
+    while True:
+        # the lower clip absorbs residuals a rounding left an ulp below 0
+        caps = np.clip(np.floor(residual / quantum), 0, _CAP_MAX).astype(np.int32)
+        res = maximum_flow(sparse.csr_matrix(caps), s, t, method="dinic")
+        f = res.flow.toarray()  # skew-symmetric net flow
+        residual -= quantum * f
+        flow += quantum * float(res.flow_value)
+        rounds += 1
+        bits = _source_side(caps > f, s)
+        x = bits[:m].astype(float)
+        energy = float(p.sum() + x @ (q - p) + x @ W @ (1.0 - x))
+        if energy <= best_energy:
+            best, best_energy = bits[:m], energy
+        quantum /= 2.0**10
+        if (best_energy - flow <= tol * (1.0 + abs(best_energy))
+                or quantum < c_max * 2.0**-52):
+            return best, flow, rounds
+
+
+def _cut_energy(cond, bits):
+    return float(cond.energies_binary(bits[None, :])[0])
+
+
+def _oracle_case(case):
+    """Condensed energies for the oracle comparison: random windows, the
+    stalled ball, and data that already minimize (at s = 1/2 every
+    interface position of the 1D half line ties)."""
+    if case.startswith("random"):
+        return minimize._Condensed(_random_small_problem(int(case[6:])))
+    if case == "stalled":
+        return minimize._Condensed(_stalled_problem())
+    spec = GridSpec(1, (0.0,), (8,), 0.125)
+    E0 = cellset_from_shape(spec, {"shape": "halfspace", "axis": 0, "level": 0.5})
+    win = window_from_shape(spec, {"shape": "ball", "center": [0.5],
+                                   "radius": 0.2}, AnalyticTail())
+    return minimize._Condensed(
+        MinimizationProblem(win, E0, table_for(spec, 0.5, AnalyticTail())))
+
+
 class TestMinCut:
+    @pytest.mark.parametrize("case", [f"random{i}" for i in range(12)]
+                             + ["stalled", "optimal_1d"])
+    def test_matches_scipy_oracle(self, case):
+        cond = _oracle_case(case)
+        bits, flow, _ = minimize._min_cut(cond.W, cond.p, cond.q, 0.0)
+        ref, ref_flow, _ = _scipy_min_cut(cond.W, cond.p, cond.q, 0.0)
+        energy = _cut_energy(cond, bits)
+        scale = 1.0 + abs(energy)
+        assert abs(energy - _cut_energy(cond, ref)) <= 1e-12 * scale
+        assert abs(flow - ref_flow) <= 1e-12 * scale
+        assert -1e-14 * scale <= energy - flow <= 1e-12 * scale
+        # the same bits, unless an exhaustive search finds another cut
+        # within 1e-12: the two solvers' roundings may then part
+        if cond.m <= 20:
+            X = np.concatenate(list(minimize._enumerate_bits(cond.m)))
+            if np.sum(cond.energies_binary(X) <= energy + 1e-12 * scale) > 1:
+                return
+        assert np.array_equal(bits, ref)
+
+    def test_exact_ties_take_the_inclusion_minimal_cut(self):
+        # free cells with no weights and p = q tie exactly: the cut leaves
+        # them out, and elsewhere agrees with the oracle
+        cond = minimize._Condensed(_problem_2d(np.random.default_rng(11), n=7))
+        tied = np.arange(cond.m) % 3 == 0
+        cond.W[tied] = 0.0
+        cond.W[:, tied] = 0.0
+        cond.p[tied] = cond.q[tied] = np.where(np.arange(tied.sum()) % 2, 0.0, 0.25)
+        bits, flow, _ = minimize._min_cut(cond.W, cond.p, cond.q, 0.0)
+        ref, ref_flow, _ = _scipy_min_cut(cond.W, cond.p, cond.q, 0.0)
+        assert not bits[tied].any()
+        assert np.array_equal(bits, ref)
+        assert flow == pytest.approx(ref_flow, rel=1e-12)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_integer_ties_give_the_inclusion_minimal_cut(self, seed):
+        # small integer capacities tie exactly; one exact int32 maximum flow
+        # gives the inclusion-minimal minimum cut.  (The quantised rounds
+        # floor at a quantum that is no power of two, and some of their
+        # cuts are other minimizers.)
+        rng = np.random.default_rng(5000 + seed)
+        m = 24
+        W = np.triu(rng.integers(0, 3, (m, m)), 1).astype(float)
+        W += W.T
+        p, q = rng.integers(0, 4, (2, m)).astype(float)
+        bits, flow, _ = minimize._min_cut(W, p, q, 0.0)
+        caps = np.zeros((m + 2, m + 2), dtype=np.int32)
+        caps[:m, :m], caps[m, :m], caps[:m, m + 1] = W, p, q
+        res = maximum_flow(sparse.csr_matrix(caps), m, m + 1)
+        assert flow == res.flow_value
+        assert np.array_equal(bits, _source_side(caps > res.flow.toarray(), m)[:m])
+
     @pytest.mark.parametrize("seed", range(12))
     def test_matches_oracle_bits(self, seed):
         p = _random_small_problem(seed)
@@ -244,35 +368,25 @@ class TestMinCut:
         _, best = brute_force_minimum(p)
         assert rep.energy == pytest.approx(best, abs=1e-9)
 
-    def test_scale_invariant_with_int32_capacities(self, monkeypatch):
-        seen = []
-
-        def recording(graph, *args, **kwargs):
-            seen.append((graph.dtype, int(graph.data.max(initial=0))))
-            return maximum_flow(graph, *args, **kwargs)
-
-        monkeypatch.setattr(sparse.csgraph, "maximum_flow", recording)
+    def test_scale_invariant(self):
         cond = minimize._Condensed(_problem_2d(np.random.default_rng(7)))
         ref, ref_flow, _ = minimize._min_cut(cond.W, cond.p, cond.q, 0.0)
         for c in (1e-12, 1e12):
-            bits, flow, rounds = minimize._min_cut(c * cond.W, c * cond.p,
-                                                   c * cond.q, 0.0)
-            assert rounds == 3
+            bits, flow, _ = minimize._min_cut(c * cond.W, c * cond.p,
+                                              c * cond.q, 0.0)
             assert np.array_equal(bits, ref)
             assert flow == pytest.approx(c * ref_flow, rel=1e-12)
-        assert all(dtype == np.int32 for dtype, _ in seen)
-        assert max(cap for _, cap in seen) == 2**30 - 1  # clipped, not wrapped
 
-    def test_optimal_data_stops_after_few_rounds(self):
+    def test_optimal_data_stops_after_few_pulses(self):
         # the 1D minimize example of the cli_cold benchmark workload: the
-        # data already minimize, and a few rounds must certify that
+        # data already minimize, and a few pulses must certify that
         spec = GridSpec(1, (0.0,), (8,), 0.125)
         E0 = cellset_from_shape(spec, {"shape": "halfspace", "axis": 0, "level": 0.5})
         win = window_from_shape(spec, {"shape": "ball", "center": [0.5],
                                        "radius": 0.2}, AnalyticTail())
         p = MinimizationProblem(win, E0, table_for(spec, 0.5, AnalyticTail()))
         rep = solve_and_threshold(p)
-        assert rep.iterations <= 3
+        assert rep.iterations <= 7  # measured: 7 pulses on 4 free cells
         assert rep.gap <= 1e-9 * (1.0 + abs(rep.energy))
         _, best = brute_force_minimum(p)
         assert rep.energy <= best + 1e-12 * (1.0 + abs(best))
