@@ -2,7 +2,7 @@
 
 Subpackages: grid geometry, singular-kernel quadrature tables, the
 interaction functionals and their exact identities, mollification-based
-approximation, convex-relaxation minimization with exhaustive oracles,
+approximation, exact minimization by a minimum cut with exhaustive oracles,
 and cylinder / subgraph experiments.
 """
 

@@ -252,7 +252,7 @@ def _pick_threshold(u: ScalarField, target: float,
     k = np.lexsort((np.abs(_THRESHOLD_GRID - 0.5), np.abs(totals - target)))[0]
     t = float(_THRESHOLD_GRID[k])
     sup = superlevel(u, t)
-    return t, sup, perimeter(sup, scan.window, scan.engine.table, engine=scan.engine)
+    return t, sup, perimeter(sup, scan.window, scan.engine.table)
 
 
 def _validate_schedule(eps_schedule, h: float) -> list[float]:
@@ -275,7 +275,7 @@ def _ladder(E: CellSet, window: DomainWindow, eps_schedule, table: InteractionTa
     """
     eps_list = _validate_schedule(eps_schedule, E.spec.h)
     scan = _ThresholdScan(window, table, E.exterior)
-    target = perimeter(E, window, table, engine=scan.engine).total
+    target = perimeter(E, window, table).total
     bdist = _boundary_distance(E)
     steps = []
     for eps in eps_list:

@@ -18,7 +18,7 @@ import numpy as np
 from . import approx as approx_mod
 from . import cylinder as cyl
 from . import minimize as min_mod
-from .errors import FracPerimError
+from .errors import FracPerimError, SpecMismatch
 from .functional import (
     coarea_check,
     decomposition_check,
@@ -33,6 +33,7 @@ from .functional import (
 from .grid import (
     AnalyticTail,
     CellSet,
+    DomainWindow,
     GridSpec,
     ScalarField,
     TruncateAtRadius,
@@ -54,10 +55,6 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _config_lines(**kv) -> list[str]:
-    return [f"# {k}={v}" for k, v in sorted(kv.items())]
-
-
 def _emit(output: str | None, lines: list[str]) -> None:
     text = "\n".join(lines) + "\n"
     if output:
@@ -65,6 +62,19 @@ def _emit(output: str | None, lines: list[str]) -> None:
             f.write(text)
     else:
         click.echo(text, nl=False)
+
+
+def _emit_csv(output: str | None, config: dict, header: str, rows,
+              notes=()) -> None:
+    """One CSV artifact: the configuration echo (sorted ``# key=value``
+    lines), the header, one line per row (ints and bools as integers,
+    floats by ``_fmt``) and the ``# `` note lines."""
+    lines = [f"# {k}={v}" for k, v in sorted(config.items())]
+    lines.append(header)
+    lines += [",".join(str(int(v)) if isinstance(v, (bool, int)) else _fmt(v)
+                       for v in row) for row in rows]
+    lines += [f"# {note}" for note in notes]
+    _emit(output, lines)
 
 
 def _fail_config(message: str, **extra) -> "NoReturn":
@@ -93,6 +103,13 @@ def _policy_from(policy: str):
     if policy.startswith("truncate:"):
         return TruncateAtRadius(float(policy.split(":", 1)[1]))
     raise ValueError(f"policy must be 'analytic' or 'truncate:<radius>', got {policy!r}")
+
+
+def _window(spec: GridSpec, omega: str | None, policy) -> DomainWindow:
+    """The window of a shape DSL document, or the full box without one."""
+    if omega:
+        return window_from_shape(spec, json.loads(omega), policy)
+    return full_window(spec, policy)
 
 
 def _load_set(grid: str | None, shape: str | None, extent, h, origin) -> CellSet:
@@ -133,13 +150,7 @@ def compute(s, grid, shape, extent, h, origin, omega, policy, output):
         raise ValueError(f"s must lie in (0,1), got {s}")
     E = _load_set(grid, shape, extent, h, origin)
     pol = _policy_from(policy)
-    win = (
-        window_from_shape(E.spec, json.loads(omega), pol)
-        if omega
-        else full_window(E.spec, pol)
-    )
-    table = table_for(E.spec, s, pol)
-    bd = perimeter(E, win, table)
+    bd = perimeter(E, _window(E.spec, omega, pol), table_for(E.spec, s, pol))
     result = {
         "s": s,
         "local": bd.local,
@@ -169,26 +180,14 @@ def approx_cmd(s, grid, eps_list, omega, policy, lipschitz, output):
     """Mollify-threshold ladder; one CSV row per radius."""
     E = read_grid_file(grid)
     pol = _policy_from(policy)
-    win = (
-        window_from_shape(E.spec, json.loads(omega), pol)
-        if omega
-        else full_window(E.spec, pol)
-    )
     schedule = [float(v) for v in eps_list.split(",")]
-    table = table_for(E.spec, s, pol)
     run = approx_mod.approximate_set_lipschitz if lipschitz else approx_mod.approximate_set
-    steps = run(E, win, schedule, table)
-    lines = _config_lines(
-        command="approx", s=s, grid=grid, eps=eps_list, lipschitz=lipschitz,
-        policy=policy,
-    )
-    lines.append("eps,threshold,perimeter,boundary_in_neighborhood")
-    for st in steps:
-        lines.append(
-            f"{_fmt(st.eps)},{_fmt(st.threshold)},{_fmt(st.breakdown.total)},"
-            f"{int(st.boundary_in_neighborhood)}"
-        )
-    _emit(output, lines)
+    steps = run(E, _window(E.spec, omega, pol), schedule, table_for(E.spec, s, pol))
+    _emit_csv(output, dict(command="approx", s=s, grid=grid, eps=eps_list,
+                           lipschitz=lipschitz, policy=policy),
+              "eps,threshold,perimeter,boundary_in_neighborhood",
+              [(st.eps, st.threshold, st.breakdown.total, st.boundary_in_neighborhood)
+               for st in steps])
 
 
 # ---------------------------------------------------------------------------
@@ -359,18 +358,13 @@ def strip_scan(s_list, strip_cells, deltas, output):
                                      unit.block(k) * spec.h ** (2.0 - s))
             rows.append((s, d, interaction(core, strip, table),
                          c_const * d ** (1.0 - s)))
-    lines = _config_lines(command="strip-scan", s=s_list,
-                          strip_cells=strip_cells, deltas=deltas)
-    lines.append("s,delta,measured,bound")
-    ok = True
-    for s, d, v, b in rows:
-        lines.append(f"{_fmt(s)},{_fmt(d)},{_fmt(v)},{_fmt(b)}")
-        ok = ok and v <= b
-    for s in svals:
-        slope = strip_exponent(dvals, [v for ss, _, v, _ in rows if ss == s])
-        lines.append(f"# fitted_exponent s={_fmt(s)}: {_fmt(slope)}")
-        ok = ok and abs(slope - (1.0 - s)) <= 0.1
-    _emit(output, lines)
+    slopes = [strip_exponent(dvals, [v for ss, _, v, _ in rows if ss == s]) for s in svals]
+    _emit_csv(output, dict(command="strip-scan", s=s_list, strip_cells=strip_cells,
+                           deltas=deltas),
+              "s,delta,measured,bound", rows,
+              [f"fitted_exponent s={_fmt(s)}: {_fmt(p)}" for s, p in zip(svals, slopes)])
+    ok = all(v <= b for _, _, v, b in rows) and all(
+        abs(p - (1.0 - s)) <= 0.1 for s, p in zip(svals, slopes))
     sys.exit(EXIT_OK if ok else EXIT_PROPERTY)
 
 
@@ -379,10 +373,21 @@ def strip_scan(s_list, strip_cells, deltas, output):
 # ---------------------------------------------------------------------------
 
 
-def _base_setup(n_cells: int, h: float, v0: float):
+def _tail_scan(output, config: dict, scan, s, n_cells, h, v0, tsched):
+    """The body of cylinder-scan and sector-scan: ``scan`` (rows of a
+    constant graph v0 over n_cells base cells) as CSV with the fitted tail
+    slope.  Exit code 2 unless every row lies above its lower bound and
+    the slope lies within 0.1 of 1-s."""
     base = GridSpec(1, (0.0,), (n_cells,), h)
     v = ScalarField(base, np.full(n_cells, v0), v0)
-    return base, v
+    rows = scan(v, full_window(base), [float(t) for t in tsched.split(",")],
+                KernelParams(s, 2))
+    slope = cyl.fit_tail_slope(rows)
+    _emit_csv(output, config, "T,lower_bound,value",
+              [(r.T, r.lower_bound, r.value) for r in rows],
+              [f"fitted_slope: {_fmt(slope)}"])
+    ok = abs(slope - (1.0 - s)) <= 0.1 and all(r.lower_bound <= r.value for r in rows)
+    sys.exit(EXIT_OK if ok else EXIT_PROPERTY)
 
 
 @main.command("cylinder-scan")
@@ -395,22 +400,8 @@ def _base_setup(n_cells: int, h: float, v0: float):
 @_guard
 def cylinder_scan(s, n_cells, h, v0, tsched, output):
     """Nonlocal tail divergence rows (T, lower bound, value) plus slope."""
-    base, v = _base_setup(n_cells, h, v0)
-    ob = full_window(base)
-    Ts = [float(t) for t in tsched.split(",")]
-    rows = cyl.nonlocal_divergence_scan(v, ob, Ts, KernelParams(s, 2))
-    slope = cyl.fit_tail_slope(rows)
-    lines = _config_lines(command="cylinder-scan", s=s, n=n_cells, h=h,
-                          v0=v0, t_schedule=tsched)
-    lines.append("T,lower_bound,value")
-    for r in rows:
-        lines.append(f"{_fmt(r.T)},{_fmt(r.lower_bound)},{_fmt(r.value)}")
-    lines.append(f"# fitted_slope: {_fmt(slope)}")
-    ok = abs(slope - (1.0 - s)) <= 0.1 and all(
-        r.lower_bound <= r.value for r in rows
-    )
-    _emit(output, lines)
-    sys.exit(EXIT_OK if ok else EXIT_PROPERTY)
+    config = dict(command="cylinder-scan", s=s, n=n_cells, h=h, v0=v0, t_schedule=tsched)
+    _tail_scan(output, config, cyl.nonlocal_divergence_scan, s, n_cells, h, v0, tsched)
 
 
 @main.command("sector-scan")
@@ -425,19 +416,12 @@ def cylinder_scan(s, n_cells, h, v0, tsched, output):
 @_guard
 def sector_scan(s, sigma, m_bound, n_cells, h, v0, tsched, output):
     """Sector-restricted divergence rows and slope."""
-    base, v = _base_setup(n_cells, h, v0)
-    ob = full_window(base)
-    Ts = [float(t) for t in tsched.split(",")]
-    rows = cyl.sector_divergence_scan(v, sigma, m_bound, ob, Ts, KernelParams(s, 2))
-    slope = cyl.fit_tail_slope(rows)
-    lines = _config_lines(command="sector-scan", s=s, sigma=sigma, n=n_cells,
-                          h=h, t_schedule=tsched)
-    lines.append("T,lower_bound,value")
-    for r in rows:
-        lines.append(f"{_fmt(r.T)},{_fmt(r.lower_bound)},{_fmt(r.value)}")
-    lines.append(f"# fitted_slope: {_fmt(slope)}")
-    _emit(output, lines)
-    sys.exit(EXIT_OK if abs(slope - (1.0 - s)) <= 0.1 else EXIT_PROPERTY)
+    config = dict(command="sector-scan", s=s, sigma=sigma, n=n_cells, h=h, t_schedule=tsched)
+
+    def scan(v, ob, Ts, params):
+        return cyl.sector_divergence_scan(v, sigma, m_bound, ob, Ts, params)
+
+    _tail_scan(output, config, scan, s, n_cells, h, v0, tsched)
 
 
 @main.command("confinement")
@@ -450,6 +434,9 @@ def confinement(grid, base_extent, output):
     """Measured vertical confinement bound M of a computed set."""
     E = read_grid_file(grid)
     ext = tuple(int(v) for v in base_extent.split(","))
+    if ext != E.spec.extent[:-1]:
+        raise SpecMismatch(f"--base-extent {base_extent} must be the grid's extent less "
+                           f"its vertical axis, {E.spec.extent[:-1]}")
     base = GridSpec(E.spec.dim - 1, E.spec.origin[:-1], ext, E.spec.h)
     ob = full_window(base)
     m = cyl.vertical_confinement_check(E, ob)
@@ -473,15 +460,9 @@ def davila_scan(ssched, nsched, k, output):
         lambda sp: full_window(sp),
         k, svals, specs,
     )
-    lines = _config_lines(command="davila-scan", s_schedule=ssched,
-                          n_schedule=nsched, k=k)
-    lines.append("s,h,scaled_local,classical,ratio")
-    for r in rows:
-        lines.append(
-            f"{_fmt(r.s)},{_fmt(r.h)},{_fmt(r.scaled_local)},"
-            f"{_fmt(r.classical)},{_fmt(r.ratio)}"
-        )
-    _emit(output, lines)
+    _emit_csv(output, dict(command="davila-scan", s_schedule=ssched, n_schedule=nsched, k=k),
+              "s,h,scaled_local,classical,ratio",
+              [(r.s, r.h, r.scaled_local, r.classical, r.ratio) for r in rows])
 
 
 @main.command("diverge-1d")
@@ -492,12 +473,8 @@ def davila_scan(ssched, nsched, k, output):
 def diverge_1d(s, msched, output):
     """Partial perimeters of the canonical interval-union probe."""
     ms = [int(v) for v in msched.split(",")]
-    lines = _config_lines(command="diverge-1d", s=s, m_schedule=msched)
-    lines.append("m,value")
-    for m in ms:
-        val = divergence_probe_1d(log_square_beta, m, s)
-        lines.append(f"{m},{_fmt(val)}")
-    _emit(output, lines)
+    _emit_csv(output, dict(command="diverge-1d", s=s, m_schedule=msched), "m,value",
+              [(m, divergence_probe_1d(log_square_beta, m, s)) for m in ms])
 
 
 if __name__ == "__main__":

@@ -27,8 +27,8 @@ from .functional import (
     PerimeterBreakdown,
     _engine_for,
     _exterior_fields,
-    _pair_sum,
     _perimeter_sums,
+    interaction,
 )
 from .grid import CellSet, DomainWindow, GridSpec, ScalarField, SubgraphExterior
 from .kernel import (
@@ -317,8 +317,9 @@ def vertical_confinement_check(E: CellSet, omega_base: DomainWindow) -> float:
     is occupied in its top cell or vacant in its bottom cell.
     """
     spec = E.spec
-    if omega_base.spec.dim != spec.dim - 1:
-        raise SpecMismatch("omega_base dimension must be ambient dim - 1")
+    if omega_base.spec.extent != spec.extent[:-1]:
+        raise SpecMismatch(f"base extent {omega_base.spec.extent} must be the ambient "
+                           f"extent less its vertical axis, {spec.extent[:-1]}")
     h = spec.h
     nz = spec.extent[-1]
     cols = E.inside.reshape(-1, nz)
@@ -392,7 +393,7 @@ def graph_area_asymptotics(u_of_spec, omega_of_spec, k: float, s_schedule,
         for s in s_schedule:
             params = KernelParams(float(s), n + 1)
             table = build_table(amb, params, max_offset=max(amb.extent) - 1)
-            local = _pair_sum(cell.inside & om, ~cell.inside & om, table)
+            local = interaction(cell.inside & om, ~cell.inside & om, table)
             rows.append(
                 DavilaRow(float(s), amb.h, (1.0 - float(s)) * local, area)
             )

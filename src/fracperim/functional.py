@@ -19,9 +19,9 @@ exterior inside E and to the exterior outside it.  A PairEngine computes
 them once and caches them with its weight spectra, and the table keeps
 one engine per (spec, policy).  Every correlation runs on the box.  A
 perimeter takes the two box fields of one batch.
-``interaction(..., exact=True)``, the default up to _DIRECT_LIMIT cells,
-weighs every cell pair explicitly instead and serves as the independent
-oracle.  The module imports no SciPy.
+``interaction(..., exact=True)`` weighs every cell pair explicitly
+instead and serves as the independent oracle; every other pair sum is a
+correlation.  The module imports no SciPy.
 
 Beyond the box every exterior model is a lattice set H, so in a universe
 U, X_E = m(. -> H n U) - (1_(H n box) (*) w) and X_C likewise with H^c
@@ -91,7 +91,6 @@ __all__ = [
     "strip_exponent",
 ]
 
-_DIRECT_LIMIT = 256  # cells; up to here a default pair sum is explicit
 _PAIR_CHUNK = 1 << 16  # cell pairs (512 KB of float64) per explicit-sum chunk
 
 
@@ -181,29 +180,6 @@ def _weight_rows(cells: np.ndarray, shape: tuple[int, ...], table: InteractionTa
         yield lo, windows[tuple(corner.T)].reshape(len(corner), size)
 
 
-def _explicit_pair_sum(A: np.ndarray, B: np.ndarray, table: InteractionTable) -> float:
-    """Sum of w(j - i) over i in A, j in B, one table weight per cell pair."""
-    b = B.ravel().astype(float)
-    return math.fsum(float(rows.dot(b).sum())
-                     for _, rows in _weight_rows(np.argwhere(A), A.shape, table))
-
-
-def _pair_sum(A: np.ndarray, B: np.ndarray, table: InteractionTable,
-              exact: bool | None = None) -> float:
-    """Sum of w(j - i) over i in A, j in B (A, B boolean, same shape).
-
-    ``exact`` (the default up to _DIRECT_LIMIT cells) weighs every cell
-    pair; otherwise the sum is <B, A (*) w> by FFT.
-    """
-    if not A.any() or not B.any():
-        return 0.0
-    if exact is None:
-        exact = A.size <= _DIRECT_LIMIT
-    if exact:
-        return _explicit_pair_sum(A, B, table)
-    return float(_fields((A,), table, {})[0][B].sum())
-
-
 def _perimeter_sums(inside, om, fields, x_e, x_c) -> tuple[float, float]:
     """(local, nonlocal) of the box mask ``inside`` in the window ``om``.
 
@@ -228,15 +204,23 @@ def _tail_terms(dist: np.ndarray, h: float, params: KernelParams) -> np.ndarray:
 
 
 def interaction(A: np.ndarray, B: np.ndarray, table: InteractionTable,
-                exact: bool | None = None) -> float:
-    """L_s between two disjoint cell bitmasks on the same grid."""
+                exact: bool = False) -> float:
+    """L_s between two disjoint cell bitmasks on the same grid: <B, A (*) w>
+    by FFT, or with ``exact`` the independent oracle that weighs every
+    cell pair explicitly."""
     A = np.asarray(A, dtype=bool)
     B = np.asarray(B, dtype=bool)
     if A.shape != B.shape:
         raise SpecMismatch(f"mask shapes differ: {A.shape} vs {B.shape}")
     if np.any(A & B):
         raise NotDisjoint("interaction requires disjoint masks")
-    return _pair_sum(A, B, table, exact)
+    if not A.any() or not B.any():
+        return 0.0
+    if exact:
+        b = B.ravel().astype(float)
+        return math.fsum(float(rows.dot(b).sum())
+                         for _, rows in _weight_rows(np.argwhere(A), A.shape, table))
+    return float(_fields((A,), table, {})[0][B].sum())
 
 
 # ---------------------------------------------------------------------------
@@ -519,8 +503,7 @@ def _engine_for(window: DomainWindow, table: InteractionTable) -> PairEngine:
 # ---------------------------------------------------------------------------
 
 
-def perimeter(E: CellSet, window: DomainWindow, table: InteractionTable,
-              engine: PairEngine | None = None) -> PerimeterBreakdown:
+def perimeter(E: CellSet, window: DomainWindow, table: InteractionTable) -> PerimeterBreakdown:
     """s-perimeter of E in the window: local + nonlocal three-term sum,
     from one batched FFT correlation of two box masks (none for an empty
     one) and the exterior fields (``_perimeter_sums``,
@@ -528,7 +511,7 @@ def perimeter(E: CellSet, window: DomainWindow, table: InteractionTable,
     """
     if E.spec != window.spec:
         raise SpecMismatch("cell set and window specs differ")
-    eng = engine if engine is not None else _engine_for(window, table)
+    eng = _engine_for(window, table)
     om = window.omega
     local, nonlocal_ = _perimeter_sums(E.inside, om, eng.fields,
                                        *eng.exterior_fields(E.exterior))
@@ -573,14 +556,13 @@ def decomposition_check(E: CellSet, inner: DomainWindow, outer: DomainWindow,
         raise NotNested("inner window must be contained in the outer window")
     eng = _engine_for(outer, table)
     inner_same = DomainWindow(inner.spec, inner.omega, outer.complement_policy)
-    p_outer = perimeter(E, outer, table, engine=eng).total
-    p_inner = perimeter(E, inner_same, table, engine=eng).total
+    p_outer = perimeter(E, outer, table).total
+    p_inner = perimeter(E, inner_same, table).total
     rhs = math.fsum([p_inner, *_cross_terms(E, inner, outer, eng)])
     return abs(p_outer - rhs)
 
 
-def relaxed_energy(u: ScalarField, window: DomainWindow, table: InteractionTable,
-                   engine: PairEngine | None = None) -> float:
+def relaxed_energy(u: ScalarField, window: DomainWindow, table: InteractionTable) -> float:
     """F(u, Omega): half the within-window seminorm plus the cross term.
 
     Explicitly, the sum over window cells a and box cells j of
@@ -592,7 +574,7 @@ def relaxed_energy(u: ScalarField, window: DomainWindow, table: InteractionTable
     """
     if u.spec != window.spec:
         raise SpecMismatch("field and window specs differ")
-    eng = engine if engine is not None else _engine_for(window, table)
+    eng = _engine_for(window, table)
     om = window.omega
     vals = u.values
     vflat = vals.ravel()
@@ -616,15 +598,14 @@ def coarea_check(u: ScalarField, window: DomainWindow,
     The levels are the field's box values and the values its exterior
     takes beyond the box (those of ``PairEngine.pad_masses``).
     """
-    eng = _engine_for(window, table)
-    lhs = relaxed_energy(u, window, table, engine=eng)
+    lhs = relaxed_energy(u, window, table)
     level_values = set(np.unique(u.values).tolist())
-    level_values.update(v for v, _ in eng.pad_masses(u.exterior))
+    level_values.update(v for v, _ in _engine_for(window, table).pad_masses(u.exterior))
     levels = sorted(level_values)
     parts = []
     for t_low, t_high in zip(levels[:-1], levels[1:]):
         sup = superlevel(u, t_low)
-        p = perimeter(sup, window, table, engine=eng).total
+        p = perimeter(sup, window, table).total
         parts.append((t_high - t_low) * p)
     return lhs, math.fsum(parts)
 

@@ -155,7 +155,9 @@ def _piece_integrals(lower: np.ndarray, rising, n: int, s: float,
             shape = [len(blk)] + [1] * n
             shape[a + 1] = q
             r2 = r2 + ((blk[:, a, None] + x) ** 2).reshape(shape)
-        out[lo:lo + step] = (r2 ** (-0.5 * (n + s))).reshape(len(blk), -1) @ wt
+        # row by row, so a weight rounds the same whatever its chunk holds
+        vals = (r2 ** (-0.5 * (n + s))).reshape(len(blk), -1)
+        out[lo:lo + step] = np.einsum("ij,j->i", vals, wt)
     return out
 
 

@@ -248,21 +248,20 @@ def solve_relaxed(p: MinimizationProblem, tol: float = 1e-9) -> ScalarField:
     return ScalarField(p.window.spec, E.inside.astype(float), E.exterior)
 
 
-def threshold_minimizer(u: ScalarField, p: MinimizationProblem,
-                        iterations: int = 0) -> SolverReport:
+def threshold_minimizer(u: ScalarField, p: MinimizationProblem) -> SolverReport:
     """Best superlevel set of a relaxed field, with independent recompute.
 
     Scans thresholds between consecutive distinct free values (plus both
     extremes); by the coarea identity the best superlevel energy never
     exceeds the relaxed energy.  Ties break toward the lexicographically
     smallest bitmask.  An arbitrary field carries no dual bound, so the
-    reported ``gap`` is nan.
+    reported ``gap`` is nan; no solver runs, so ``iterations`` is 0.
     """
     cond = _Condensed(p)
     if cond.m == 0:
         E = cond.set_from(np.zeros(0, dtype=bool))
         e = perimeter(E, p.window, p.table).total
-        return SolverReport(e, 0.5, E, e, iterations, math.nan)
+        return SolverReport(e, 0.5, E, e, 0, math.nan)
     x = np.clip(u.values[p.window.omega], 0.0, 1.0)
     relaxed = cond.energy(x)
     vals = np.unique(x)
@@ -280,7 +279,7 @@ def threshold_minimizer(u: ScalarField, p: MinimizationProblem,
             best = cand
     minimizer = cond.set_from(best[3])
     energy = perimeter(minimizer, p.window, p.table).total
-    return SolverReport(relaxed, best[2], minimizer, energy, iterations, math.nan)
+    return SolverReport(relaxed, best[2], minimizer, energy, 0, math.nan)
 
 
 def solve_and_threshold(p: MinimizationProblem, tol: float = 1e-9) -> SolverReport:

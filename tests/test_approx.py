@@ -164,7 +164,7 @@ class TestApproximationLadder:
             assert np.array_equal(a.approximant.inside, b.approximant.inside)
 
 
-def _oracle_scan(u, target, window, engine):
+def _oracle_scan(u, target, window, table):
     """Per-threshold perimeter loop, one perimeter per distinct superlevel
     set: (every grid threshold's breakdown, the chosen threshold, set and
     breakdown), ties broken toward t = 1/2, then the first threshold."""
@@ -175,7 +175,7 @@ def _oracle_scan(u, target, window, engine):
         sup = superlevel(u, float(t))
         key = sup.inside.tobytes()
         if key not in seen:
-            seen[key] = perimeter(sup, window, engine.table, engine=engine)
+            seen[key] = perimeter(sup, window, table)
         bd = seen[key]
         breakdowns.append(bd)
         cand = (abs(bd.total - target), abs(t - 0.5), float(t), sup, bd)
@@ -229,16 +229,16 @@ class TestThresholdScan:
         h = E.spec.h
         for eps in (4 * h, 3 * h, 2 * h):
             scan = approx._ThresholdScan(win, table, E.exterior)
-            target = perimeter(E, win, table, engine=scan.engine).total
+            target = perimeter(E, win, table).total
             u = mollify(E, MollifierSpec(eps))
-            oracle = _oracle_scan(u, target, win, scan.engine)[0]
+            oracle = _oracle_scan(u, target, win, table)[0]
             assert len({b.total for b in oracle}) > 2  # the scan has work
             ref = np.array([b.total for b in oracle])
             totals = scan.totals(u)
             assert np.all(np.abs(totals - ref) <= 1e-12 * np.abs(ref)), (eps, totals - ref)
             # E's own perimeter, and targets that pick other thresholds
             for goal in (target, 0.8 * target, 1.15 * target):
-                _, t, sup, bd = _oracle_scan(u, goal, win, scan.engine)
+                _, t, sup, bd = _oracle_scan(u, goal, win, table)
                 t_new, sup_new, bd_new = approx._pick_threshold(u, goal, scan)
                 assert t_new == t
                 assert sup_new.inside.tobytes() == sup.inside.tobytes()

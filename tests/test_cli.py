@@ -286,6 +286,18 @@ class TestConfinement:
         doc = json.loads(res.output)
         assert doc["measured_M"] == pytest.approx(0.0, abs=1e-12)
 
+    @pytest.mark.parametrize("dim,base_extent", [(2, "8"), (2, "16,16"), (1, "8")])
+    def test_base_extent_mismatch_is_a_config_error(self, runner, tmp_path, dim,
+                                                    base_extent):
+        spec = GridSpec(dim, (0.0,) * dim, (16,) * dim, 1.0 / 16)
+        path = tmp_path / "full.fracgrid"
+        write_grid_file(path, cellset_from_shape(spec, {"shape": "full"}))
+        res = runner.invoke(main, [
+            "confinement", "--grid", str(path), "--base-extent", base_extent,
+        ])
+        assert res.exit_code == 1, res.output
+        assert json.loads(res.output)["kind"] == "SpecMismatch"
+
 
 class TestDeterminism:
     def test_hash_seed_does_not_change_bytes(self, tmp_path):

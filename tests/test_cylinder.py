@@ -473,6 +473,13 @@ class TestConfinement:
         with pytest.raises(ConfinementUndetermined):
             vertical_confinement_check(E, full_window(base))
 
+    @pytest.mark.parametrize("extent", [(4,), (16,), (8, 8)])
+    def test_base_extent_must_match(self, extent):
+        sg = SubgraphSet(_base(), _graph(_base(), np.zeros(8)), 2.0)
+        other = GridSpec(len(extent), (0.0,) * len(extent), extent, 0.25)
+        with pytest.raises(SpecMismatch):
+            vertical_confinement_check(sg.cellset(), full_window(other))
+
 
 class TestAreaAsymptotics:
     def test_flat_graph_classical_area(self):

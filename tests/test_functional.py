@@ -137,12 +137,15 @@ class TestInteraction:
             interaction(B, A, table), rel=1e-12
         )
 
-    def test_direct_and_fft_paths_agree(self, rng):
-        E, win, table = _random_instance(rng, n=10)
-        A, B = E.inside, ~E.inside
-        d = interaction(A, B, table, exact=True)
-        f = interaction(A, B, table, exact=False)
-        assert d == pytest.approx(f, rel=1e-11)
+    @pytest.mark.parametrize("dim,n", [(1, 16), (2, 16), (1, 257)])  # 16, 256, 257 cells
+    def test_direct_and_fft_paths_agree(self, rng, dim, n):
+        for _ in range(4):
+            E, win, table = _random_instance(rng, dim=dim, n=n)
+            A, B = E.inside, ~E.inside
+            d = interaction(A, B, table, exact=True)
+            f = interaction(A, B, table, exact=False)
+            assert interaction(A, B, table) == f  # the default is the correlation
+            assert d == pytest.approx(f, rel=1e-11)
 
 
 def _beyond_universe(eng, exterior):
@@ -155,8 +158,7 @@ def _beyond_universe(eng, exterior):
 
 
 class TestExplicitOracle:
-    """FFT correlations against the explicit sum over cell pairs, on
-    universes above the size where the explicit sum is the default."""
+    """FFT correlations against the explicit sum over cell pairs."""
 
     @pytest.mark.parametrize("dim", [1, 2])
     def test_perimeter_and_decomposition_terms(self, rng, dim):

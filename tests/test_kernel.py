@@ -217,6 +217,15 @@ class TestTable2D:
         assert t.weight([15, 8]) == pytest.approx(point, rel=5e-3)
 
 
+@pytest.mark.parametrize("dim,h,small,large", [(2, 1.0 / 6, 17, 29), (3, 0.25, 15, 23)])
+def test_weights_do_not_depend_on_reach(dim, h, small, large):
+    # each weight is summed on its own, not in a chunk whose size the reach sets
+    spec = GridSpec(dim, (0.0,) * dim, (4,) * dim, h)
+    t_small = build_table(spec, KernelParams(0.5, dim), small)
+    t_large = build_table(spec, KernelParams(0.5, dim), large)
+    assert np.array_equal(t_large.block(small), t_small.weights)
+
+
 class TestTable3D:
     @pytest.mark.parametrize("s", [0.1, 0.5, 0.9])
     def test_marginal_is_beta_times_2d_weight(self, s):
