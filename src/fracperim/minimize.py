@@ -7,7 +7,9 @@ TPAMI 2004): an s-t minimum cut minimizes it exactly, and the cut's 0/1
 indicator also minimizes its convex [0,1] relaxation (Chambolle-Darbon,
 IJCV 2009).  The cut comes from a dense NumPy push-relabel maximum flow
 on float capacities, and the flow certifies the cut's gap to the minimum.
-A vectorized exhaustive oracle guards correctness at small sizes.
+An exhaustive oracle guards correctness up to 24 free cells: it splits
+the cells into two halves, tabulates each half's energy over its 2^(m/2)
+vectors and adds the cross term by one GEMM per chunk of rows.
 """
 
 from __future__ import annotations
@@ -35,6 +37,8 @@ __all__ = [
 ]
 
 _ORACLE_LIMIT = 24
+# energies per chunk of the exhaustive oracle (8 MB of float64)
+_ORACLE_CHUNK = 1 << 20
 # pulses between the push-relabel solver's global relabels
 _RELABEL_EVERY = 8
 
@@ -113,14 +117,15 @@ class _Condensed:
         m = len(self.free_idx)
         self.m = m
 
-        # pairwise weights between free cells
+        # pairwise weights between free cells, W_ab = weights[idx_b - idx_a
+        # + K], gathered by flat index: that offset's is F_b - F_a plus the
+        # flat index of (K, ..., K)
         K = table.max_offset
-        if m:
-            diff = self.free_idx[None, :, :] - self.free_idx[:, None, :]
-            self.W = table.weights[tuple((diff + K).transpose(2, 0, 1))]
-            np.fill_diagonal(self.W, 0.0)
-        else:
-            self.W = np.zeros((0, 0))
+        shape = table.weights.shape
+        F = np.ravel_multi_index(tuple((self.free_idx + K).T), shape)
+        centre = np.ravel_multi_index((K,) * len(shape), shape)
+        self.W = table.weights.ravel()[F[None, :] - F[:, None] + centre]
+        np.fill_diagonal(self.W, 0.0)
 
         # linear terms: interaction with the fixed box cells, by box
         # correlations, plus the exterior's fields
@@ -303,37 +308,53 @@ def solve_and_threshold(p: MinimizationProblem, tol: float = 1e-9) -> SolverRepo
 # ---------------------------------------------------------------------------
 
 
-def _enumerate_bits(m: int, batch: int = 1 << 14):
-    """Yield batches of all binary vectors of length m, cell 0 most
-    significant, so ascending integer order is lexicographic bit order.
-
-    A batch of 2^14 rows keeps the float copies that ``energies_binary``
-    makes of it small: it bounds the oracle's peak memory."""
-    total = 1 << m
-    shifts = np.arange(m - 1, -1, -1, dtype=np.uint64)
-    for start in range(0, total, batch):
-        ints = np.arange(start, min(start + batch, total), dtype=np.uint64)
-        yield ((ints[:, None] >> shifts[None, :]) & 1).astype(bool)
+def _half_vectors(k: int) -> np.ndarray:
+    """All 2^k binary vectors of length k as float rows, first cell most
+    significant, so row order is lexicographic bit order."""
+    shifts = np.arange(k - 1, -1, -1)
+    return ((np.arange(1 << k)[:, None] >> shifts) & 1).astype(float)
 
 
 def brute_force_minimum(p: MinimizationProblem) -> tuple[CellSet, float]:
     """Exhaustive minimum over all competitors on the window.
 
+    Meet in the middle (Horowitz-Sahni, JACM 1974): the free cells split
+    into a high half H (the first ceil(m/2) in C order) and a low half L.
+    With c = q - p + W 1 the energy of x = (x_H, x_L) is
+    sum p + a_H(x_H) + a_L(x_L) - 2 x_H^T W_HL x_L, where
+    a_H(x_H) = x_H . c_H - x_H^T W_HH x_H and a_L likewise; both are
+    tabulated once over their 2^|H| and 2^|L| half-vectors, with the
+    constant sum p carried by a_H.  The cross term costs one GEMM per
+    chunk of H rows against B = 2 W_HL X_L^T, about ``_ORACLE_CHUNK``
+    energies at a time.
+
     Ties break toward the lexicographically smallest bitmask (free cells
-    in C order, first cell most significant).
+    in C order, first cell most significant): row-major order over
+    (H, L) is that order, a chunk keeps its first exact argmin, and a
+    later chunk replaces the best only when lower by more than 1e-15.
     """
     cond = _Condensed(p)
     m = cond.m
     if m > _ORACLE_LIMIT:
         raise OracleTooLarge(f"{m} free cells exceed the oracle limit {_ORACLE_LIMIT}")
+    W = cond.W
+    c = cond.q - cond.p + W.sum(axis=1)
+    h = (m + 1) // 2
+    X_H, X_L = _half_vectors(h), _half_vectors(m - h)
+    a_H = (float(cond.p.sum()) + X_H @ c[:h]
+           - np.einsum("bi,bi->b", X_H @ W[:h, :h], X_H))
+    a_L = X_L @ c[h:] - np.einsum("bi,bi->b", X_L @ W[h:, h:], X_L)
+    B = 2.0 * W[:h, h:] @ X_L.T
+    rows = max(1, _ORACLE_CHUNK // len(X_L))
     best_e = math.inf
     best_bits = None
-    for X in _enumerate_bits(m):
-        E = cond.energies_binary(X)
-        i = int(np.argmin(E))
-        if E[i] < best_e - 1e-15:
-            best_e = float(E[i])
-            best_bits = X[i]
+    for start in range(0, len(X_H), rows):
+        X = X_H[start:start + rows]
+        E = a_H[start:start + rows, None] + a_L[None, :] - X @ B
+        i, j = np.unravel_index(int(np.argmin(E)), E.shape)
+        if E[i, j] < best_e - 1e-15:
+            best_e = float(E[i, j])
+            best_bits = np.concatenate([X[i], X_L[j]])
     return cond.set_from(best_bits), best_e
 
 

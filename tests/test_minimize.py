@@ -16,6 +16,7 @@ from fracperim.grid import (
     FullExterior,
     GridSpec,
     HalfSpaceExterior,
+    ScalarField,
     TruncateAtRadius,
     cellset_from_shape,
     window_from_shape,
@@ -137,9 +138,9 @@ class TestSolver:
         assert np.array_equal(rep.minimizer.inside, E0.inside)
 
 
-def _random_small_problem(seed):
-    """At most 20 random free cells in 1D or 2D, over random data with an
-    empty or a half-space exterior."""
+def _random_small_problem(seed, m=None):
+    """At most 20 random free cells (m when given) in 1D or 2D, over random
+    data with an empty or a half-space exterior."""
     rng = np.random.default_rng(3000 + seed)
     dim = 1 + seed % 2
     n = 20 if dim == 1 else 6
@@ -150,7 +151,9 @@ def _random_small_problem(seed):
                                      float(rng.uniform(0.2, 0.8)))
     E0 = CellSet(spec, rng.random(spec.extent) < 0.5, exterior)
     omega = np.zeros(spec.n_cells, dtype=bool)
-    omega[rng.choice(spec.n_cells, int(rng.integers(1, 21)), replace=False)] = True
+    # drawn even when m is given, so the draws after it stay the same
+    count = int(rng.integers(1, 21))
+    omega[rng.choice(spec.n_cells, count if m is None else m, replace=False)] = True
     win = DomainWindow(spec, omega.reshape(spec.extent), AnalyticTail())
     s = float(rng.choice([0.3, 0.5, 0.7]))
     return MinimizationProblem(win, E0, table_for(spec, s, AnalyticTail()))
@@ -238,6 +241,36 @@ def _cut_energy(cond, bits):
     return float(cond.energies_binary(bits[None, :])[0])
 
 
+def _enumerate_bits(m, batch=1 << 14):
+    """Yield batches of all binary vectors of length m, cell 0 most
+    significant, so ascending integer order is lexicographic bit order."""
+    total = 1 << m
+    shifts = np.arange(m - 1, -1, -1, dtype=np.uint64)
+    for start in range(0, total, batch):
+        ints = np.arange(start, min(start + batch, total), dtype=np.uint64)
+        yield ((ints[:, None] >> shifts[None, :]) & 1).astype(bool)
+
+
+def _all_energies(cond):
+    """``energies_binary`` of every binary vector, in lexicographic bit
+    order."""
+    return np.concatenate([cond.energies_binary(X) for X in _enumerate_bits(cond.m)])
+
+
+def _enumerated_minimum(cond):
+    """The former exhaustive oracle, kept as the reference of
+    ``brute_force_minimum``: every vector's energy, batch by batch; a
+    batch keeps its first argmin and a later batch replaces the best only
+    when lower by more than 1e-15.  Returns (bits, energy)."""
+    best_e, best_bits = np.inf, None
+    for X in _enumerate_bits(cond.m):
+        E = cond.energies_binary(X)
+        i = int(np.argmin(E))
+        if E[i] < best_e - 1e-15:
+            best_e, best_bits = float(E[i]), X[i]
+    return best_bits, best_e
+
+
 def _oracle_case(case):
     """Condensed energies for the oracle comparison: random windows, the
     stalled ball, and data that already minimize (at s = 1/2 every
@@ -269,8 +302,7 @@ class TestMinCut:
         # the same bits, unless an exhaustive search finds another cut
         # within 1e-12: the two solvers' roundings may then part
         if cond.m <= 20:
-            X = np.concatenate(list(minimize._enumerate_bits(cond.m)))
-            if np.sum(cond.energies_binary(X) <= energy + 1e-12 * scale) > 1:
+            if np.sum(_all_energies(cond) <= energy + 1e-12 * scale) > 1:
                 return
         assert np.array_equal(bits, ref)
 
@@ -310,9 +342,7 @@ class TestMinCut:
     def test_matches_oracle_bits(self, seed):
         p = _random_small_problem(seed)
         cond = minimize._Condensed(p)
-        energies = np.concatenate(
-            [cond.energies_binary(X) for X in minimize._enumerate_bits(cond.m)]
-        )
+        energies = _all_energies(cond)
         best_set, best = brute_force_minimum(p)
         rep = solve_and_threshold(p, tol=0.0)
         scale = 1.0 + abs(best)
@@ -443,6 +473,24 @@ class TestCondensedEnergy:
                + cond.p @ (1.0 - x) + cond.q @ x)
         assert cond.energy(x) == pytest.approx(ref, rel=1e-12)
 
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_weights_equal_the_offset_gather(self, dim, rng):
+        # the flat-index gather against indexing the table by each pair's
+        # offset tuple
+        n = {1: 16, 2: 7, 3: 5}[dim]
+        spec = GridSpec(dim, (0.0,) * dim, (n,) * dim, 1.0 / n)
+        policy = AnalyticTail() if dim < 3 else TruncateAtRadius(0.4)
+        win = DomainWindow(spec, rng.random(spec.extent) < 0.6, policy)
+        p = MinimizationProblem(win, CellSet(spec, rng.random(spec.extent) < 0.5),
+                                table_for(spec, 0.5, policy))
+        cond = minimize._Condensed(p)
+        K = p.table.max_offset
+        diff = cond.free_idx[None, :, :] - cond.free_idx[:, None, :]
+        ref = p.table.weights[tuple((diff + K).transpose(2, 0, 1))]
+        np.fill_diagonal(ref, 0.0)
+        assert cond.m > 1
+        assert np.array_equal(cond.W, ref)
+
     def test_one_build_per_solve_and_per_window_check(self, rng, monkeypatch):
         builds = []
 
@@ -469,20 +517,87 @@ class TestOracle:
         with pytest.raises(OracleTooLarge):
             brute_force_minimum(p)
 
-    def test_tie_break_is_lexicographic(self):
-        # empty exterior and tiny window: empty set wins with energy far
-        # below any occupied competitor, and repeat runs agree bit for bit
-        spec = GridSpec(1, (0.0,), (8,), 0.125)
-        E0 = CellSet(spec, np.zeros(spec.extent, dtype=bool))
-        omega = np.zeros(spec.extent, dtype=bool)
-        omega[3:5] = True
-        win = DomainWindow(spec, omega, AnalyticTail())
-        p = MinimizationProblem(win, E0, table_for(spec, 0.5, AnalyticTail()))
-        s1, e1 = brute_force_minimum(p)
-        s2, e2 = brute_force_minimum(p)
-        assert np.array_equal(s1.inside, s2.inside)
-        assert e1 == e2
-        assert not s1.inside.any()
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("m", [0, 1, 2, 7, 12, 17, 18])
+    def test_matches_enumeration(self, m, dim):
+        p = _random_small_problem(2 * m + dim - 1, m)
+        cond = minimize._Condensed(p)
+        ref_bits, ref = _enumerated_minimum(cond)
+        best_set, best = brute_force_minimum(p)
+        om = p.window.omega
+        scale = 1.0 + abs(ref)
+        assert p.n_free == m and p.window.spec.dim == dim
+        assert abs(best - ref) <= 1e-12 * scale
+        assert np.array_equal(best_set.inside[~om], p.exterior_data.inside[~om])
+        # the same bits, unless several vectors lie within 1e-12 of the
+        # minimum (in 1D a half line ties with its translates): then
+        # rounding may pick another of them
+        energies = _all_energies(cond)
+        if np.sum(energies <= ref + 1e-12 * scale) > 1:
+            assert _cut_energy(cond, best_set.inside[om]) <= ref + 1e-12 * scale
+        else:
+            assert np.array_equal(best_set.inside[om], ref_bits)
+
+    @pytest.mark.parametrize("chunk_rows", [None, 2])
+    def test_tie_break_is_lexicographic(self, chunk_rows, monkeypatch):
+        # integer weights and linear terms make every energy exact; this
+        # draw has two minimizers, in rows 16 and 18 of the high half
+        rng = np.random.default_rng(1)
+        m = 10
+        W = np.triu(rng.random((m, m)) < 0.2, 1).astype(float)
+        W += W.T
+        p_ints, q_ints = rng.integers(0, 3, (2, m)).astype(float)
+
+        class Tied(minimize._Condensed):
+            def __init__(self, prob):
+                super().__init__(prob)
+                self.W, self.p, self.q = W, p_ints, q_ints
+
+        monkeypatch.setattr(minimize, "_Condensed", Tied)
+        prob = _problem_1d(free=slice(1, 11))
+        energies = _all_energies(Tied(prob))
+        ties = np.flatnonzero(energies == energies.min())
+        assert len(ties) >= 2
+        if chunk_rows:
+            # the minimizers fall in different chunks of the 5 + 5 split
+            monkeypatch.setattr(minimize, "_ORACLE_CHUNK", chunk_rows << (m - m // 2))
+            assert len(np.unique((ties >> (m - m // 2)) // chunk_rows)) >= 2
+        best_set, best = brute_force_minimum(prob)
+        first = int(np.argmin(energies))
+        assert np.array_equal(best_set.inside[prob.window.omega],
+                              (first >> np.arange(m - 1, -1, -1)) & 1)
+        assert best == energies[first]
+
+
+class TestThreshold:
+    def test_cut_indicator_gives_the_cut(self, rng):
+        p = _problem_2d(rng)
+        rep = solve_and_threshold(p, tol=0.0)
+        u = minimize.solve_relaxed(p, tol=0.0)
+        got = minimize.threshold_minimizer(u, p)
+        assert np.array_equal(got.minimizer.inside, rep.minimizer.inside)
+        assert got.energy == rep.energy
+        assert got.relaxed_energy == pytest.approx(rep.relaxed_energy, rel=1e-12)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_best_superlevel_set_of_a_fractional_field(self, seed):
+        p = _random_small_problem(seed, 10 + 2 * seed)
+        cond = minimize._Condensed(p)
+        rng = np.random.default_rng(seed)
+        spec = p.window.spec
+        u = ScalarField(spec, rng.random(spec.extent), p.exterior_data.exterior)
+        x = u.values[p.window.omega]
+        rep = minimize.threshold_minimizer(u, p)
+        relaxed = cond.energy(x)
+        scale = 1.0 + abs(relaxed)
+        assert rep.relaxed_energy == relaxed
+        assert rep.energy <= relaxed + 1e-12 * scale
+        # every superlevel set {x >= v}, v a free value, and the empty set
+        levels = np.append(np.unique(x), np.inf)
+        sets = x[None, :] >= levels[:, None]
+        assert abs(rep.energy - cond.energies_binary(sets).min()) <= 1e-12 * scale
+        bits = rep.minimizer.inside[p.window.omega]
+        assert any(np.array_equal(bits, b) for b in sets)
 
 
 class TestEquivalence:
