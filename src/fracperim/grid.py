@@ -313,33 +313,61 @@ def full_window(spec: GridSpec, policy=None) -> DomainWindow:
 # ---------------------------------------------------------------------------
 
 
+def _squared_distance_to(features: np.ndarray) -> np.ndarray:
+    """Squared distance, in units of (h/2)^2, from every cell centre to the
+    nearest closed cell of ``features`` (a nonempty mask).
+
+    Along one axis a centre and a closed cell d >= 1 cells away are
+    (2d - 1) h/2 apart, and 0 apart when d = 0, so the squared distance to
+    cell k is the sum over axes of c(|a_i - k_i|), with c(0) = 0 and
+    c(d) = (2d - 1)^2.  That sum separates, one axis at a time
+    (Saito-Toriwaki): axis 0 takes c of the nearest feature's offset on
+    each line; every later axis takes min over k of c(|k|) + the previous
+    axis shifted by k, sweeping k = 1, 2, ... until c(k) reaches the
+    largest value left, beyond which no shift can lower any entry.
+    """
+    # a line with no feature gets an offset longer than any distance in
+    # the grid, so its entries stay above every finite sum until replaced
+    far = sum(features.shape)
+    j = np.arange(features.shape[0]).reshape((-1,) + (1,) * (features.ndim - 1))
+    left = np.maximum.accumulate(np.where(features, j, -far), axis=0)
+    right = np.minimum.accumulate(np.where(features, j, far + j.size)[::-1], axis=0)[::-1]
+    d = np.minimum(j - left, right - j)
+    dist = np.where(d > 0, (2 * d - 1) ** 2, 0)
+    for axis in range(1, features.ndim):
+        g = np.moveaxis(dist, axis, 0)
+        dist = g.copy()
+        k = 1
+        while k < len(g) and (2 * k - 1) ** 2 < dist.max():
+            ck = (2 * k - 1) ** 2
+            np.minimum(dist[k:], g[:-k] + ck, out=dist[k:])
+            np.minimum(dist[:-k], g[k:] + ck, out=dist[:-k])
+            k += 1
+        dist = np.moveaxis(dist, 0, axis)
+    return dist
+
+
 def signed_distance(window: DomainWindow) -> ScalarField:
     """Signed distance from the in/out interface, negative inside omega.
 
     The interface is the boundary of the union of closed in-cells; cells
     outside the box count as out, so omega touching the box edge measures
-    to the box surface.  The nearest interface point to a cell center has
-    each coordinate either the center's own or on a face plane, so it lies
-    on the half-cell lattice (step h/2): one exact Euclidean distance
-    transform on that lattice, read at the centers, gives the distance.
+    to the box surface.  A cell centre lies in no closed cell of the other
+    phase, and the segment to the nearest point of that phase's union
+    runs through its own phase, so that point is on the interface: the
+    distance of an in-centre is its distance to the nearest closed
+    out-cell, and of an out-centre to the nearest closed in-cell.  Both
+    are exact integer transforms (``_squared_distance_to``) on the box plus
+    one ring of out-cells, which stands for everything beyond the box.
     """
-    from scipy import ndimage
-
     omega = window.omega
     if not omega.any():
         raise DegenerateDomain("omega must be nonempty")
     cells = np.pad(omega, 1)  # one ring of out-cells beyond the box
-    cube = np.ones((3,) * cells.ndim, dtype=bool)
-
-    def closure(mask):
-        # cell k covers lattice points 2k, 2k+1 (its center) and 2k+2
-        lattice = np.zeros(tuple(2 * n + 1 for n in mask.shape), dtype=bool)
-        lattice[(slice(1, None, 2),) * mask.ndim] = mask
-        return ndimage.binary_dilation(lattice, cube)
-
-    interface = closure(cells) & closure(~cells)
-    dist = ndimage.distance_transform_edt(~interface, sampling=window.spec.h / 2)
-    dist = dist[(slice(3, -3, 2),) * cells.ndim]  # the box's centers
+    box = (slice(1, -1),) * cells.ndim
+    to_out = _squared_distance_to(~cells)[box]
+    to_in = _squared_distance_to(cells)[box]
+    dist = np.sqrt(np.where(omega, to_out, to_in)) * (window.spec.h / 2)
     return ScalarField(window.spec, np.where(omega, -dist, dist))
 
 

@@ -381,8 +381,9 @@ def check_minimality_equivalence(E: CellSet, window: DomainWindow,
     (i) all competitors agreeing with E outside the window; (ii)
     competitors differing only on cells strictly interior to the window
     (signed distance < -h); (iii) minimality on every shrunken window at
-    depth k*h, k >= 1.  Classes (ii)/(iii) are vacuously true (and
-    flagged degenerate) when no strictly interior cells exist.
+    depth k*h, k >= 1.  Depth 1 is the window of (ii), so (iii) reuses its
+    answer and checks from depth 2 on.  Classes (ii)/(iii) are vacuously
+    true (and flagged degenerate) when no strictly interior cells exist.
     """
     spec = window.spec
     global_ok = _is_minimal_on(E, window, table)
@@ -398,16 +399,14 @@ def check_minimality_equivalence(E: CellSet, window: DomainWindow,
     compact_win = DomainWindow(spec, interior, window.complement_policy)
     compact_ok = _is_minimal_on(E, compact_win, table)
 
-    local_ok = True
-    k = 1
-    while True:
+    local_ok = compact_ok
+    k = 2
+    while local_ok:
         shrunk = window.omega & (sd < -k * h)
         if not shrunk.any():
             break
         sub = DomainWindow(spec, shrunk, window.complement_policy)
-        if not _is_minimal_on(E, sub, table):
-            local_ok = False
-            break
+        local_ok = _is_minimal_on(E, sub, table)
         k += 1
     return EquivalenceReport(global_ok, compact_ok, local_ok, False)
 

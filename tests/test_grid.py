@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import ndimage
 
 from fracperim.errors import DegenerateDomain, InvalidRadius, InvalidShape, SpecMismatch
 from fracperim.grid import (
@@ -66,6 +67,34 @@ def _signed_distance_reference(spec, inside):
     gap = np.maximum(np.maximum(lo[None] - p, 0.0), p - hi[None])
     dist = np.sqrt((gap * gap).sum(axis=2)).min(axis=1).reshape(spec.extent)
     return np.where(inside, -dist, dist)
+
+
+def _ndimage_signed_distance(window):
+    """The half-cell lattice route: the interface is where the closures of
+    the in-cells and the out-cells (cells beyond the box out) meet, and
+    one SciPy Euclidean distance transform on the lattice of step h/2 is
+    read at the centres."""
+    omega = window.omega
+    cells = np.pad(omega, 1)
+    cube = np.ones((3,) * cells.ndim, dtype=bool)
+
+    def closure(mask):
+        # cell k covers lattice points 2k, 2k+1 (its center) and 2k+2
+        lattice = np.zeros(tuple(2 * n + 1 for n in mask.shape), dtype=bool)
+        lattice[(slice(1, None, 2),) * mask.ndim] = mask
+        return ndimage.binary_dilation(lattice, cube)
+
+    interface = closure(cells) & closure(~cells)
+    dist = ndimage.distance_transform_edt(~interface, sampling=window.spec.h / 2)
+    dist = dist[(slice(3, -3, 2),) * cells.ndim]
+    return np.where(omega, -dist, dist)
+
+
+def _assert_matches_ndimage(window):
+    sd = signed_distance(window).values
+    ref = _ndimage_signed_distance(window)
+    assert np.array_equal(np.sign(sd), np.sign(ref))
+    assert np.all(np.abs(sd - ref) <= 1e-15 * np.abs(ref))
 
 
 class TestGridSpec:
@@ -265,6 +294,23 @@ class TestSignedDistance:
             ref = _signed_distance_reference(spec, mask)
             assert np.array_equal(np.sign(sd), np.sign(ref))
             assert np.all(np.abs(sd - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
+
+    def test_matches_ndimage_route(self, rng):
+        for spec, mask in self._cases(rng):
+            _assert_matches_ndimage(_window(spec, mask))
+
+    @pytest.mark.parametrize("extent", [(128, 128), (20, 20, 20)])
+    @pytest.mark.parametrize("fill", [0.05, 0.5, 0.95])
+    def test_matches_ndimage_route_on_random_masks(self, extent, fill, rng):
+        spec = GridSpec(len(extent), (0.0,) * len(extent), extent, 1.0 / extent[0])
+        mask = rng.random(extent) < fill
+        mask.flat[0] = True
+        _assert_matches_ndimage(_window(spec, mask))
+
+    @pytest.mark.parametrize("n", [32, 64, 128, 512])
+    def test_matches_ndimage_route_on_strip_scan_squares(self, n):
+        # strip-scan's full unit squares, where every distance is to the box
+        _assert_matches_ndimage(full_window(GridSpec(2, (0.0, 0.0), (n, n), 1.0 / n)))
 
     def test_exact_value_3d_full_window(self):
         spec = GridSpec(3, (0.5, -1.0, 2.0), (3, 3, 3), 0.25)

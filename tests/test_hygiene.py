@@ -1,8 +1,8 @@
-"""Source hygiene: every name a module imports is used by that module;
-importing the command line loads no SciPy module, and neither do
-`compute`, `davila-scan`, the cylinder scans and `minimize` while they
-run, nor the cylinder perimeter with its one-cell constant, nor an exact
-minimization called from Python."""
+"""Source hygiene: every name a module imports is used by that module,
+and no module imports SciPy; importing the command line loads no SciPy
+module, and neither does any command while it runs, nor the cylinder
+perimeter with its one-cell constant, nor an exact minimization or the
+minimality-equivalence check called from Python."""
 
 import ast
 import os
@@ -11,6 +11,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from fracperim.grid import GridSpec, cellset_from_shape, write_grid_file
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "fracperim"
 
@@ -39,6 +41,20 @@ def _unused_imports(tree: ast.Module) -> list[str]:
 def test_no_unused_imports(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     assert _unused_imports(tree) == [], f"{path.name} imports names it never uses"
+
+
+def _scipy_imports(tree: ast.Module) -> list[str]:
+    names = [a.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+             for a in node.names]
+    names += [node.module for node in ast.walk(tree)
+              if isinstance(node, ast.ImportFrom) and node.module]
+    return [n for n in names if n.split(".")[0] == "scipy"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_scipy_import(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert _scipy_imports(tree) == [], f"{path.name} imports SciPy"
 
 
 def _fresh_python(*args: str) -> subprocess.CompletedProcess:
@@ -72,9 +88,21 @@ def test_cli_import_skips_signal_and_integrate():
                   "--h", "0.125", "--omega",
                   '{"shape": "ball", "center": [0.5, 0.5], "radius": 0.25}', "--oracle"],
                  id="minimize-2d"),
+    ["strip-scan", "--s", "0.5", "--deltas", "0.25,0.125,0.0625"],
+    pytest.param(["approx", "--s", "0.5", "--grid", "{grid}", "--eps", "0.25,0.125"],
+                 id="approx"),
+    pytest.param(["approx", "--s", "0.5", "--grid", "{grid}", "--eps", "0.25,0.125",
+                  "--lipschitz", "--omega",
+                  '{"shape": "ball", "center": [0.5, 0.5], "radius": 0.4}'],
+                 id="approx-lipschitz"),
 ], ids=lambda a: a[0])
-def test_command_runs_without_scipy(args):
+def test_command_runs_without_scipy(args, tmp_path):
     # the scans end in sys.exit with their gate's code, which must be 0
+    grid = tmp_path / "ball.fracgrid"
+    spec = GridSpec(2, (0.0, 0.0), (16, 16), 1.0 / 16)
+    write_grid_file(grid, cellset_from_shape(
+        spec, {"shape": "ball", "center": [0.5, 0.5], "radius": 0.3}))
+    args = [str(grid) if a == "{grid}" else a for a in args]
     code = ("import sys\nfrom fracperim.cli import main\n"
             "try:\n    main(sys.argv[1:], standalone_mode=False)\n"
             f"finally:\n    print('scipy:', *{_SCIPY_LOADED}, file=sys.stderr)")
@@ -127,6 +155,30 @@ print('scipy:', *{_SCIPY_LOADED}, file=sys.stderr)
     out = _fresh_python("-c", code)
     assert float(out.stdout) > 0.0
     assert out.stderr.split() == ["scipy:"]
+
+
+def test_equivalence_check_runs_without_scipy():
+    # the signed distance behind the competitor windows is NumPy only
+    code = """
+import sys
+sys.modules["scipy"] = None
+import numpy as np
+from fracperim.functional import table_for
+from fracperim.grid import AnalyticTail, DomainWindow, GridSpec, cellset_from_shape
+from fracperim.minimize import (MinimizationProblem, check_minimality_equivalence,
+                                solve_and_threshold)
+spec = GridSpec(2, (0.0, 0.0), (8, 8), 0.125)
+E0 = cellset_from_shape(spec, {"shape": "halfspace", "axis": 0, "level": 0.5})
+omega = np.zeros(spec.extent, dtype=bool)
+omega[1:7, 1:7] = True
+win = DomainWindow(spec, omega, AnalyticTail())
+table = table_for(spec, 0.5, AnalyticTail())
+rep = solve_and_threshold(MinimizationProblem(win, E0, table))
+print(check_minimality_equivalence(rep.minimizer, win, table))
+"""
+    out = _fresh_python("-c", code)
+    assert "degenerate=False" in out.stdout
+    assert "_ok=False" not in out.stdout
 
 
 def test_3d_compute_peak_memory():

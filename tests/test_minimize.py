@@ -19,6 +19,7 @@ from fracperim.grid import (
     ScalarField,
     TruncateAtRadius,
     cellset_from_shape,
+    signed_distance,
     window_from_shape,
 )
 from fracperim.minimize import (
@@ -600,6 +601,58 @@ class TestThreshold:
         assert any(np.array_equal(bits, b) for b in sets)
 
 
+def _a6_cases():
+    """A6's 50 instances (the same seed and windows): each problem's
+    exhaustive minimizer with its window and table."""
+    rng = np.random.default_rng(606)
+    spec = GridSpec(2, (0.0, 0.0), (8, 8), 1.0 / 8)
+    table = table_for(spec, 0.5, AnalyticTail())
+    for idx in range(50):
+        omega = np.zeros(spec.extent, dtype=bool)
+        r0 = int(rng.integers(1, 3))
+        c0 = int(rng.integers(1, 3))
+        omega[r0:r0 + 4, c0:c0 + 5] = True
+        if idx % 2 == 1:
+            omega[r0:r0 + 2, c0:c0 + 2] = False
+        if idx % 3 == 0:
+            doc = {"shape": "halfspace", "axis": idx % 2, "level": 0.5}
+        else:
+            doc = {"shape": "ball", "center": [0.5, 0.5], "radius": 0.3}
+        win = DomainWindow(spec, omega, AnalyticTail())
+        best, _ = brute_force_minimum(
+            MinimizationProblem(win, cellset_from_shape(spec, doc), table))
+        yield best, win, table
+
+
+def _equivalence_every_depth(E, window, table):
+    """The equivalence check with class (iii) starting at depth 1, which
+    runs the compact window a second time: the reference for the loop
+    that reuses class (ii)'s answer there."""
+    spec = window.spec
+    global_ok = minimize._is_minimal_on(E, window, table)
+    if not window.omega.any():
+        return minimize.EquivalenceReport(global_ok, True, True, True)
+    sd = signed_distance(window).values
+    h = spec.h
+    interior = window.omega & (sd < -h)
+    if not interior.any():
+        return minimize.EquivalenceReport(global_ok, True, True, True)
+    compact_ok = minimize._is_minimal_on(
+        E, DomainWindow(spec, interior, window.complement_policy), table)
+    local_ok = True
+    k = 1
+    while True:
+        shrunk = window.omega & (sd < -k * h)
+        if not shrunk.any():
+            break
+        if not minimize._is_minimal_on(
+                E, DomainWindow(spec, shrunk, window.complement_policy), table):
+            local_ok = False
+            break
+        k += 1
+    return minimize.EquivalenceReport(global_ok, compact_ok, local_ok, False)
+
+
 class TestEquivalence:
     def test_minimizer_passes_all_classes(self):
         p = _problem_1d()
@@ -625,6 +678,45 @@ class TestEquivalence:
         assert not eq_bad.global_ok
         assert not eq_bad.compact_ok
         assert not eq_bad.local_ok
+
+    def test_reports_match_checking_every_depth(self, rng):
+        # A6's minimizers, and each with one window cell flipped
+        for best, win, table in _a6_cases():
+            flipped = best.inside.copy()
+            cell = tuple(rng.choice(np.argwhere(win.omega)))
+            flipped[cell] = ~flipped[cell]
+            for E in (best, CellSet(best.spec, flipped, best.exterior)):
+                assert (check_minimality_equivalence(E, win, table)
+                        == _equivalence_every_depth(E, win, table))
+
+    def test_builds_once_per_window_from_depth_two(self, monkeypatch):
+        builds = []
+
+        class Counting(minimize._Condensed):
+            def __init__(self, p):
+                builds.append(p)
+                super().__init__(p)
+
+        # A6's windows reach depth 1 only; a 6^2 window reaches depth 2
+        spec = GridSpec(2, (0.0, 0.0), (8, 8), 0.125)
+        omega = np.zeros(spec.extent, dtype=bool)
+        omega[1:7, 1:7] = True
+        win = DomainWindow(spec, omega, AnalyticTail())
+        E0 = cellset_from_shape(spec, {"shape": "halfspace", "axis": 0, "level": 0.5})
+        p = MinimizationProblem(win, E0, table_for(spec, 0.5, AnalyticTail()))
+        cases = [*_a6_cases(), (solve_and_threshold(p).minimizer, win, p.table)]
+        monkeypatch.setattr(minimize, "_Condensed", Counting)
+        depths = []
+        for best, win, table in cases:
+            del builds[:]
+            eq = check_minimality_equivalence(best, win, table)
+            assert eq.global_ok and eq.compact_ok and eq.local_ok
+            sd = signed_distance(win).values
+            deeper = sum(1 for k in range(2, 9)
+                         if (win.omega & (sd < -k * win.spec.h)).any())
+            assert len(builds) == 2 + deeper
+            depths.append(deeper)
+        assert depths[-1] == 1
 
     @pytest.mark.parametrize("dim", [1, 2])
     def test_empty_window_is_degenerate(self, dim):
