@@ -7,13 +7,12 @@ vanishing near the window boundary, which trades a little boundary
 accuracy for convergence on windows whose closure meets the set.
 
 The superlevel sets of one rung are nested, so a single scan gives the
-perimeter at all 99 grid thresholds: the two box correlations of the
-smallest set, the row totals 1 (*) w and 1_Omega (*) w and the exterior
-fields (once per ladder) and the weights among the switching cells S,
-|S| x box cells in all.  A rung therefore costs two FFT perimeters (the
-smallest set's fields and the chosen set's ``perimeter``) plus the
-S x S weights, where one perimeter per distinct superlevel set used to
-be paid.
+local and nonlocal perimeter at all 99 grid thresholds: the two box
+correlations of the smallest set, the row totals 1 (*) w and
+1_Omega (*) w and the exterior fields (once per ladder) and the weights
+among the switching cells S, read by flat offset.  A rung therefore
+costs one batched correlation plus the S x S weights; the ladder's one
+``perimeter`` call is its target's.
 """
 
 from __future__ import annotations
@@ -27,8 +26,8 @@ from .errors import EpsilonBelowResolution, InvalidSchedule
 from .functional import (
     InteractionTable,
     PerimeterBreakdown,
+    _PAIR_CHUNK,
     _engine_for,
-    _weight_rows,
     perimeter,
     superlevel,
 )
@@ -172,7 +171,8 @@ class _ThresholdScan:
     exterior fields X_E and X_C of the sets' exterior model, and the row
     totals 1 (*) w and 1_Omega (*) w over the universe, on the box.
     ``exterior`` is the set's exterior model, which every superlevel set
-    of a rung shares.  Every correlation runs on the box.
+    of a rung shares.  Every correlation runs on the box, and ``totals``
+    gives local and nonlocal apart, so a rung needs no ``perimeter``.
     """
 
     def __init__(self, window: DomainWindow, table: InteractionTable, exterior):
@@ -184,25 +184,27 @@ class _ThresholdScan:
         row_box, self.row_om = eng.fields(box, window.omega)
         self.row_all = row_box + self.x_e + self.x_c
 
-    def totals(self, u: ScalarField) -> np.ndarray:
-        """Perimeter of {u > t} for every t of the threshold grid.
+    def totals(self, u: ScalarField) -> tuple[np.ndarray, np.ndarray]:
+        """(local, nonlocal) perimeter of {u > t} at each grid threshold t.
 
         The sets are nested: each is the smallest, x0 = {u > 0.99}, plus a
         prefix of the switching cells S (0.01 < u <= 0.99) sorted by
-        decreasing u.  With omega(a, b) = w(b - a) [a or b in Omega],
-        adding cell a to a set X changes its perimeter by
-        sum_j omega(a, j) (1 - 2 X_j).  For X = x0 plus the cells of S
-        before a, that is a linear part read from the two fields of x0
-        (the exterior's part included) and the row totals, minus twice
-        the S x S weights to earlier cells.
+        decreasing u.  Base and gains split as ``_perimeter_sums`` splits
+        a perimeter.  Adding cell a to X = x0 plus the cells of S before a
+        adds row_om - 2 f_in, local for a in Omega and nonlocal outside,
+        and for a in Omega row_all - row_om - 2 f_out to nonlocal: f_in
+        and f_out are the fields of X inside and outside Omega, x0's (the
+        exterior's included) plus the earlier S x S weights by side.
         """
         eng = self.engine
         om = self.window.omega
         inside = superlevel(u, float(_THRESHOLD_GRID[-1])).inside
-        f_in, f_out = eng.fields(inside & om, inside & ~om)
+        e_in, c_in = inside & om, ~inside & om
+        f_in, f_out = eng.fields(e_in, inside & ~om)
         f_out = f_out + self.x_e
-        base = math.fsum([float(f_in[~inside].sum()), float(self.x_c[inside & om].sum()),
-                          float(f_out[~inside & om].sum())])
+        base = [[float(f_in[c_in].sum())],
+                [math.fsum([float(f_in[~inside & ~om].sum()), float(self.x_c[e_in].sum()),
+                            float(f_out[c_in].sum())])]]
 
         switch = (u.values > _THRESHOLD_GRID[0]) & ~inside
         order = np.argsort(-u.values[switch], kind="stable")
@@ -210,29 +212,38 @@ class _ThresholdScan:
         vals = u.values[switch][order]
         idx = tuple(cells.T)
         in_om = om[idx]
-        f_in, f_out = f_in[idx], f_out[idx]
-        gains = np.where(in_om, self.row_all[idx] - 2.0 * (f_in + f_out),
-                         self.row_om[idx] - 2.0 * f_in)
-        gains -= 2.0 * _earlier_pair_sums(cells, in_om, u.spec.extent, eng.table)
-        prefix = np.concatenate(([0.0], np.cumsum(gains)))
+        r_om, r_out = _earlier_pair_sums(cells, in_om, u.spec.extent, eng.table).T
+        row_om = self.row_om[idx]
+        cut = row_om - 2.0 * (f_in[idx] + r_om)
+        gains = np.cumsum([np.where(in_om, cut, 0.0),
+                           np.where(in_om, self.row_all[idx] - row_om
+                                    - 2.0 * (f_out[idx] + r_out), cut)], axis=1)
+        prefix = np.concatenate((np.zeros((2, 1)), gains), axis=1)
         # {u > t} takes the cells of S with u > t, a prefix of the order
-        return base + prefix[np.searchsorted(-vals, -_THRESHOLD_GRID)]
+        return tuple(base + prefix[:, np.searchsorted(-vals, -_THRESHOLD_GRID)])
 
 
 def _earlier_pair_sums(cells: np.ndarray, in_om: np.ndarray, shape,
                        table: InteractionTable) -> np.ndarray:
-    """Per cell a of ``cells``, the sum of w(b - a) over the cells b listed
-    before it, a pair counted only when a or b lies in the window.
+    """Per cell a of ``cells``, the sums of w(b - a) over the cells b
+    listed before it in the window and outside it: two columns.
 
-    Reads box-shaped weight rows, so the work is |cells| x box cells.
+    w(b - a) sits at flat index centre + pos[b] - pos[a] of the box's
+    contiguous weight block; row chunks of about _PAIR_CHUNK pairs each
+    take one product with [1_Omega, 1_not Omega].
     """
-    flat = np.ravel_multi_index(tuple(cells.T), shape)
-    out = np.empty(len(cells))
-    for lo, rows in _weight_rows(cells, tuple(shape), table):
-        hi = lo + len(rows)
-        keep = np.arange(hi) < np.arange(lo, hi)[:, None]
-        keep &= in_om[lo:hi, None] | in_om[:hi]
-        out[lo:hi] = (rows[:, flat[:hi]] * keep).sum(axis=1)
+    block = np.ascontiguousarray(table.block(tuple(n - 1 for n in shape)))
+    strides = np.array(block.strides) // block.itemsize
+    pos = cells @ strides
+    centre = (np.array(shape) - 1) @ strides
+    sides = np.stack([in_om, ~in_om], axis=1).astype(float)
+    out = np.empty((len(cells), 2))
+    step = max(1, _PAIR_CHUNK // max(1, len(cells)))
+    for lo in range(0, len(cells), step):
+        hi = lo + step
+        w = block.ravel()[centre + pos[:hi] - pos[lo:hi, None]]
+        w[:, lo:] = np.tril(w[:, lo:], -1)  # b strictly before a
+        out[lo:hi] = w @ sides[:hi]
     return out
 
 
@@ -241,18 +252,21 @@ def _pick_threshold(u: ScalarField, target: float,
     """Threshold whose superlevel perimeter is closest to the target, with
     that superlevel set and its perimeter.
 
-    One exact scan over the nested superlevel sets gives the perimeter at
-    every grid threshold (``_ThresholdScan.totals``), so a rung costs two
-    FFT perimeters (x0's two correlations and the chosen set's
-    ``perimeter`` on the shared engine) plus the S x S weights, instead of
-    one perimeter per distinct superlevel set.  Ties break toward t = 1/2,
-    then toward the first grid threshold.
+    One exact scan over the nested superlevel sets gives the local and
+    nonlocal perimeter at every grid threshold (``_ThresholdScan.totals``),
+    so a rung costs one batched correlation (x0's two fields) plus the
+    S x S weights, and the chosen set's breakdown is read off the scan
+    with its truncation bound from the shared engine.  Ties break toward
+    t = 1/2, then toward the first grid threshold.
     """
-    totals = scan.totals(u)
+    local, nonlocal_ = scan.totals(u)
+    totals = local + nonlocal_
     k = np.lexsort((np.abs(_THRESHOLD_GRID - 0.5), np.abs(totals - target)))[0]
     t = float(_THRESHOLD_GRID[k])
     sup = superlevel(u, t)
-    return t, sup, perimeter(sup, scan.window, scan.engine.table)
+    om = scan.window.omega
+    return t, sup, PerimeterBreakdown(float(local[k]), float(nonlocal_[k]), float(totals[k]),
+                                      scan.engine.truncation_bound(om, sup), not om.any())
 
 
 def _validate_schedule(eps_schedule, h: float) -> list[float]:

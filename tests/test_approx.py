@@ -217,12 +217,56 @@ def _scan_case(name):
     return E, full_window(spec, TruncateAtRadius(0.5)), 0.3
 
 
+def _box_row_pair_sums(cells, in_om, shape, table):
+    """Oracle of the S x S weights: per cell a, the sum of w(b - a) over
+    the cells b listed before it, a pair counted only when a or b lies in
+    the window, read from whole box-shaped weight rows."""
+    flat = np.ravel_multi_index(tuple(cells.T), shape)
+    out = np.empty(len(cells))
+    for lo, rows in functional._weight_rows(cells, tuple(shape), table):
+        hi = lo + len(rows)
+        keep = np.arange(hi) < np.arange(lo, hi)[:, None]
+        keep &= in_om[lo:hi, None] | in_om[:hi]
+        out[lo:hi] = (rows[:, flat[:hi]] * keep).sum(axis=1)
+    return out
+
+
+_SCAN_CASES = ["1d-rays", "2d-partial-truncate", "2d-halfspace-analytic",
+               "2d-full-analytic", "3d-ball"]
+
+
+def _close(got, ref, rel=1e-12):
+    return np.all(np.abs(np.asarray(got) - ref) <= rel * np.abs(ref))
+
+
 class TestThresholdScan:
     """The nested-set scan against the per-threshold perimeter loop."""
 
-    @pytest.mark.parametrize("case", ["1d-rays", "2d-partial-truncate",
-                                      "2d-halfspace-analytic", "2d-full-analytic",
-                                      "3d-ball"])
+    @pytest.mark.parametrize("case", _SCAN_CASES)
+    def test_pair_sums_match_box_rows(self, monkeypatch, case):
+        E, win, s = _scan_case(case)
+        table = table_for(E.spec, s, win.complement_policy)
+        shape = E.spec.extent
+        u = mollify(E, MollifierSpec(3 * E.spec.h))
+        switch = (u.values > 0.01) & (u.values <= 0.99)
+        cells = np.argwhere(switch)[np.argsort(-u.values[switch], kind="stable")]
+        # one chunk, an empty and a single-cell S, then chunks of 3 rows
+        for sub, chunk in ((cells, None), (cells[:0], None), (cells[:1], None),
+                           (cells, 3 * len(cells))):
+            if chunk:
+                monkeypatch.setattr(approx, "_PAIR_CHUNK", chunk)
+            in_om = win.omega[tuple(sub.T)]
+            sums = approx._earlier_pair_sums(sub, in_om, shape, table)
+            assert sums.shape == (len(sub), 2)
+            # the oracle's keep rule: every earlier cell for a in the window,
+            # only the window's earlier cells for a outside it
+            kept = np.where(in_om, sums.sum(axis=1), sums[:, 0])
+            assert _close(kept, _box_row_pair_sums(sub, in_om, shape, table))
+            every = _box_row_pair_sums(sub, np.ones(len(sub), bool), shape, table)
+            assert _close(sums.sum(axis=1), every)
+        assert len(cells) > 1 and win.omega[tuple(cells.T)].any()
+
+    @pytest.mark.parametrize("case", _SCAN_CASES)
     def test_matches_per_threshold_perimeters(self, case):
         E, win, s = _scan_case(case)
         table = table_for(E.spec, s, win.complement_policy)
@@ -233,9 +277,11 @@ class TestThresholdScan:
             u = mollify(E, MollifierSpec(eps))
             oracle = _oracle_scan(u, target, win, table)[0]
             assert len({b.total for b in oracle}) > 2  # the scan has work
-            ref = np.array([b.total for b in oracle])
-            totals = scan.totals(u)
-            assert np.all(np.abs(totals - ref) <= 1e-12 * np.abs(ref)), (eps, totals - ref)
+            # local, nonlocal and total at every grid threshold
+            ref = np.array([(b.local, b.nonlocal_, b.total) for b in oracle]).T
+            local, nonlocal_ = scan.totals(u)
+            got = np.array([local, nonlocal_, local + nonlocal_])
+            assert np.all(np.abs(got - ref) <= 1e-12 * np.abs(ref)), (eps, got - ref)
             # E's own perimeter, and targets that pick other thresholds
             for goal in (target, 0.8 * target, 1.15 * target):
                 _, t, sup, bd = _oracle_scan(u, goal, win, table)
@@ -243,11 +289,17 @@ class TestThresholdScan:
                 assert t_new == t
                 assert sup_new.inside.tobytes() == sup.inside.tobytes()
                 assert (sup_new.spec, sup_new.exterior) == (sup.spec, sup.exterior)
-                assert bd_new == bd
+                # the breakdown is read off the scan: the parts agree to
+                # rounding, the bookkeeping exactly
+                assert (bd_new.truncation_error_bound, bd_new.degenerate) == (
+                    bd.truncation_error_bound, bd.degenerate)
+                assert _close([bd_new.local, bd_new.nonlocal_, bd_new.total],
+                              [bd.local, bd.nonlocal_, bd.total])
 
     @pytest.mark.parametrize("ladder", [approximate_set, approximate_set_lipschitz])
-    def test_one_perimeter_per_rung(self, monkeypatch, ladder):
-        # the target plus one per rung; the per-threshold loop made up to 99
+    def test_one_perimeter_per_ladder(self, monkeypatch, ladder):
+        # the target's; each rung reads its breakdown off the scan, where
+        # the per-threshold loop made up to 99 calls a rung
         calls = []
         original = functional.perimeter
 
@@ -264,4 +316,5 @@ class TestThresholdScan:
         table = table_for(E.spec, 0.5, win.complement_policy)
         h = E.spec.h
         steps = ladder(E, win, [4 * h, 2 * h, h], table)
-        assert len(calls) == 1 + len(steps)
+        assert len(steps) == 3
+        assert len(calls) == 1
