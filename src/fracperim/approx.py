@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -223,6 +224,14 @@ class _ThresholdScan:
         return tuple(base + prefix[:, np.searchsorted(-vals, -_THRESHOLD_GRID)])
 
 
+@lru_cache(maxsize=1)
+def _strictly_lower(size: int) -> np.ndarray:
+    """The size x size strictly lower triangle of ones, read-only."""
+    tri = np.tri(size, k=-1)
+    tri.setflags(write=False)
+    return tri
+
+
 def _earlier_pair_sums(cells: np.ndarray, in_om: np.ndarray, shape,
                        table: InteractionTable) -> np.ndarray:
     """Per cell a of ``cells``, the sums of w(b - a) over the cells b
@@ -239,10 +248,12 @@ def _earlier_pair_sums(cells: np.ndarray, in_om: np.ndarray, shape,
     sides = np.stack([in_om, ~in_om], axis=1).astype(float)
     out = np.empty((len(cells), 2))
     step = max(1, _PAIR_CHUNK // max(1, len(cells)))
+    # a chunk's own square is at most isqrt(_PAIR_CHUNK) on a side
+    before = _strictly_lower(math.isqrt(_PAIR_CHUNK))  # b strictly before a
     for lo in range(0, len(cells), step):
         hi = lo + step
         w = block.ravel()[centre + pos[:hi] - pos[lo:hi, None]]
-        w[:, lo:] = np.tril(w[:, lo:], -1)  # b strictly before a
+        w[:, lo:] *= before[:len(w), :len(w)]
         out[lo:hi] = w @ sides[:hi]
     return out
 

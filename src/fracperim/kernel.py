@@ -3,10 +3,11 @@
 Pairwise cell weights are translation invariant, so the whole table is a
 map offset -> weight.  1D weights use the closed-form antiderivative.  In
 dimensions 2 and 3 the unit-cell pair weight is int rho(v) |v|^(-n-s) dv
-over the support of the overlap density rho, which is a product of linear
-factors on each of its 2^n unit pieces.  A piece with a corner at the
-origin gets the Duffy map, whose radial integral is closed-form; every
-other piece is smooth and gets tensor Gauss-Legendre.  Both are exact to
+over its 2^n unit lattice squares, on each of which rho is a product of
+linear factors.  The kernel is evaluated once per lattice square (tensor
+Gauss-Legendre) into its 2^n factor moments, which every weight reads
+through reflections and permutations; the square at the origin gets the
+Duffy map, whose radial integral is closed-form.  Both are exact to
 rounding and cheap, so each table computes its weights afresh and nothing
 is cached.
 """
@@ -133,63 +134,46 @@ def _corner_integrals(n: int, s: float) -> np.ndarray:
     return out
 
 
-def _piece_integrals(lower: np.ndarray, rising, n: int, s: float,
-                     q: int) -> np.ndarray:
-    """int over lower + [0,1]^n of prod_a l_a(x_a) |lower + x|^(-n-s) dx.
+def _square_moments(corners: np.ndarray, n: int, s: float, q: int) -> np.ndarray:
+    """Kernel moments of the unit squares corners + [0,1]^n, shape (m, 2^n).
 
-    l_a(x) = x where ``rising[a]``, else 1 - x.  Tensor Gauss-Legendre
-    with q nodes per axis; every piece lies at distance >= 1 from the
-    origin, where the integrand is smooth.
+    Column f (row-major over {0,1}^n) is int over [0,1]^n of prod_a
+    l_a(x_a) |corner + x|^(-n-s) dx, l_a(x) = x where f_a, else 1 - x, by
+    tensor Gauss-Legendre with q nodes per axis; every square lies at
+    distance >= 1 from the origin, where the integrand is smooth.
     """
     x, w = _gauss_legendre(q)
-    wt = np.ones(())
-    for r in rising:
-        wt = np.multiply.outer(wt, w * (x if r else 1.0 - x))
-    wt = wt.ravel()
-    out = np.empty(len(lower))
+    ramps = (w * (1.0 - x), w * x)
+    patterns = [math.prod(np.ix_(*(ramps[r] for r in f))).ravel() for f in np.ndindex((2,) * n)]
+    out = np.empty((len(corners), 2**n))
     step = max(1, _CHUNK // q**n)
-    for lo in range(0, len(lower), step):
-        blk = lower[lo:lo + step]
-        r2 = 0.0
-        for a in range(n):
-            shape = [len(blk)] + [1] * n
-            shape[a + 1] = q
-            r2 = r2 + ((blk[:, a, None] + x) ** 2).reshape(shape)
-        # row by row, so a weight rounds the same whatever its chunk holds
-        vals = (r2 ** (-0.5 * (n + s))).reshape(len(blk), -1)
-        out[lo:lo + step] = np.einsum("ij,j->i", vals, wt)
+    for lo in range(0, len(corners), step):
+        blk = corners[lo:lo + step]
+        sq = (blk[:, :, None] + x) ** 2
+        r2 = sum(sq[:, a].reshape((len(blk),) + (1,) * a + (q,) + (1,) * (n - a - 1))
+                 for a in range(n))
+        vals = np.power(r2, -0.5 * (n + s), out=r2).reshape(len(blk), -1)
+        # row by row, so a moment rounds the same whatever its chunk holds
+        for j, wt in enumerate(patterns):
+            out[lo:lo + step, j] = np.einsum("ij,j->i", vals, wt)
     return out
 
 
-def _unit_weights(offsets, n: int, s: float) -> np.ndarray:
-    """Pair integrals of unit cubes at nonzero integer offsets, shape (m, n).
-
-    The weight at offset delta is int rho(v) |v|^(-n-s) dv with overlap
-    density rho(v) = prod_a max(0, 1 - |v_a - delta_a|).  Its support
-    delta + [-1,1]^n splits into 2^n unit pieces with lower corners
-    delta - e, e in {0,1}^n, on which rho is prod_a (x_a if e_a else
-    1 - x_a) in local coordinates x.  The weight depends on |delta| up to
-    order, so offsets are first sorted into descending |delta_a|.  A piece
-    touches the origin only when every delta_a is 0 or 1; reflected onto
-    [0,1]^n it is the corner integral with one rising factor per
-    delta_a = 1, and there are 2^(n - j) of them for j such axes.
+def _expand_permutations(arr: np.ndarray, n: int) -> np.ndarray:
+    """Copy every entry of the quadrant [0, K]^n (the first n axes) from the
+    one at its descending-sorted index, permuting trailing factor-pattern
+    axes alike: a bubble-sort network of adjacent swaps, each exact.
     """
-    d = np.sort(np.abs(np.asarray(offsets, dtype=np.int64)), axis=1)[:, ::-1]
-    if not d[:, 0].all():
-        raise ValueError("the zero offset has no finite pair weight")
-    out = np.zeros(len(d))
-    touching = d[:, 0] == 1
-    j = d[touching].sum(axis=1)
-    out[touching] = _corner_integrals(n, s)[j - 1] * 2.0 ** (n - j)
-    for e in np.ndindex((2,) * n):
-        lower = d - np.asarray(e)
-        smooth = np.any((lower > 0) | (lower < -1), axis=1)
-        gap2 = np.sum(np.maximum(lower, -1 - lower) ** 2, axis=1)
-        near = gap2 < _FAR_DISTANCE**2
-        for q, sel in ((_NEAR_NODES, smooth & near), (_FAR_NODES, smooth & ~near)):
-            if sel.any():
-                out[sel] += _piece_integrals(lower[sel].astype(float), e, n, s, q)
-    return out
+    idx = np.arange(arr.shape[0])
+    for i in range(n - 1, 0, -1):
+        for a in range(i):
+            ge = (idx[:, None] >= idx).reshape(
+                (1,) * a + (len(idx),) * 2 + (1,) * (arr.ndim - a - 2))
+            swapped = arr.swapaxes(a, a + 1)
+            if arr.ndim > n:
+                swapped = swapped.swapaxes(n + a, n + a + 1)
+            arr = np.where(ge, arr, swapped)
+    return arr
 
 
 # ---------------------------------------------------------------------------
@@ -251,22 +235,38 @@ def build_table(spec: GridSpec, params: KernelParams, max_offset: int) -> Intera
         raise ValueError(f"params.dim {n} != spec.dim {spec.dim}")
     s = params.s
     K = max_offset
-    shape = (2 * K + 1,) * n
     scale = spec.h ** (n - s)
 
     if n == 1:
-        weights = np.zeros(shape)
-        for d in range(1, K + 1):
-            w = interval_pair_exact(0.0, 1.0, float(d), float(d + 1.0), s) * scale
-            weights[K + d] = w
-            weights[K - d] = w
-        return InteractionTable(spec, params, K, weights)
+        w = [interval_pair_exact(0.0, 1.0, d, d + 1.0, s) * scale for d in range(1, K + 1)]
+        return InteractionTable(spec, params, K, np.array(w[::-1] + [0.0] + w))
 
-    # canonical offsets (descending, nonzero) fill a (K+1)^n array, which
-    # the descending-sorted |offset| of every table entry then indexes
+    # w(delta) = sum_e M(delta - e, e), e in {0,1}^n: the overlap density
+    # prod_a max(0, 1 - |v_a - delta_a|) is the factor pattern e on the unit
+    # square with lower corner delta - e.  The moments M are computed once
+    # per canonical square L >= 0 (descending, nonzero: the same set as the
+    # canonical offsets) and read elsewhere through axis permutations.
     canon = np.indices((K + 1,) * n).reshape(n, -1).T
     canon = canon[np.all(canon[:, :-1] >= canon[:, 1:], axis=1) & (canon[:, 0] > 0)]
+    near = np.sum(canon**2, axis=1) < _FAR_DISTANCE**2
+    moments = np.zeros((K + 1,) * n + (2,) * n)
+    for q, sel in ((_NEAR_NODES, near), (_FAR_NODES, ~near)):
+        moments[tuple(canon[sel].T)] = _square_moments(
+            canon[sel].astype(float), n, s, q).reshape((-1,) + (2,) * n)
+    moments = _expand_permutations(moments, n)
+    # Sum the quadrant by slicing.  Corner delta_a - 1 = -1 reads the square
+    # at 0 with axis a's factor flipped, its reflection.  The square at the
+    # origin is singular: its moments stay 0 and the corner terms carry it,
+    # 2^(n-j) of them for delta in {0,1}^n with j ones.
     unit = np.zeros((K + 1,) * n)
-    unit[tuple(canon.T)] = _unit_weights(canon, n, s)
-    mags = np.sort(np.abs(np.indices(shape) - K), axis=0)[::-1]
-    return InteractionTable(spec, params, K, unit[tuple(mags)] * scale)
+    for e in np.ndindex((2,) * n):
+        for flip in np.ndindex(tuple(b + 1 for b in e)):
+            dst = tuple(slice(0, 1) if f else slice(b, None) for b, f in zip(e, flip))
+            src = tuple(slice(0, 1) if f else slice(0, K + 1 - b) for b, f in zip(e, flip))
+            unit[dst] += moments[src + tuple(b ^ f for b, f in zip(e, flip))]
+    corner = _corner_integrals(n, s)
+    for d in list(np.ndindex((min(K, 1) + 1,) * n))[1:]:
+        unit[d] += corner[sum(d) - 1] * 2.0 ** (n - sum(d))
+    # expand the canonical entries, then mirror them into every orthant
+    quadrant = _expand_permutations(unit * scale, n)
+    return InteractionTable(spec, params, K, np.pad(quadrant, [(K, 0)] * n, mode="reflect"))

@@ -196,4 +196,5 @@ def test_3d_compute_peak_memory():
                         "--h", "0.0625", "--shape",
                         '{"shape": "ball", "center": [0.5, 0.5, 0.5], "radius": 0.3}')
     assert '"total"' in out.stdout
-    assert float(out.stderr) < 150.0  # MB
+    # measured 52 MB on one core (x86-64, NumPy 2.4); about 50 % margin
+    assert float(out.stderr) < 80.0  # MB

@@ -22,8 +22,12 @@ from fracperim.grid import (
     full_window,
 )
 from fracperim.kernel import (
+    _FAR_DISTANCE,
+    _FAR_NODES,
+    _NEAR_NODES,
     KernelParams,
-    _unit_weights,
+    _corner_integrals,
+    _gauss_legendre,
     build_table,
     interval_pair_exact,
     interval_ray_exact,
@@ -87,6 +91,64 @@ def _gauss_legendre_pair(offset, s, nodes=24):
         wt = np.prod(np.meshgrid(*([w] * n), indexing="ij"), axis=0)
         total += np.sum(wt * rho * sum(va**2 for va in v) ** (-(n + s) / 2.0))
     return total
+
+
+def _piece_integrals(lower, rising, n, s, q, chunk=1 << 18):
+    """int over lower + [0,1]^n of prod_a l_a(x_a) |lower + x|^(-n-s) dx.
+
+    l_a(x) = x where ``rising[a]``, else 1 - x.  Tensor Gauss-Legendre
+    with q nodes per axis, one piece at a time; every piece lies at
+    distance >= 1 from the origin, where the integrand is smooth.
+    """
+    x, w = _gauss_legendre(q)
+    wt = np.ones(())
+    for r in rising:
+        wt = np.multiply.outer(wt, w * (x if r else 1.0 - x))
+    wt = wt.ravel()
+    out = np.empty(len(lower))
+    step = max(1, chunk // q**n)
+    for lo in range(0, len(lower), step):
+        blk = lower[lo:lo + step]
+        r2 = 0.0
+        for a in range(n):
+            shape = [len(blk)] + [1] * n
+            shape[a + 1] = q
+            r2 = r2 + ((blk[:, a, None] + x) ** 2).reshape(shape)
+        vals = (r2 ** (-0.5 * (n + s))).reshape(len(blk), -1)
+        out[lo:lo + step] = np.einsum("ij,j->i", vals, wt)
+    return out
+
+
+def _unit_weights(offsets, n, s):
+    """Per-piece oracle for the unit-cube pair weights at nonzero offsets.
+
+    The weight at offset delta is int rho(v) |v|^(-n-s) dv with overlap
+    density rho(v) = prod_a max(0, 1 - |v_a - delta_a|).  Its support
+    delta + [-1,1]^n splits into 2^n unit pieces with lower corners
+    delta - e, e in {0,1}^n, on which rho is prod_a (x_a if e_a else
+    1 - x_a) in local coordinates x.  Each piece of each weight is
+    integrated on its own, with the near/far node counts of
+    ``build_table``, after sorting the offset into descending |delta_a|.
+    A piece touches the origin only when every delta_a is 0 or 1;
+    reflected onto [0,1]^n it is the corner integral with one rising
+    factor per delta_a = 1, and there are 2^(n - j) of them for j such
+    axes.
+    """
+    d = np.sort(np.abs(np.asarray(offsets, dtype=np.int64)), axis=1)[:, ::-1]
+    assert d[:, 0].all(), "the zero offset has no finite pair weight"
+    out = np.zeros(len(d))
+    touching = d[:, 0] == 1
+    j = d[touching].sum(axis=1)
+    out[touching] = _corner_integrals(n, s)[j - 1] * 2.0 ** (n - j)
+    for e in np.ndindex((2,) * n):
+        lower = d - np.asarray(e)
+        smooth = np.any((lower > 0) | (lower < -1), axis=1)
+        gap2 = np.sum(np.maximum(lower, -1 - lower) ** 2, axis=1)
+        near = gap2 < _FAR_DISTANCE**2
+        for q, sel in ((_NEAR_NODES, smooth & near), (_FAR_NODES, smooth & ~near)):
+            if sel.any():
+                out[sel] += _piece_integrals(lower[sel].astype(float), e, n, s, q)
+    return out
 
 
 def _quad_pair(a, b, c, d, s):
@@ -192,17 +254,15 @@ class TestTable2D:
 
     @pytest.mark.parametrize("s", [0.05, 0.3, 0.5, 0.7, 0.95])
     def test_near_classes_match_dblquad(self, s):
-        offsets = [(1, 0), (1, 1), (2, 0), (2, 1), (2, 2)]
-        got = _unit_weights(np.array(offsets), 2, s)
-        for off, w in zip(offsets, got):
-            assert w == pytest.approx(_near_class_integral(off, s), rel=1e-10), off
+        t = build_table(GridSpec(2, (0.0, 0.0), (3, 3), 1.0), KernelParams(s, 2), 2)
+        for off in [(1, 0), (1, 1), (2, 0), (2, 1), (2, 2)]:
+            assert t.weight(off) == pytest.approx(_near_class_integral(off, s), rel=1e-10), off
 
     @pytest.mark.parametrize("s", [0.1, 0.5, 0.9])
     def test_far_offsets_match_gauss_legendre(self, s):
-        offsets = [(3, 0), (5, 2), (11, 0), (40, 17)]
-        got = _unit_weights(np.array(offsets), 2, s)
-        for off, w in zip(offsets, got):
-            assert w == pytest.approx(_gauss_legendre_pair(off, s), rel=1e-12), off
+        t = build_table(GridSpec(2, (0.0, 0.0), (4, 4), 1.0), KernelParams(s, 2), 40)
+        for off in [(3, 0), (5, 2), (11, 0), (40, 17)]:
+            assert t.weight(off) == pytest.approx(_gauss_legendre_pair(off, s), rel=1e-12), off
 
     def test_far_field_matches_point_kernel(self):
         spec = GridSpec(2, (0.0, 0.0), (20, 20), 1.0)
@@ -217,6 +277,21 @@ class TestTable2D:
         assert t.weight([15, 8]) == pytest.approx(point, rel=5e-3)
 
 
+@pytest.mark.parametrize("s", [0.05, 0.5, 0.95])
+@pytest.mark.parametrize("dim,K", [(2, 40), (3, 12)])
+def test_table_matches_per_piece_oracle(dim, K, s):
+    # the table shares each lattice square's kernel values between the
+    # weights whose support covers it; the oracle integrates every piece
+    # of every weight on its own
+    t = build_table(GridSpec(dim, (0.0,) * dim, (4,) * dim, 1.0), KernelParams(s, dim), K)
+    offsets = np.indices(t.weights.shape).reshape(dim, -1).T - K
+    nonzero = np.any(offsets != 0, axis=1)
+    got = t.weights.ravel()
+    assert np.all(got[~nonzero] == 0.0)
+    expect = _unit_weights(offsets[nonzero], dim, s)
+    assert np.max(np.abs(got[nonzero] / expect - 1.0)) < 2e-15
+
+
 @pytest.mark.parametrize("dim,h,small,large", [(2, 1.0 / 6, 17, 29), (3, 0.25, 15, 23)])
 def test_weights_do_not_depend_on_reach(dim, h, small, large):
     # each weight is summed on its own, not in a chunk whose size the reach sets
@@ -227,6 +302,14 @@ def test_weights_do_not_depend_on_reach(dim, h, small, large):
 
 
 class TestTable3D:
+    def test_symmetry_group(self):
+        t = build_table(GridSpec(3, (0.0,) * 3, (5,) * 3, 0.2), KernelParams(0.5, 3), 6)
+        for axes in itertools.chain.from_iterable(
+                itertools.combinations(range(3), k) for k in (1, 2, 3)):
+            assert np.array_equal(np.flip(t.weights, axes), t.weights), axes
+        for perm in itertools.permutations(range(3)):
+            assert np.array_equal(t.weights.transpose(perm), t.weights), perm
+
     @pytest.mark.parametrize("s", [0.1, 0.5, 0.9])
     def test_marginal_is_beta_times_2d_weight(self, s):
         # summing rho over the last axis gives 1, and the kernel's line
