@@ -117,6 +117,8 @@ def _load_set(grid: str | None, shape: str | None, extent, h, origin) -> CellSet
         return read_grid_file(grid)
     if shape is None:
         raise ValueError("either --grid or --shape is required")
+    if extent is None:
+        raise ValueError("a shape needs --extent")
     ext = tuple(int(v) for v in extent.split(","))
     org = tuple(float(v) for v in origin.split(",")) if origin else (0.0,) * len(ext)
     spec = GridSpec(len(ext), org, ext, float(h))

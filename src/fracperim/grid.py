@@ -413,12 +413,14 @@ def read_grid_file(path) -> CellSet:
         body = f.read()
     if not header or header[0] != "fracgrid":
         raise InvalidShape("not a fracgrid file")
-    dim = int(header[1])
-    extent = tuple(int(v) for v in header[2 : 2 + dim])
-    h = float(header[2 + dim])
-    origin = tuple(float(v) for v in header[3 + dim : 3 + 2 * dim])
+    try:
+        dim = int(header[1])
+        extent = tuple(int(v) for v in header[2 : 2 + dim])
+        h = float(header[2 + dim])
+        spec = GridSpec(dim, tuple(float(v) for v in header[3 + dim :]), extent, h)
+    except (IndexError, ValueError) as err:
+        raise InvalidShape(f"bad fracgrid header {' '.join(header)!r}: {err}") from None
     bits = [c for c in body if c in "01"]
-    spec = GridSpec(dim, origin, extent, h)
     if len(bits) != spec.n_cells:
         raise InvalidShape(
             f"expected {spec.n_cells} occupancy chars, found {len(bits)}"
@@ -448,7 +450,7 @@ def _shape_occupancy(doc, pts: np.ndarray):
     """Occupancy at the given points plus the matching exterior model.
 
     A key that the document's kind does not take raises, so that a
-    misspelt key cannot fall back to a default."""
+    misspelt key cannot fall back to a default; so does a key it needs."""
     if not isinstance(doc, dict):
         raise InvalidShape(f"shape document must be an object, got {type(doc)}")
     kind = next((op for op in ("union", "complement") if op in doc), doc.get("shape"))
@@ -457,7 +459,17 @@ def _shape_occupancy(doc, pts: np.ndarray):
     unknown = sorted(set(doc) - _SHAPE_KEYS[kind])
     if unknown:
         raise InvalidShape(f"unknown keys {unknown} in a {kind} shape: {doc!r}")
+    try:
+        return _kind_occupancy(kind, doc, pts)
+    except KeyError as err:
+        raise InvalidShape(f"missing key {err} in a {kind} shape: {doc!r}") from None
+
+
+def _kind_occupancy(kind: str, doc: dict, pts: np.ndarray):
+    """``_shape_occupancy`` of a document whose keys are checked."""
     if kind == "union":
+        if not isinstance(doc["union"], list):
+            raise InvalidShape(f"a union takes a list of shapes, got {doc!r}")
         occ = np.zeros(len(pts), dtype=bool)
         exts = []
         for sub in doc["union"]:

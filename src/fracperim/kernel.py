@@ -4,12 +4,13 @@ Pairwise cell weights are translation invariant, so the whole table is a
 map offset -> weight.  1D weights use the closed-form antiderivative.  In
 dimensions 2 and 3 the unit-cell pair weight is int rho(v) |v|^(-n-s) dv
 over its 2^n unit lattice squares, on each of which rho is a product of
-linear factors.  The kernel is evaluated once per lattice square (tensor
-Gauss-Legendre) into its 2^n factor moments, which every weight reads
-through reflections and permutations; the square at the origin gets the
-Duffy map, whose radial integral is closed-form.  Both are exact to
-rounding and cheap, so each table computes its weights afresh and nothing
-is cached.
+linear factors.  The kernel is evaluated once per lattice square of the
+band that the descending weights read (tensor Gauss-Legendre) into its
+2^n factor moments; the square at the origin holds the Duffy corner
+integrals, whose radial part is closed-form, in the same array.  One
+slicing sum gives the descending weights, and exact copies fill the rest
+of the table.  Both rules are exact to rounding and cheap, so each table
+computes its weights afresh and nothing is cached.
 """
 
 from __future__ import annotations
@@ -160,20 +161,44 @@ def _square_moments(corners: np.ndarray, n: int, s: float, q: int) -> np.ndarray
 
 
 def _expand_permutations(arr: np.ndarray, n: int) -> np.ndarray:
-    """Copy every entry of the quadrant [0, K]^n (the first n axes) from the
-    one at its descending-sorted index, permuting trailing factor-pattern
-    axes alike: a bubble-sort network of adjacent swaps, each exact.
-    """
+    """Copy every entry of the cube [0, K]^n from the one at its descending-
+    sorted index: a bubble-sort network of adjacent axis swaps, each exact."""
     idx = np.arange(arr.shape[0])
     for i in range(n - 1, 0, -1):
         for a in range(i):
-            ge = (idx[:, None] >= idx).reshape(
-                (1,) * a + (len(idx),) * 2 + (1,) * (arr.ndim - a - 2))
-            swapped = arr.swapaxes(a, a + 1)
-            if arr.ndim > n:
-                swapped = swapped.swapaxes(n + a, n + a + 1)
-            arr = np.where(ge, arr, swapped)
+            ge = (idx[:, None] >= idx).reshape((1,) * a + (len(idx),) * 2 + (1,) * (n - a - 2))
+            arr = np.where(ge, arr, arr.swapaxes(a, a + 1))
     return arr
+
+
+def _unit_quadrant(n: int, s: float, K: int) -> np.ndarray:
+    """Unit-cell weights w(delta) on [0, K]^n, right at descending delta.
+
+    w(delta) = sum_e M(delta - e, e), e in {0,1}^n: the overlap density
+    prod_a max(0, 1 - |v_a - delta_a|) is the factor pattern e on the unit
+    square with lower corner delta - e.  A descending delta reads only the
+    band of squares L_a >= L_{a+1} - 1, so M is computed there alone.  The
+    singular square at the origin holds, in pattern f, the Duffy corner
+    integral of f's popcount (0 for f = 0).
+    """
+    band = np.indices((K + 1,) * n).reshape(n, -1).T
+    band = band[np.all(band[:, :-1] >= band[:, 1:] - 1, axis=1) & np.any(band > 0, axis=1)]
+    near = np.sum(band**2, axis=1) < _FAR_DISTANCE**2
+    moments = np.zeros((K + 1,) * n + (2,) * n)
+    for q, sel in ((_NEAR_NODES, near), (_FAR_NODES, ~near)):
+        moments[tuple(band[sel].T)] = _square_moments(
+            band[sel].astype(float), n, s, q).reshape((-1,) + (2,) * n)
+    popcount = np.indices((2,) * n).sum(axis=0)
+    moments[(0,) * n] = np.concatenate(([0.0], _corner_integrals(n, s)))[popcount]
+    # sum by slicing: corner delta_a - 1 = -1 reads the square at 0 with
+    # axis a's factor flipped, its reflection
+    unit = np.zeros((K + 1,) * n)
+    for e in np.ndindex((2,) * n):
+        for flip in np.ndindex(tuple(b + 1 for b in e)):
+            dst = tuple(slice(0, 1) if f else slice(b, None) for b, f in zip(e, flip))
+            src = tuple(slice(0, 1) if f else slice(0, K + 1 - b) for b, f in zip(e, flip))
+            unit[dst] += moments[src + tuple(b ^ f for b, f in zip(e, flip))]
+    return unit
 
 
 # ---------------------------------------------------------------------------
@@ -241,32 +266,6 @@ def build_table(spec: GridSpec, params: KernelParams, max_offset: int) -> Intera
         w = [interval_pair_exact(0.0, 1.0, d, d + 1.0, s) * scale for d in range(1, K + 1)]
         return InteractionTable(spec, params, K, np.array(w[::-1] + [0.0] + w))
 
-    # w(delta) = sum_e M(delta - e, e), e in {0,1}^n: the overlap density
-    # prod_a max(0, 1 - |v_a - delta_a|) is the factor pattern e on the unit
-    # square with lower corner delta - e.  The moments M are computed once
-    # per canonical square L >= 0 (descending, nonzero: the same set as the
-    # canonical offsets) and read elsewhere through axis permutations.
-    canon = np.indices((K + 1,) * n).reshape(n, -1).T
-    canon = canon[np.all(canon[:, :-1] >= canon[:, 1:], axis=1) & (canon[:, 0] > 0)]
-    near = np.sum(canon**2, axis=1) < _FAR_DISTANCE**2
-    moments = np.zeros((K + 1,) * n + (2,) * n)
-    for q, sel in ((_NEAR_NODES, near), (_FAR_NODES, ~near)):
-        moments[tuple(canon[sel].T)] = _square_moments(
-            canon[sel].astype(float), n, s, q).reshape((-1,) + (2,) * n)
-    moments = _expand_permutations(moments, n)
-    # Sum the quadrant by slicing.  Corner delta_a - 1 = -1 reads the square
-    # at 0 with axis a's factor flipped, its reflection.  The square at the
-    # origin is singular: its moments stay 0 and the corner terms carry it,
-    # 2^(n-j) of them for delta in {0,1}^n with j ones.
-    unit = np.zeros((K + 1,) * n)
-    for e in np.ndindex((2,) * n):
-        for flip in np.ndindex(tuple(b + 1 for b in e)):
-            dst = tuple(slice(0, 1) if f else slice(b, None) for b, f in zip(e, flip))
-            src = tuple(slice(0, 1) if f else slice(0, K + 1 - b) for b, f in zip(e, flip))
-            unit[dst] += moments[src + tuple(b ^ f for b, f in zip(e, flip))]
-    corner = _corner_integrals(n, s)
-    for d in list(np.ndindex((min(K, 1) + 1,) * n))[1:]:
-        unit[d] += corner[sum(d) - 1] * 2.0 ** (n - sum(d))
-    # expand the canonical entries, then mirror them into every orthant
-    quadrant = _expand_permutations(unit * scale, n)
+    # expand the descending entries, then mirror them into every orthant
+    quadrant = _expand_permutations(_unit_quadrant(n, s, K) * scale, n)
     return InteractionTable(spec, params, K, np.pad(quadrant, [(K, 0)] * n, mode="reflect"))

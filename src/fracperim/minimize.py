@@ -125,7 +125,6 @@ class _Condensed:
         F = np.ravel_multi_index(tuple((self.free_idx + K).T), shape)
         centre = np.ravel_multi_index((K,) * len(shape), shape)
         self.W = table.weights.ravel()[F[None, :] - F[:, None] + centre]
-        np.fill_diagonal(self.W, 0.0)
 
         # linear terms: interaction with the fixed box cells, by box
         # correlations, plus the exterior's fields

@@ -63,6 +63,31 @@ class TestCompute:
         res = runner.invoke(main, ["compute", "--s", "0.5"])
         assert res.exit_code == 1
 
+    @pytest.mark.parametrize("args", [
+        ["compute", "--s", "0.5", "--shape", '{"shape": "full"}'],
+        ["minimize", "--s", "0.5", "--exterior", '{"shape": "empty"}',
+         "--omega", '{"shape": "full"}'],
+    ], ids=["compute", "minimize"])
+    def test_shape_requires_extent(self, runner, args):
+        res = runner.invoke(main, args)
+        assert res.exit_code == 1
+        assert json.loads(res.stderr)["error"] == "config"
+
+    def test_missing_shape_key_is_invalid_shape(self, runner):
+        res = runner.invoke(main, [
+            "compute", "--s", "0.5", "--shape", '{"shape": "ball", "center": [0.5, 0.5]}',
+            "--extent", "8,8", "--h", "0.125",
+        ])
+        assert res.exit_code == 1
+        assert json.loads(res.stderr)["kind"] == "InvalidShape"
+
+    def test_malformed_grid_header(self, runner, tmp_path):
+        path = tmp_path / "short.fracgrid"
+        path.write_text("fracgrid 2 4\n")
+        res = runner.invoke(main, ["compute", "--s", "0.5", "--grid", str(path)])
+        assert res.exit_code == 1
+        assert json.loads(res.stderr)["kind"] == "InvalidShape"
+
     @pytest.mark.parametrize("radius", ["-0.1", "nan", "inf"])
     def test_rejects_bad_truncation_radius(self, runner, radius):
         res = runner.invoke(main, [

@@ -381,6 +381,17 @@ class TestShapes:
         with pytest.raises(InvalidShape):
             cellset_from_shape(spec, {"shape": "torus"})
 
+    @pytest.mark.parametrize("doc", [
+        {"shape": "ball", "center": [0.5, 0.5]},
+        {"union": 3},
+        {"shape": "subgraph",
+         "heights": {"dim": 1, "extent": [4], "h": 0.25, "values": [0.5] * 4}},
+    ], ids=["ball_without_radius", "union_of_int", "heights_without_origin"])
+    def test_incomplete_shape_raises(self, doc):
+        spec = _spec2(4)
+        with pytest.raises(InvalidShape):
+            cellset_from_shape(spec, doc)
+
 
 class TestGridFile:
     def test_round_trip(self, tmp_path, rng):
@@ -395,6 +406,16 @@ class TestGridFile:
     def test_bad_header_raises(self, tmp_path):
         path = tmp_path / "bad.fracgrid"
         path.write_text("nonsense 2 2 2 0.5 0 0\n0101\n")
+        with pytest.raises(InvalidShape):
+            read_grid_file(path)
+
+    @pytest.mark.parametrize("header", [
+        "fracgrid", "fracgrid 2 4", "fracgrid 2 2 2 0.5 0.0", "fracgrid two 2 2 0.5 0.0 0.0",
+        "fracgrid 2 2 2 half 0.0 0.0",
+    ])
+    def test_malformed_header_raises(self, tmp_path, header):
+        path = tmp_path / "bad.fracgrid"
+        path.write_text(header + "\n0101\n")
         with pytest.raises(InvalidShape):
             read_grid_file(path)
 

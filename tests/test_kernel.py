@@ -3,6 +3,7 @@
 import itertools
 import math
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -309,6 +310,17 @@ class TestTable3D:
             assert np.array_equal(np.flip(t.weights, axes), t.weights), axes
         for perm in itertools.permutations(range(3)):
             assert np.array_equal(t.weights.transpose(perm), t.weights), perm
+
+    def test_build_peak_memory(self):
+        # the moment array is released before the table is filled, so the
+        # build's peak stays near the table's own size
+        tracemalloc.start()
+        try:
+            t = build_table(GridSpec(3, (0.0,) * 3, (4,) * 3, 0.25), KernelParams(0.5, 3), 63)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.3 * t.weights.nbytes
 
     @pytest.mark.parametrize("s", [0.1, 0.5, 0.9])
     def test_marginal_is_beta_times_2d_weight(self, s):
