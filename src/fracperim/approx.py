@@ -10,7 +10,8 @@ The superlevel sets of one rung are nested, so a single scan gives the
 local and nonlocal perimeter at all 99 grid thresholds: the two box
 correlations of the smallest set, the row totals 1 (*) w and
 1_Omega (*) w and the exterior fields (once per ladder) and the weights
-among the switching cells S, read by flat offset.  A rung therefore
+among the switching cells S, gathered by flat offset
+(``InteractionTable.pairs``).  A rung therefore
 costs one batched correlation plus the S x S weights; the ladder's one
 ``perimeter`` call is its target's.
 """
@@ -213,7 +214,7 @@ class _ThresholdScan:
         vals = u.values[switch][order]
         idx = tuple(cells.T)
         in_om = om[idx]
-        r_om, r_out = _earlier_pair_sums(cells, in_om, u.spec.extent, eng.table).T
+        r_om, r_out = _earlier_pair_sums(cells, in_om, eng.table).T
         row_om = self.row_om[idx]
         cut = row_om - 2.0 * (f_in[idx] + r_om)
         gains = np.cumsum([np.where(in_om, cut, 0.0),
@@ -232,19 +233,14 @@ def _strictly_lower(size: int) -> np.ndarray:
     return tri
 
 
-def _earlier_pair_sums(cells: np.ndarray, in_om: np.ndarray, shape,
+def _earlier_pair_sums(cells: np.ndarray, in_om: np.ndarray,
                        table: InteractionTable) -> np.ndarray:
     """Per cell a of ``cells``, the sums of w(b - a) over the cells b
     listed before it in the window and outside it: two columns.
 
-    w(b - a) sits at flat index centre + pos[b] - pos[a] of the box's
-    contiguous weight block; row chunks of about _PAIR_CHUNK pairs each
-    take one product with [1_Omega, 1_not Omega].
+    Row chunks of about _PAIR_CHUNK pairs, gathered by ``table.pairs``,
+    each take one product with [1_Omega, 1_not Omega].
     """
-    block = np.ascontiguousarray(table.block(tuple(n - 1 for n in shape)))
-    strides = np.array(block.strides) // block.itemsize
-    pos = cells @ strides
-    centre = (np.array(shape) - 1) @ strides
     sides = np.stack([in_om, ~in_om], axis=1).astype(float)
     out = np.empty((len(cells), 2))
     step = max(1, _PAIR_CHUNK // max(1, len(cells)))
@@ -252,7 +248,7 @@ def _earlier_pair_sums(cells: np.ndarray, in_om: np.ndarray, shape,
     before = _strictly_lower(math.isqrt(_PAIR_CHUNK))  # b strictly before a
     for lo in range(0, len(cells), step):
         hi = lo + step
-        w = block.ravel()[centre + pos[:hi] - pos[lo:hi, None]]
+        w = table.pairs(cells[lo:hi], cells[:hi])
         w[:, lo:] *= before[:len(w), :len(w)]
         out[lo:hi] = w @ sides[:hi]
     return out

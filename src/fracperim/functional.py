@@ -18,10 +18,8 @@ the box per exterior model: X_E and X_C, the mass of each box cell to the
 exterior inside E and to the exterior outside it.  A PairEngine computes
 them once and caches them with its weight spectra, and the table keeps
 one engine per (spec, policy).  Every correlation runs on the box.  A
-perimeter takes the two box fields of one batch.
-``interaction(..., exact=True)`` weighs every cell pair explicitly
-instead and serves as the independent oracle; every other pair sum is a
-correlation.  The module imports no SciPy.
+perimeter takes the two box fields of one batch, and ``interaction`` is
+the same correlation at every size.  The module imports no SciPy.
 
 Beyond the box every exterior model is a lattice set H, so in a universe
 U, X_E = m(. -> H n U) - (1_(H n box) (*) w) and X_C likewise with H^c
@@ -30,9 +28,9 @@ AnalyticTail and for the cylinder perimeter; otherwise it is the box
 plus the policy's pad, m is a rectangle sum of the weight block, and the
 mass beyond U is bounded.
 
-The relaxed energy F(u, Omega) is an explicit pair sum too, over (window
-cell, box cell) pairs in chunks, reading the same weight rows as
-``interaction(exact=True)``, plus the window's mass to the exterior cells
+The relaxed energy F(u, Omega) is an explicit pair sum, over (window
+cell, box cell) pairs in chunks of sliding-window weight rows
+(``_weight_rows``), plus the window's mass to the exterior cells
 of each exterior value (``PairEngine.pad_masses``: the same rule with
 explicit box sums, once per exterior).  It never touches the FFT, so the
 coarea identity compares two independent routes.
@@ -203,11 +201,9 @@ def _tail_terms(dist: np.ndarray, h: float, params: KernelParams) -> np.ndarray:
     return h**params.dim * tail_mass(1.0, params) * r ** -params.s
 
 
-def interaction(A: np.ndarray, B: np.ndarray, table: InteractionTable,
-                exact: bool = False) -> float:
+def interaction(A: np.ndarray, B: np.ndarray, table: InteractionTable) -> float:
     """L_s between two disjoint cell bitmasks on the same grid: <B, A (*) w>
-    by FFT, or with ``exact`` the independent oracle that weighs every
-    cell pair explicitly."""
+    by FFT."""
     A = np.asarray(A, dtype=bool)
     B = np.asarray(B, dtype=bool)
     if A.shape != B.shape:
@@ -216,10 +212,6 @@ def interaction(A: np.ndarray, B: np.ndarray, table: InteractionTable,
         raise NotDisjoint("interaction requires disjoint masks")
     if not A.any() or not B.any():
         return 0.0
-    if exact:
-        b = B.ravel().astype(float)
-        return math.fsum(float(rows.dot(b).sum())
-                         for _, rows in _weight_rows(np.argwhere(A), A.shape, table))
     return float(_fields((A,), table, {})[0][B].sum())
 
 
@@ -248,12 +240,12 @@ def _fit_cell_constant(n: int, s: float, reaches: tuple[int, int, int]) -> float
     face = 2.0 ** (n - 1) * float(np.sum(wts * (1.0 + u2) ** (-0.5 * (n + s))))
     a0 = 2.0 * n / s * face
     K = max(reaches)
-    unit = build_table(GridSpec(n, (0.0,) * n, (1,) * n, 1.0), KernelParams(s, n), K).weights
+    unit = build_table(GridSpec(n, (0.0,) * n, (1,) * n, 1.0), KernelParams(s, n), K)
     rows, rhs = [], []
     for k in reaches:
         R = k + 0.5
         rows.append([1.0, -R ** (-s - 2.0), -R ** (-s - 4.0)])
-        rhs.append(math.fsum(unit[(slice(K - k, K + k + 1),) * n].ravel()) + a0 * R**-s)
+        rhs.append(math.fsum(unit.block(k).ravel()) + a0 * R**-s)
     return float(np.linalg.solve(rows, rhs)[0])
 
 

@@ -463,6 +463,8 @@ def _shape_occupancy(doc, pts: np.ndarray):
         return _kind_occupancy(kind, doc, pts)
     except KeyError as err:
         raise InvalidShape(f"missing key {err} in a {kind} shape: {doc!r}") from None
+    except (TypeError, ValueError) as err:
+        raise InvalidShape(f"bad value in a {kind} shape ({err}): {doc!r}") from None
 
 
 def _kind_occupancy(kind: str, doc: dict, pts: np.ndarray):
@@ -493,11 +495,17 @@ def _kind_occupancy(kind: str, doc: dict, pts: np.ndarray):
     if kind == "ball":
         c = np.asarray(doc["center"], dtype=float)
         r = float(doc["radius"])
+        if c.shape != pts.shape[1:]:
+            raise InvalidShape(f"a ball center takes {pts.shape[1]} coordinates: {doc!r}")
+        if not r > 0:
+            raise InvalidRadius(f"a ball radius must be positive: {doc!r}")
         occ = ((pts - c) ** 2).sum(axis=1) < r * r
         return occ, EmptyExterior()
     if kind == "halfspace":
         axis = int(doc.get("axis", 0))
         level = float(doc.get("level", 0.0))
+        if not 0 <= axis < pts.shape[1]:
+            raise InvalidShape(f"a half-space axis lies in [0, {pts.shape[1]}): {doc!r}")
         occ = pts[:, axis] < level
         return occ, HalfSpaceExterior(axis, level)
     if kind == "empty":

@@ -213,7 +213,8 @@ class InteractionTable:
     ``weights`` has shape (2K+1,)*dim with K = max_offset; entry at index
     offset + K is the double integral of the kernel over a cell pair at
     that offset, to rounding.  The zero offset carries weight 0 (same-cell
-    pairs never contribute for piecewise-constant fields).  ``_engines``
+    pairs never contribute for piecewise-constant fields).  Other modules
+    read the weights through ``weight``, ``block`` and ``pairs``.  ``_engines``
     holds the table's pair engines, one per (spec, policy), so their
     weight spectra and exterior fields are computed once.
     """
@@ -247,6 +248,21 @@ class InteractionTable:
         k = self.max_offset
         sl = tuple(slice(k - r, k + r + 1) for r in reaches)
         return self.weights[sl]
+
+    def pairs(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Weights w(b_j - a_i), shape (k, l), of the integer cells a (k, dim)
+        and b (l, dim) of one box, gathered by flat offset: the weights are
+        C-contiguous, so offset d sits d . strides past the centre."""
+        a, b = np.asarray(a), np.asarray(b)
+        # max(b) - min(a) over all axes bounds each axis's offsets, so only
+        # a span past K needs the per-axis check
+        if len(a) and len(b) and max(b.max() - a.min(), a.max() - b.min()) > self.max_offset:
+            reach = max((b.max(0) - a.min(0)).max(), (a.max(0) - b.min(0)).max())
+            if reach > self.max_offset:
+                raise ValueError(f"table max_offset {self.max_offset} < requested reach {reach}")
+        strides = np.array(self.weights.strides) // self.weights.itemsize
+        idx = self.weights.size // 2 + (b @ strides)[None, :] - (a @ strides)[:, None]
+        return self.weights.ravel().take(idx)
 
 
 def build_table(spec: GridSpec, params: KernelParams, max_offset: int) -> InteractionTable:

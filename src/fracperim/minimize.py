@@ -56,10 +56,6 @@ class MinimizationProblem:
     table: InteractionTable
 
     @property
-    def free_cells(self) -> np.ndarray:
-        return self.window.omega
-
-    @property
     def n_free(self) -> int:
         return int(self.window.omega.sum())
 
@@ -114,17 +110,10 @@ class _Condensed:
         om = p.window.omega
         inside = p.exterior_data.inside
         self.free_idx = np.argwhere(om)  # (m, dim) on the box
-        m = len(self.free_idx)
-        self.m = m
+        self.m = len(self.free_idx)
 
-        # pairwise weights between free cells, W_ab = weights[idx_b - idx_a
-        # + K], gathered by flat index: that offset's is F_b - F_a plus the
-        # flat index of (K, ..., K)
-        K = table.max_offset
-        shape = table.weights.shape
-        F = np.ravel_multi_index(tuple((self.free_idx + K).T), shape)
-        centre = np.ravel_multi_index((K,) * len(shape), shape)
-        self.W = table.weights.ravel()[F[None, :] - F[:, None] + centre]
+        # pairwise weights between free cells, W_ab = w(idx_b - idx_a)
+        self.W = table.pairs(self.free_idx, self.free_idx)
 
         # linear terms: interaction with the fixed box cells, by box
         # correlations, plus the exterior's fields
@@ -426,16 +415,10 @@ def solve_locally_minimal(p: MinimizationProblem, window_schedule,
     windows = list(window_schedule)
     if not windows:
         raise InvalidSchedule("window schedule must be nonempty")
-    prev = None
+    if any(np.any(a.omega & ~b.omega) for a, b in zip(windows, windows[1:])):
+        raise NotNested("window schedule must be nested increasing")
+    candidate, reports = p.exterior_data, []
     for w in windows:
-        if prev is not None and np.any(prev.omega & ~w.omega):
-            raise NotNested("window schedule must be nested increasing")
-        prev = w
-    candidate = p.exterior_data
-    reports = []
-    for w in windows:
-        prob = MinimizationProblem(w, candidate, p.table)
-        rep = solve_and_threshold(prob, tol=tol)
-        candidate = rep.minimizer
-        reports.append(rep)
+        reports.append(solve_and_threshold(MinimizationProblem(w, candidate, p.table), tol=tol))
+        candidate = reports[-1].minimizer
     return reports

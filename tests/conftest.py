@@ -7,6 +7,7 @@ are cached per (grid spec, s, complement policy) for the whole session.
 
 from __future__ import annotations
 
+import math
 import os
 import subprocess
 import sys
@@ -61,6 +62,16 @@ def box_table(spec: GridSpec, s: float) -> InteractionTable:
             max_offset=max(spec.extent) - 1,
         )
     return _TABLE_CACHE[key]
+
+
+def explicit_interaction(A: np.ndarray, B: np.ndarray, table: InteractionTable) -> float:
+    """L_s(A, B) with the table weight of every cell pair summed
+    explicitly, one chunk of weight rows at a time: the independent
+    oracle of ``functional.interaction``'s correlation."""
+    A = np.asarray(A, dtype=bool)
+    b = np.asarray(B, dtype=bool).ravel().astype(float)
+    return math.fsum(float(rows.dot(b).sum())
+                     for _, rows in functional._weight_rows(np.argwhere(A), A.shape, table))
 
 
 @pytest.fixture

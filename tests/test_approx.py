@@ -256,7 +256,7 @@ class TestThresholdScan:
             if chunk:
                 monkeypatch.setattr(approx, "_PAIR_CHUNK", chunk)
             in_om = win.omega[tuple(sub.T)]
-            sums = approx._earlier_pair_sums(sub, in_om, shape, table)
+            sums = approx._earlier_pair_sums(sub, in_om, table)
             assert sums.shape == (len(sub), 2)
             # the oracle's keep rule: every earlier cell for a in the window,
             # only the window's earlier cells for a outside it

@@ -81,6 +81,22 @@ class TestCompute:
         assert res.exit_code == 1
         assert json.loads(res.stderr)["kind"] == "InvalidShape"
 
+    @pytest.mark.parametrize("shape,kind", [
+        ('{"shape": "ball", "center": [0.5], "radius": 0.2}', "InvalidShape"),
+        ('{"shape": "ball", "center": [0.5, 0.5], "radius": -0.2}', "InvalidRadius"),
+        ('{"shape": "ball", "center": [0.5, 0.5], "radius": null}', "InvalidShape"),
+        ('{"shape": "subgraph", "heights": 3}', "InvalidShape"),
+        ('{"shape": "halfspace", "axis": 5, "level": 0.5}', "InvalidShape"),
+        ('{"shape": "halfspace", "axis": -1, "level": 0.5}', "InvalidShape"),
+    ], ids=["short-center", "negative-radius", "null-radius", "int-heights",
+            "axis-beyond", "axis-negative"])
+    def test_bad_shape_value_is_a_diagnostic(self, runner, shape, kind):
+        res = runner.invoke(main, ["compute", "--s", "0.5", "--shape", shape,
+                                   "--extent", "4,4", "--h", "0.25"])
+        assert res.exit_code == 1
+        assert res.stdout == ""
+        assert json.loads(res.stderr)["kind"] == kind
+
     def test_malformed_grid_header(self, runner, tmp_path):
         path = tmp_path / "short.fracgrid"
         path.write_text("fracgrid 2 4\n")

@@ -25,7 +25,7 @@ from fracperim.errors import (
     SpecMismatch,
     WindowTooShort,
 )
-from fracperim.functional import _tail_terms, interaction
+from fracperim.functional import _tail_terms
 from fracperim.grid import (
     CellSet,
     DomainWindow,
@@ -35,6 +35,7 @@ from fracperim.grid import (
     full_window,
 )
 from fracperim.kernel import KernelParams, build_table, interval_pair_exact
+from tests.conftest import explicit_interaction
 
 _PAD_RADIUS = 1.0
 
@@ -177,7 +178,7 @@ class TestTruncatedPerimeter:
         cell = sg.cellset()
         t = sg.ambient_spec().centers()[:, 1].reshape(cell.inside.shape)
         om = mask[:, None] & (np.abs(t) < k)
-        ref = interaction(cell.inside & om, ~cell.inside & om, table, exact=True)
+        ref = explicit_interaction(cell.inside & om, ~cell.inside & om, table)
         assert bd.local == pytest.approx(ref, rel=1e-12)
 
     @pytest.mark.parametrize("s,ref", [(0.3, 45.5944020774186), (0.5, 32.989019372276),

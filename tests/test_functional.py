@@ -41,7 +41,7 @@ from fracperim.grid import (
     full_window,
 )
 from fracperim.kernel import InteractionTable, interval_pair_exact, interval_ray_exact
-from tests.conftest import table_for, universe_table
+from tests.conftest import explicit_interaction, table_for, universe_table
 
 
 def _random_instance(rng, dim=2, n=8, s=0.5, policy=None):
@@ -142,10 +142,8 @@ class TestInteraction:
         for _ in range(4):
             E, win, table = _random_instance(rng, dim=dim, n=n)
             A, B = E.inside, ~E.inside
-            d = interaction(A, B, table, exact=True)
-            f = interaction(A, B, table, exact=False)
-            assert interaction(A, B, table) == f  # the default is the correlation
-            assert d == pytest.approx(f, rel=1e-11)
+            d = explicit_interaction(A, B, table)
+            assert d == pytest.approx(interaction(A, B, table), rel=1e-11)
 
 
 def _beyond_universe(eng, exterior):
@@ -177,7 +175,7 @@ class TestExplicitOracle:
         om = eng.embed(outer)
 
         def exact(A, B):
-            return interaction(A, B, table, exact=True)
+            return explicit_interaction(A, B, table)
 
         local = exact(occ & om, ~occ & om)
         nl = [exact(occ & om, ~occ & ~om), exact(occ & ~om, ~occ & om)]
@@ -389,7 +387,7 @@ class TestBoxRoute:
         strip = om_out & ~om_in
 
         def exact(A, B):
-            return interaction(A, B, table, exact=True)
+            return explicit_interaction(A, B, table)
 
         bd = perimeter(E, outer, table)
         self._close(bd.local, exact(occ & om_out, ~occ & om_out))
@@ -416,8 +414,8 @@ class TestBoxRoute:
         for k, cell in enumerate(np.argwhere(om)):
             a = np.zeros(om.shape, dtype=bool)
             a[tuple(cell)] = True
-            self._close(cond.p[k], interaction(a, occ & ~om, table, exact=True))
-            self._close(cond.q[k], interaction(a, ~occ & ~om, table, exact=True))
+            self._close(cond.p[k], explicit_interaction(a, occ & ~om, table))
+            self._close(cond.q[k], explicit_interaction(a, ~occ & ~om, table))
 
 
 # ---------------------------------------------------------------------------
@@ -603,7 +601,7 @@ class TestFields:
                 assert not f.any()
                 continue
             for B in (~A, ~A & (rng.random(spec.extent) < 0.5)):
-                ref = interaction(A, B, table, exact=True)
+                ref = explicit_interaction(A, B, table)
                 assert abs(float(f[B].sum()) - ref) <= 1e-12 * ref
 
 

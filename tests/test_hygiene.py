@@ -1,5 +1,6 @@
 """Source hygiene: every name a module imports is used by that module,
-and no module imports SciPy; importing the command line loads no SciPy
+no module imports SciPy, and only the kernel reads the weight table's
+layout; importing the command line loads no SciPy
 module, and neither does any command while it runs, nor the cylinder
 perimeter with its one-cell constant, nor an exact minimization or the
 minimality-equivalence check called from Python."""
@@ -55,6 +56,19 @@ def _scipy_imports(tree: ast.Module) -> list[str]:
 def test_no_scipy_import(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     assert _scipy_imports(tree) == [], f"{path.name} imports SciPy"
+
+
+def _layout_reads(tree: ast.Module) -> list[str]:
+    return [f".{node.attr} (line {node.lineno})" for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr in ("weights", "max_offset")]
+
+
+@pytest.mark.parametrize("path", sorted(p for p in SRC.glob("*.py") if p.name != "kernel.py"),
+                         ids=lambda p: p.name)
+def test_table_layout_stays_in_kernel(path):
+    # the weight table's flat layout is read through block, pairs and weight
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert _layout_reads(tree) == [], f"{path.name} reads the weight table's layout"
 
 
 def _fresh_python(*args: str) -> subprocess.CompletedProcess:

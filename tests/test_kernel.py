@@ -248,6 +248,22 @@ class TestTable2D:
         with pytest.raises(ValueError):
             t.block(4)
 
+    def test_pairs_errors_and_empty_lists(self):
+        t = build_table(GridSpec(2, (0.0, 0.0), (4, 4), 1.0), KernelParams(0.5, 2), 3)
+        cells = np.array([[0, 0], [3, 1]])
+        empty = np.empty((0, 2), dtype=int)
+        assert t.pairs(empty, cells).shape == (0, 2)
+        assert t.pairs(cells, empty).shape == (2, 0)
+        assert t.pairs(empty, empty).shape == (0, 0)
+        for far in ([[4, 0]], [[0, -4]], [[-1, 1]]):
+            with pytest.raises(ValueError):
+                t.pairs(cells, np.array(far))
+            with pytest.raises(ValueError):
+                t.pairs(np.array(far), cells)
+        # only the offsets count, not where the cells lie
+        got = t.pairs(cells + 10, np.array([[13, 11]]))
+        assert got.tolist() == [[t.weight([3, 1])], [0.0]]
+
     def test_touching_pair_against_reference(self):
         spec = GridSpec(2, (0.0, 0.0), (3, 3), 1.0)
         t = build_table(spec, KernelParams(0.5, 2), max_offset=2)
@@ -291,6 +307,20 @@ def test_table_matches_per_piece_oracle(dim, K, s):
     assert np.all(got[~nonzero] == 0.0)
     expect = _unit_weights(offsets[nonzero], dim, s)
     assert np.max(np.abs(got[nonzero] / expect - 1.0)) < 2e-15
+
+
+@pytest.mark.parametrize("dim,K", [(1, 9), (2, 5), (3, 3)])
+def test_pairs_match_weight_lookups(rng, dim, K):
+    # cells of a box of side K + 1, so every offset up to +-K on each axis
+    # can occur; the two corners put +-K on every axis at once
+    t = build_table(GridSpec(dim, (0.0,) * dim, (K + 1,) * dim, 0.5), KernelParams(0.4, dim), K)
+    a = np.vstack([rng.integers(0, K + 1, size=(7, dim)), [[0] * dim, [K] * dim]])
+    b = np.vstack([rng.integers(0, K + 1, size=(5, dim)), [[K] * dim, [0] * dim]])
+    got = t.pairs(a, b)
+    assert got.shape == (len(a), len(b))
+    ref = [[t.weight(bj - ai) for bj in b] for ai in a]
+    assert np.array_equal(got, ref)
+    assert got[-2, -2] == t.weight([K] * dim) and got[-1, -2] == t.weight([0] * dim)
 
 
 @pytest.mark.parametrize("dim,h,small,large", [(2, 1.0 / 6, 17, 29), (3, 0.25, 15, 23)])
