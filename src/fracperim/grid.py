@@ -495,17 +495,17 @@ def _kind_occupancy(kind: str, doc: dict, pts: np.ndarray):
     if kind == "ball":
         c = np.asarray(doc["center"], dtype=float)
         r = float(doc["radius"])
-        if c.shape != pts.shape[1:]:
-            raise InvalidShape(f"a ball center takes {pts.shape[1]} coordinates: {doc!r}")
-        if not r > 0:
-            raise InvalidRadius(f"a ball radius must be positive: {doc!r}")
+        if c.shape != pts.shape[1:] or not np.isfinite(c).all():
+            raise InvalidShape(f"a ball center takes {pts.shape[1]} finite coordinates: {doc!r}")
+        if not 0 < r < np.inf:
+            raise InvalidRadius(f"a ball radius must be positive and finite: {doc!r}")
         occ = ((pts - c) ** 2).sum(axis=1) < r * r
         return occ, EmptyExterior()
     if kind == "halfspace":
-        axis = int(doc.get("axis", 0))
+        axis = doc.get("axis", 0)
         level = float(doc.get("level", 0.0))
-        if not 0 <= axis < pts.shape[1]:
-            raise InvalidShape(f"a half-space axis lies in [0, {pts.shape[1]}): {doc!r}")
+        if type(axis) is not int or not 0 <= axis < pts.shape[1]:
+            raise InvalidShape(f"a half-space axis is an integer in [0, {pts.shape[1]}): {doc!r}")
         occ = pts[:, axis] < level
         return occ, HalfSpaceExterior(axis, level)
     if kind == "empty":

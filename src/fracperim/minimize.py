@@ -5,8 +5,12 @@ outside the window is an affine-plus-pairwise function of the free cell
 values with nonnegative weights, so it is a cut function (Kolmogorov-Zabih,
 TPAMI 2004): an s-t minimum cut minimizes it exactly, and the cut's 0/1
 indicator also minimizes its convex [0,1] relaxation (Chambolle-Darbon,
-IJCV 2009).  The cut comes from a dense NumPy push-relabel maximum flow
-on float capacities, and the flow certifies the cut's gap to the minimum.
+IJCV 2009).  The cut first fixes the cells whose bias outweighs their
+ties to the other open cells, which take the same value in every
+minimizer, then runs a dense NumPy push-relabel maximum flow on float
+capacities over the cells left open; its pulses are 0 when the data decide
+every cell.  The flow plus the fixed part's energy certifies the cut's gap
+to the minimum.
 An exhaustive oracle guards correctness up to 24 free cells: it splits
 the cells into two halves, tabulates each half's energy over its 2^(m/2)
 vectors and adds the cross term by one GEMM per chunk of rows.
@@ -68,7 +72,8 @@ class SolverReport:
     ``gap`` bounds how far the condensed energy of the minimizer lies
     above the minimum (nan when no dual bound is known); ``iterations``
     counts the push-relabel solver's pulses (one simultaneous push from
-    every active node, then a relabel).
+    every active node, then a relabel) on the cells the data leave open,
+    0 when the data decide every cell.
     """
 
     relaxed_energy: float
@@ -149,7 +154,57 @@ class _Condensed:
 def _min_cut(W: np.ndarray, p: np.ndarray, q: np.ndarray,
              tol: float) -> tuple[np.ndarray, float, int]:
     """Minimize sum_{a<b} W_ab |x_a - x_b| + sum_a p_a (1 - x_a) + q_a x_a
-    over x in {0,1}^m by an s-t minimum cut; W, p, q >= 0, W symmetric.
+    over x in {0,1}^m; W, p, q >= 0, W symmetric.  Reduce, then push.
+
+    A cell whose bias outweighs its ties to the other open cells takes
+    the same value in every minimizer (persistency; Hammer-Hansen-Simeone,
+    Math. Programming 1984): with r_a = sum_{b open} W_ab, x_a = 1 where
+    p_a > q_a + r_a + margin and x_a = 0 where q_a > p_a + r_a + margin.
+    A fixed cell folds into the open cells' linear terms (one at 1 adds
+    W_ab to p_b, one at 0 adds W_ab to q_b), and the rounds repeat until
+    none fixes a cell.  The margin, m 2^-48 times the largest node
+    capacity p_a + q_a + sum_b W_ab, exceeds the rounding error of the
+    folded sums, so the fixed cells agree with every minimizer, the
+    inclusion-minimal one included.  ``_push_relabel`` cuts the open
+    cells that remain, if any; the returned flow adds the fixed part's
+    energy c to the remainder's flow, so it stays a lower bound on the
+    minimum, and ``tol`` compares the whole problem's gap with
+    tol (1 + |energy|).  Returns (bits, flow, pulses): pulses count the
+    flow on the open cells only, 0 when the data decide every cell.
+    """
+    m = len(p)
+    r = W.sum(axis=1)
+    margin = m * 2.0**-48 * float((p + q + r).max(initial=0.0))
+    fixed = np.zeros((m, 2))  # indicators of the cells fixed at 1, at 0
+    p_open, q_open = p.copy(), q.copy()
+    is_open = np.ones(m, dtype=bool)
+    while True:
+        one = is_open & (p_open > q_open + r + margin)
+        zero = is_open & (q_open > p_open + r + margin)
+        new = one | zero
+        if not new.any():
+            break
+        fixed[one, 0] = fixed[zero, 1] = 1.0
+        fold = W[:, new] @ fixed[new]
+        p_open += fold[:, 0]
+        q_open += fold[:, 1]
+        r -= fold[:, 0] + fold[:, 1]
+        is_open &= ~new
+    bits = fixed[:, 0] > 0.0
+    c = float(p_open @ fixed[:, 1] + q @ fixed[:, 0])
+    idx = np.flatnonzero(is_open)
+    if not len(idx):
+        return bits, c, 0
+    sub, flow, pulses = _push_relabel(W[np.ix_(idx, idx)], p_open[idx],
+                                      q_open[idx], tol, c)
+    bits[idx] = sub
+    return bits, c + flow, pulses
+
+
+def _push_relabel(W: np.ndarray, p: np.ndarray, q: np.ndarray, tol: float,
+                  c: float) -> tuple[np.ndarray, float, int]:
+    """The minimum cut of ``_min_cut``'s energy plus the constant c, with
+    no cell fixed in advance.
 
     Nodes are the m cells, a source (the side x = 1) and a sink; edges are
     source -> a (p_a), a -> sink (q_a) and a <-> b (W_ab).  A maximum flow
@@ -165,7 +220,8 @@ def _min_cut(W: np.ndarray, p: np.ndarray, q: np.ndarray,
     cut minus the flow is a certified gap.  The cut is the set reachable
     from the source in the final residual: the inclusion-minimal minimizer.
     With tol > 0 the solve may stop at a global relabel, once that set's
-    gap is at most tol (1 + |energy|).  Returns (bits, flow, pulses).
+    gap is at most tol (1 + |c + energy|).  Returns (bits, flow, pulses),
+    the flow without c.
     """
     m = len(p)
     n = m + 2
@@ -212,7 +268,7 @@ def _min_cut(W: np.ndarray, p: np.ndarray, q: np.ndarray,
             bits = _layers(residual > eps, s)[:m] >= 0
             x = bits.astype(float)
             energy = float(p.sum() + x @ (q - p) + x @ W @ (1.0 - x))
-            if energy - excess[t] <= tol * (1.0 + abs(energy)):
+            if energy - excess[t] <= tol * (1.0 + abs(c + energy)):
                 return bits, float(excess[t]), pulses
     return _layers(residual > eps, s)[:m] >= 0, float(excess[t]), pulses
 

@@ -88,8 +88,14 @@ class TestCompute:
         ('{"shape": "subgraph", "heights": 3}', "InvalidShape"),
         ('{"shape": "halfspace", "axis": 5, "level": 0.5}', "InvalidShape"),
         ('{"shape": "halfspace", "axis": -1, "level": 0.5}', "InvalidShape"),
+        ('{"shape": "ball", "center": [0.5, 0.5], "radius": "inf"}', "InvalidRadius"),
+        ('{"shape": "ball", "center": [0.5, 0.5], "radius": 1e999}', "InvalidRadius"),
+        ('{"shape": "ball", "center": [NaN, 0.5], "radius": 0.2}', "InvalidShape"),
+        ('{"shape": "halfspace", "axis": 1.7, "level": 0.5}', "InvalidShape"),
+        ('{"shape": "halfspace", "axis": true, "level": 0.5}', "InvalidShape"),
     ], ids=["short-center", "negative-radius", "null-radius", "int-heights",
-            "axis-beyond", "axis-negative"])
+            "axis-beyond", "axis-negative", "inf-radius", "overflow-radius",
+            "nan-center", "float-axis", "bool-axis"])
     def test_bad_shape_value_is_a_diagnostic(self, runner, shape, kind):
         res = runner.invoke(main, ["compute", "--s", "0.5", "--shape", shape,
                                    "--extent", "4,4", "--h", "0.25"])

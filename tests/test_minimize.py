@@ -288,6 +288,30 @@ def _oracle_case(case):
         MinimizationProblem(win, E0, table_for(spec, 0.5, AnalyticTail())))
 
 
+def _integer_cut_data(seed, sparse=False):
+    """(W, p, q) with small integer capacities on 24 cells, whose ties are
+    exact; ``sparse`` keeps about one weight in seven and widens p, q."""
+    rng = np.random.default_rng(5000 + seed)
+    m = 24
+    W = np.triu(rng.integers(0, 3, (m, m)), 1).astype(float)
+    p, q = rng.integers(0, 4, (2, m)).astype(float)
+    if sparse:
+        W *= rng.random((m, m)) < 0.15
+        p, q = 2.0 * p, 2.0 * q
+    return W + W.T, p, q
+
+
+def _halfspace_interior_problem(n):
+    """Half-space data (axis 0, level 1/2) on an n^2 grid at s = 1/2 with
+    the (n - 2)^2 interior window."""
+    spec = GridSpec(2, (0.0, 0.0), (n, n), 1.0 / n)
+    E0 = cellset_from_shape(spec, {"shape": "halfspace", "axis": 0, "level": 0.5})
+    omega = np.zeros(spec.extent, dtype=bool)
+    omega[1:-1, 1:-1] = True
+    win = DomainWindow(spec, omega, AnalyticTail())
+    return MinimizationProblem(win, E0, table_for(spec, 0.5, AnalyticTail()))
+
+
 class TestMinCut:
     @pytest.mark.parametrize("case", [f"random{i}" for i in range(12)]
                              + ["stalled", "optimal_1d"])
@@ -297,6 +321,11 @@ class TestMinCut:
         ref, ref_flow, _ = _scipy_min_cut(cond.W, cond.p, cond.q, 0.0)
         energy = _cut_energy(cond, bits)
         scale = 1.0 + abs(energy)
+        # the push-relabel helper on the whole problem, no cell fixed in
+        # advance, is the oracle of the reduced route
+        whole, whole_flow, _ = minimize._push_relabel(cond.W, cond.p, cond.q, 0.0, 0.0)
+        assert np.array_equal(bits, whole)
+        assert abs(flow - whole_flow) <= 1e-12 * scale
         assert abs(energy - _cut_energy(cond, ref)) <= 1e-12 * scale
         assert abs(flow - ref_flow) <= 1e-12 * scale
         assert -1e-14 * scale <= energy - flow <= 1e-12 * scale
@@ -327,17 +356,62 @@ class TestMinCut:
         # gives the inclusion-minimal minimum cut.  (The quantised rounds
         # floor at a quantum that is no power of two, and some of their
         # cuts are other minimizers.)
-        rng = np.random.default_rng(5000 + seed)
-        m = 24
-        W = np.triu(rng.integers(0, 3, (m, m)), 1).astype(float)
-        W += W.T
-        p, q = rng.integers(0, 4, (2, m)).astype(float)
+        W, p, q = _integer_cut_data(seed)
+        m = len(p)
         bits, flow, _ = minimize._min_cut(W, p, q, 0.0)
         caps = np.zeros((m + 2, m + 2), dtype=np.int32)
         caps[:m, :m], caps[m, :m], caps[:m, m + 1] = W, p, q
         res = maximum_flow(sparse.csr_matrix(caps), m, m + 1)
         assert flow == res.flow_value
         assert np.array_equal(bits, _source_side(caps > res.flow.toarray(), m)[:m])
+        whole, whole_flow, _ = minimize._push_relabel(W, p, q, 0.0, 0.0)
+        assert np.array_equal(bits, whole)
+        assert flow == whole_flow
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_reduction_is_exact_on_sparse_integer_data(self, seed):
+        # integer sums are exact, so the fixed part's energy plus the
+        # remainder's flow is the whole flow to the last bit; these ties
+        # fix 3 to 23 of the 24 cells (the dense ones above fix none)
+        W, p, q = _integer_cut_data(seed, sparse=True)
+        bits, flow, _ = minimize._min_cut(W, p, q, 0.0)
+        ref, ref_flow, _ = minimize._push_relabel(W, p, q, 0.0, 0.0)
+        assert np.array_equal(bits, ref)
+        assert flow == ref_flow
+
+    @pytest.mark.parametrize("n", [16, 30])
+    def test_decided_cells_need_no_pulse(self, n):
+        # half-space data on the interior window at s = 1/2: every cell's
+        # bias outweighs its ties to the open cells, round by round, so no
+        # pulse runs (the whole problem takes 35 and 76)
+        cond = minimize._Condensed(_halfspace_interior_problem(n))
+        assert cond.m == (n - 2) ** 2
+        bits, flow, pulses = minimize._min_cut(cond.W, cond.p, cond.q, 0.0)
+        ref, ref_flow, _ = minimize._push_relabel(cond.W, cond.p, cond.q, 0.0, 0.0)
+        assert pulses == 0
+        assert np.array_equal(bits, ref)
+        energy = _cut_energy(cond, bits)
+        assert abs(flow - ref_flow) <= 1e-12 * (1.0 + abs(energy))
+        assert -1e-14 * (1.0 + abs(energy)) <= energy - flow <= 1e-12 * (1.0 + abs(energy))
+
+    def test_undecided_ties_keep_their_pulses(self):
+        # at s = 1/2 every interface position of the 1D half line ties, so
+        # no cell is forced and the flow runs on all four cells
+        cond = _oracle_case("optimal_1d")
+        _, _, pulses = minimize._min_cut(cond.W, cond.p, cond.q, 0.0)
+        _, _, whole = minimize._push_relabel(cond.W, cond.p, cond.q, 0.0, 0.0)
+        assert pulses == whole == 7
+
+    @pytest.mark.parametrize("case", [f"random{i}" for i in range(12)]
+                             + ["stalled", "optimal_1d"])
+    def test_tolerance_bounds_the_whole_gap(self, case):
+        # the stop rule weighs the remainder's gap against the whole
+        # energy, fixed part included
+        tol = 1e-6
+        cond = _oracle_case(case)
+        bits, flow, _ = minimize._min_cut(cond.W, cond.p, cond.q, tol)
+        energy = _cut_energy(cond, bits)
+        assert -1e-14 * (1.0 + abs(energy)) <= energy - flow <= tol * (1.0 + abs(energy))
 
     @pytest.mark.parametrize("seed", range(12))
     def test_matches_oracle_bits(self, seed):
