@@ -6,14 +6,23 @@ matches the original perimeter.  A variant first multiplies by a cut-off
 vanishing near the window boundary, which trades a little boundary
 accuracy for convergence on windows whose closure meets the set.
 
+Mollification is a numpy.fft convolution on the box padded by the
+bump's reach, its pad filled by the exterior model (``_mollify_stack``).
+A ladder mollifies every rung in one batched pass padded by its largest
+reach: one forward transform of the indicator (one per rung under the
+cut-off, which changes with eps), times each rung's bump spectrum, and
+one batched inverse.  The spectra are kept on the table's engine by
+(eps, FFT grid), so a warm ladder samples no bump.
+
 The superlevel sets of one rung are nested, so a single scan gives the
 local and nonlocal perimeter at all 99 grid thresholds: the two box
 correlations of the smallest set, the row totals 1 (*) w and
 1_Omega (*) w and the exterior fields (once per ladder) and the weights
 among the switching cells S, gathered by flat offset
-(``InteractionTable.pairs``).  A rung therefore
-costs one batched correlation plus the S x S weights; the ladder's one
-``perimeter`` call is its target's.
+(``InteractionTable.pairs``).  Every rung's smallest set takes its two
+fields from one batched correlation, so a ladder makes the same number
+of transforms whatever its number of rungs, plus each rung's S x S
+weights; the ladder's one ``perimeter`` call is its target's.
 """
 
 from __future__ import annotations
@@ -24,12 +33,13 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import EpsilonBelowResolution, InvalidSchedule
+from .errors import EpsilonBelowResolution, InvalidRadius, InvalidSchedule
 from .functional import (
     InteractionTable,
     PerimeterBreakdown,
     _PAIR_CHUNK,
     _engine_for,
+    _fast_len,
     perimeter,
     superlevel,
 )
@@ -55,7 +65,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class MollifierSpec:
-    """Radial polynomial bump of support radius ``eps``.
+    """Radial polynomial bump of support radius ``eps``, 0 < eps < inf.
 
     The profile is (1 - (r/eps)^2)^4 inside the support, zero outside;
     sampled values are renormalized so the discrete kernel sums to one.
@@ -64,16 +74,20 @@ class MollifierSpec:
     eps: float
 
     def __post_init__(self):
-        if not self.eps > 0:
-            raise ValueError("eps must be positive")
+        if not 0.0 < self.eps < math.inf:
+            raise InvalidRadius(f"mollifier eps must be positive and finite, got {self.eps}")
 
-    def sampled(self, spec: GridSpec) -> np.ndarray:
-        """Kernel sampled at cell-center offsets, normalized to unit sum."""
+    def reach(self, spec: GridSpec) -> int:
+        """Cells the bump reaches from its centre along each axis."""
         if self.eps < spec.h:
             raise EpsilonBelowResolution(
                 f"eps {self.eps} below grid resolution h {spec.h}"
             )
-        reach = int(math.ceil(self.eps / spec.h))
+        return int(math.ceil(self.eps / spec.h))
+
+    def sampled(self, spec: GridSpec) -> np.ndarray:
+        """Kernel sampled at cell-center offsets, normalized to unit sum."""
+        reach = self.reach(spec)
         axes = [np.arange(-reach, reach + 1) * spec.h for _ in range(spec.dim)]
         grids = np.meshgrid(*axes, indexing="ij")
         r2 = sum(g * g for g in grids) / (self.eps * self.eps)
@@ -87,21 +101,60 @@ def _as_field(u) -> ScalarField:
     return u
 
 
+def _bump_spectra(bumps: list[MollifierSpec], spec: GridSpec, fast: tuple[int, ...],
+                  cache: dict) -> np.ndarray:
+    """The real spectra of the bumps' sampled kernels on the FFT grid
+    ``fast``, stacked.
+
+    The kernel of reach r sits with offset d at index d mod N, as
+    ``functional._weight_spectrum`` places the weights; it is even, so
+    its spectrum is real.  ``cache`` keeps each spectrum by (eps, grid),
+    and the missing ones share one batched transform.
+    """
+    missing = [m for m in dict.fromkeys(bumps) if (m.eps, fast) not in cache]
+    if missing:
+        wrapped = np.zeros((len(missing),) + fast)
+        for k, m in enumerate(missing):
+            r = m.reach(spec)
+            idx = [np.r_[0:r + 1, f - r:f] for f in fast]
+            wrapped[k][np.ix_(*idx)] = np.fft.ifftshift(m.sampled(spec))
+        spectra = np.fft.rfftn(wrapped, axes=tuple(range(1, wrapped.ndim))).real
+        cache.update(((m.eps, fast), sp) for m, sp in zip(missing, spectra))
+    return np.array([cache[m.eps, fast] for m in bumps])
+
+
+def _mollify_stack(spec: GridSpec, padded: np.ndarray, bumps: list[MollifierSpec],
+                   pad: int, cache: dict) -> np.ndarray:
+    """The box values of u (*) k for each bump k of ``bumps``, stacked:
+    one batched r2c / c2r pass.
+
+    ``padded`` holds u on the box padded by ``pad`` cells, at least every
+    bump's reach: one array that every bump mollifies, or a stack with
+    one array per bump.  On a grid of N >= n + 2 pad cells per axis the
+    circular convolution of a box cell sees only offsets within the
+    reach, so it is the linear one.
+    """
+    axes = tuple(range(-spec.dim, 0))
+    fast = tuple(_fast_len(n) for n in padded.shape[-spec.dim:])
+    F = np.fft.rfftn(padded, fast, axes) * _bump_spectra(bumps, spec, fast, cache)
+    out = np.fft.irfftn(F, fast, axes)
+    return out[(slice(None),) + tuple(slice(pad, pad + n) for n in spec.extent)]
+
+
 def mollify(u, m: MollifierSpec) -> ScalarField:
     """Convolve a field or indicator with the sampled bump kernel.
 
     Values outside the box are supplied by the exterior model, so the
     output is exact wherever the true convolution only sees grid-aligned
-    data (in particular deep inside / outside a set).
+    data (in particular deep inside / outside a set).  The one-radius
+    case of a ladder's pass (``_mollify_stack``): one FFT round trip on
+    the box padded by the bump's reach, with the spectrum made afresh.
     """
     field = _as_field(u)
     spec = field.spec
-    kern = m.sampled(spec)
-    reach = (kern.shape[0] - 1) // 2
+    reach = m.reach(spec)
     padded = field.values_on(spec.padded(reach))
-    windows = np.lib.stride_tricks.sliding_window_view(padded, kern.shape)
-    out = np.tensordot(windows, np.flip(kern), axes=kern.ndim)
-    return ScalarField(spec, out, field.exterior)
+    return ScalarField(spec, _mollify_stack(spec, padded, [m], reach, {})[0], field.exterior)
 
 
 def boundary_cells(E: CellSet) -> np.ndarray:
@@ -171,10 +224,11 @@ _THRESHOLD_GRID = np.linspace(0.01, 0.99, 99)
 class _ThresholdScan:
     """Per-ladder constants of the threshold scan: the engine, the
     exterior fields X_E and X_C of the sets' exterior model, and the row
-    totals 1 (*) w and 1_Omega (*) w over the universe, on the box.
-    ``exterior`` is the set's exterior model, which every superlevel set
-    of a rung shares.  Every correlation runs on the box, and ``totals``
-    gives local and nonlocal apart, so a rung needs no ``perimeter``.
+    totals 1 (*) w and 1_Omega (*) w over the universe, on the box (one
+    field when the window is the box).  ``exterior`` is the set's
+    exterior model, which every superlevel set of a rung shares.  Every
+    correlation runs on the box, and ``totals`` gives local and nonlocal
+    apart, so a rung needs no ``perimeter``.
     """
 
     def __init__(self, window: DomainWindow, table: InteractionTable, exterior):
@@ -182,12 +236,16 @@ class _ThresholdScan:
         self.window = window
         self.engine = eng
         self.x_e, self.x_c = eng.exterior_fields(exterior)
-        box = np.ones(window.spec.extent, dtype=bool)
-        row_box, self.row_om = eng.fields(box, window.omega)
+        om = window.omega
+        if om.all():
+            row_box = self.row_om = eng.fields(om)[0]
+        else:
+            row_box, self.row_om = eng.fields(np.ones(om.shape, dtype=bool), om)
         self.row_all = row_box + self.x_e + self.x_c
 
-    def totals(self, u: ScalarField) -> tuple[np.ndarray, np.ndarray]:
-        """(local, nonlocal) perimeter of {u > t} at each grid threshold t.
+    def totals(self, us: list[ScalarField]) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Per field u of ``us``, the (local, nonlocal) perimeter of
+        {u > t} at each grid threshold t.
 
         The sets are nested: each is the smallest, x0 = {u > 0.99}, plus a
         prefix of the switching cells S (0.01 < u <= 0.99) sorted by
@@ -197,12 +255,19 @@ class _ThresholdScan:
         and for a in Omega row_all - row_om - 2 f_out to nonlocal: f_in
         and f_out are the fields of X inside and outside Omega, x0's (the
         exterior's included) plus the earlier S x S weights by side.
+        Every field's x0 takes its two fields from one batched call.
         """
-        eng = self.engine
         om = self.window.omega
-        inside = superlevel(u, float(_THRESHOLD_GRID[-1])).inside
+        tops = [superlevel(u, float(_THRESHOLD_GRID[-1])).inside for u in us]
+        fields = self.engine.fields(*[m for top in tops for m in (top & om, top & ~om)])
+        return [self._scan(u, top, f_in, f_out)
+                for u, top, f_in, f_out in zip(us, tops, fields[::2], fields[1::2])]
+
+    def _scan(self, u: ScalarField, inside: np.ndarray, f_in: np.ndarray,
+              f_out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``totals`` of one field, given x0 = ``inside`` and its fields."""
+        om = self.window.omega
         e_in, c_in = inside & om, ~inside & om
-        f_in, f_out = eng.fields(e_in, inside & ~om)
         f_out = f_out + self.x_e
         base = [[float(f_in[c_in].sum())],
                 [math.fsum([float(f_in[~inside & ~om].sum()), float(self.x_c[e_in].sum()),
@@ -214,7 +279,7 @@ class _ThresholdScan:
         vals = u.values[switch][order]
         idx = tuple(cells.T)
         in_om = om[idx]
-        r_om, r_out = _earlier_pair_sums(cells, in_om, eng.table).T
+        r_om, r_out = _earlier_pair_sums(cells, in_om, self.engine.table).T
         row_om = self.row_om[idx]
         cut = row_om - 2.0 * (f_in[idx] + r_om)
         gains = np.cumsum([np.where(in_om, cut, 0.0),
@@ -254,26 +319,29 @@ def _earlier_pair_sums(cells: np.ndarray, in_om: np.ndarray,
     return out
 
 
-def _pick_threshold(u: ScalarField, target: float,
-                    scan: _ThresholdScan) -> tuple[float, CellSet, PerimeterBreakdown]:
-    """Threshold whose superlevel perimeter is closest to the target, with
-    that superlevel set and its perimeter.
+def _pick_threshold(us: list[ScalarField], target: float,
+                    scan: _ThresholdScan) -> list[tuple[float, CellSet, PerimeterBreakdown]]:
+    """Per field of ``us``, the threshold whose superlevel perimeter is
+    closest to the target, with that superlevel set and its perimeter.
 
     One exact scan over the nested superlevel sets gives the local and
     nonlocal perimeter at every grid threshold (``_ThresholdScan.totals``),
-    so a rung costs one batched correlation (x0's two fields) plus the
-    S x S weights, and the chosen set's breakdown is read off the scan
-    with its truncation bound from the shared engine.  Ties break toward
-    t = 1/2, then toward the first grid threshold.
+    so the fields cost one batched correlation (every x0's two fields)
+    plus each field's S x S weights, and the chosen set's breakdown is
+    read off the scan with its truncation bound from the shared engine.
+    Ties break toward t = 1/2, then toward the first grid threshold.
     """
-    local, nonlocal_ = scan.totals(u)
-    totals = local + nonlocal_
-    k = np.lexsort((np.abs(_THRESHOLD_GRID - 0.5), np.abs(totals - target)))[0]
-    t = float(_THRESHOLD_GRID[k])
-    sup = superlevel(u, t)
     om = scan.window.omega
-    return t, sup, PerimeterBreakdown(float(local[k]), float(nonlocal_[k]), float(totals[k]),
-                                      scan.engine.truncation_bound(om, sup), not om.any())
+    picks = []
+    for u, (local, nonlocal_) in zip(us, scan.totals(us)):
+        totals = local + nonlocal_
+        k = np.lexsort((np.abs(_THRESHOLD_GRID - 0.5), np.abs(totals - target)))[0]
+        t = float(_THRESHOLD_GRID[k])
+        sup = superlevel(u, t)
+        picks.append((t, sup, PerimeterBreakdown(
+            float(local[k]), float(nonlocal_[k]), float(totals[k]),
+            scan.engine.truncation_bound(om, sup), not om.any())))
+    return picks
 
 
 def _validate_schedule(eps_schedule, h: float) -> list[float]:
@@ -285,6 +353,28 @@ def _validate_schedule(eps_schedule, h: float) -> list[float]:
     return eps
 
 
+def _ladder_fields(E: CellSet, bumps: list[MollifierSpec], wdist: np.ndarray | None,
+                   cache: dict) -> list[ScalarField]:
+    """Every rung's mollified field, from one batched FFT pass on the box
+    padded by the largest reach (``_mollify_stack``).
+
+    Without a cut-off every rung mollifies the indicator of E, one
+    forward transform; with one, rung eps mollifies E less its cells
+    within 2 eps of the window boundary, one batched forward transform.
+    ``cache`` keeps the bump spectra.
+    """
+    spec = E.spec
+    pad = max(m.reach(spec) for m in bumps)
+    padded = _as_field(E).values_on(spec.padded(pad))
+    if wdist is not None:
+        keep = np.ones((len(bumps),) + padded.shape)
+        keep[(slice(None),) + tuple(slice(pad, pad + n) for n in spec.extent)] = [
+            wdist >= 2.0 * m.eps for m in bumps]
+        padded = padded * keep
+    return [ScalarField(spec, v, E.exterior)
+            for v in _mollify_stack(spec, padded, bumps, pad, cache)]
+
+
 def _ladder(E: CellSet, window: DomainWindow, eps_schedule, table: InteractionTable,
             wdist: np.ndarray | None) -> list[ApproxStep]:
     """The rung loop of both ladders.
@@ -292,22 +382,22 @@ def _ladder(E: CellSet, window: DomainWindow, eps_schedule, table: InteractionTa
     ``wdist`` (distance to the window boundary, or None) switches on the
     cut-off: E's cells within 2 eps of the window boundary are dropped
     before mollifying, and boundary cells within 3 eps of it are exempt
-    from the containment check.
+    from the containment check.  The rungs' fields come from one FFT pass
+    (``_ladder_fields``, with the bump spectra kept on the engine) and
+    their base sets from one batched correlation (``_pick_threshold``).
     """
-    eps_list = _validate_schedule(eps_schedule, E.spec.h)
+    bumps = [MollifierSpec(e) for e in _validate_schedule(eps_schedule, E.spec.h)]
     scan = _ThresholdScan(window, table, E.exterior)
     target = perimeter(E, window, table).total
+    if not bumps:
+        return []
     bdist = _boundary_distance(E)
+    us = _ladder_fields(E, bumps, wdist, scan.engine.bumps)
     steps = []
-    for eps in eps_list:
-        vals = E.inside.astype(float)
-        if wdist is not None:
-            vals = vals * (wdist >= 2.0 * eps)
-        u = mollify(ScalarField(E.spec, vals, E.exterior), MollifierSpec(eps))
-        t_star, approx, bd = _pick_threshold(u, target, scan)
-        exclude = None if wdist is None else (wdist < 3.0 * eps)
-        contained = _containment(approx, bdist, eps, exclude=exclude)
-        steps.append(ApproxStep(eps, t_star, approx, bd, contained))
+    for m, (t_star, approx, bd) in zip(bumps, _pick_threshold(us, target, scan)):
+        exclude = None if wdist is None else (wdist < 3.0 * m.eps)
+        contained = _containment(approx, bdist, m.eps, exclude=exclude)
+        steps.append(ApproxStep(m.eps, t_star, approx, bd, contained))
     return steps
 
 

@@ -19,7 +19,7 @@ class InvalidInterval(FracPerimError):
 
 class InvalidRadius(FracPerimError):
     """Radius is out of range: not positive for a ball, negative or
-    non-finite for a truncation."""
+    non-finite for a truncation, not positive and finite for a mollifier."""
 
 
 class NotDisjoint(FracPerimError):

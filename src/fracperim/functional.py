@@ -397,8 +397,10 @@ class PairEngine:
     (AnalyticTail: twice the box's longest side), with the mass beyond in
     ``truncation_bound``.  ``exterior_fields`` (by FFT) and ``pad_masses``
     (explicit) take the exterior in U by ``_exterior_parts``.  Spectra and
-    exterior data are made on first use and kept.  ``occupancy`` and
-    ``embed`` place masks on ``padded_spec`` for explicit references.
+    exterior data are made on first use and kept.  ``bumps`` keeps the
+    mollifier spectra of ``approx``'s ladders on this grid, by (eps, FFT
+    grid).  ``occupancy`` and ``embed`` place masks on ``padded_spec``
+    for explicit references.
     """
 
     def __init__(self, spec: GridSpec, policy, table: InteractionTable):
@@ -414,6 +416,7 @@ class PairEngine:
         self._exterior: dict = {}
         self._pad_masses: dict = {}
         self._tails = None
+        self.bumps: dict = {}
 
     def occupancy(self, cellset: CellSet) -> np.ndarray:
         if cellset.spec != self.spec:

@@ -17,7 +17,8 @@ import numpy as np
 import pytest
 
 from fracperim import functional
-from fracperim.grid import AnalyticTail, GridSpec, TruncateAtRadius
+from fracperim.approx import MollifierSpec, _as_field
+from fracperim.grid import AnalyticTail, GridSpec, ScalarField, TruncateAtRadius
 from fracperim.kernel import InteractionTable, KernelParams, build_table
 
 _TABLE_CACHE: dict = {}
@@ -72,6 +73,19 @@ def explicit_interaction(A: np.ndarray, B: np.ndarray, table: InteractionTable) 
     b = np.asarray(B, dtype=bool).ravel().astype(float)
     return math.fsum(float(rows.dot(b).sum())
                      for _, rows in functional._weight_rows(np.argwhere(A), A.shape, table))
+
+
+def direct_mollify(u, m: MollifierSpec) -> ScalarField:
+    """u (*) the sampled bump as a direct "valid" convolution: a tensordot
+    over every window of the box padded by the bump's reach, the
+    independent oracle of ``approx.mollify``'s FFT pass."""
+    field = _as_field(u)
+    spec = field.spec
+    kern = m.sampled(spec)
+    padded = field.values_on(spec.padded(m.reach(spec)))
+    windows = np.lib.stride_tricks.sliding_window_view(padded, kern.shape)
+    return ScalarField(spec, np.tensordot(windows, np.flip(kern), axes=kern.ndim),
+                       field.exterior)
 
 
 @pytest.fixture

@@ -1,5 +1,7 @@
 """Mollification, thresholding, and the approximation ladder."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import signal
@@ -14,7 +16,7 @@ from fracperim.approx import (
     smooth_at_grid_scale,
     superlevel,
 )
-from fracperim.errors import EpsilonBelowResolution, InvalidSchedule
+from fracperim.errors import EpsilonBelowResolution, InvalidRadius, InvalidSchedule
 from fracperim.functional import perimeter
 from fracperim.grid import (
     AnalyticTail,
@@ -26,8 +28,9 @@ from fracperim.grid import (
     TruncateAtRadius,
     cellset_from_shape,
     full_window,
+    signed_distance,
 )
-from tests.conftest import table_for
+from tests.conftest import direct_mollify, table_for
 
 
 def _ball(n=16, r=0.3):
@@ -61,6 +64,43 @@ class TestMollify:
         padded = u.values_on(spec.padded((kern.shape[0] - 1) // 2))
         ref = signal.convolve(padded, kern, mode="valid", method="direct")
         assert np.max(np.abs(mollify(u, m).values - ref)) <= 1e-15
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("exterior", ["constant", "halfspace"])
+    def test_matches_direct_mollify(self, rng, dim, exterior):
+        # eps is not a multiple of h, so the bump's edge falls between cells
+        n = (24, 16, 10)[dim - 1]
+        spec = GridSpec(dim, (0.0,) * dim, (n,) * dim, 1.0 / n)
+        if exterior == "constant":
+            u = ScalarField(spec, rng.random(spec.extent), 0.3)
+        else:
+            u = CellSet(spec, rng.random(spec.extent) < 0.5, HalfSpaceExterior(dim - 1, 0.45))
+        for eps in (1.0 / n, 2.6 / n, 3.4 / n):
+            m = MollifierSpec(eps)
+            got = mollify(u, m)
+            ref = direct_mollify(u, m)
+            assert np.max(np.abs(got.values - ref.values)) <= 2e-15
+            assert got.exterior == ref.exterior
+
+    @pytest.mark.parametrize("eps", [0.0, -0.1, float("inf"), float("nan")])
+    def test_eps_outside_open_half_line_raises(self, eps):
+        with pytest.raises(InvalidRadius):
+            MollifierSpec(eps)
+
+    def test_3d_memory_is_the_fft_grid(self):
+        # the window copy of a direct 24^3 convolution at reach 4 alone
+        # is 24^3 * 9^3 doubles, about 80 MB
+        n = 24
+        spec = GridSpec(3, (0.0,) * 3, (n,) * 3, 1.0 / n)
+        u = ScalarField(spec, np.random.default_rng(3).random(spec.extent), 0.0)
+        m = MollifierSpec(4.0 / n)
+        tracemalloc.start()
+        try:
+            mollify(u, m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
 
     def test_eps_below_resolution_raises(self):
         E = _ball()
@@ -162,6 +202,77 @@ class TestApproximationLadder:
         lip = approximate_set_lipschitz(E, win, [2 * h, h], table)
         for a, b in zip(plain, lip):
             assert np.array_equal(a.approximant.inside, b.approximant.inside)
+
+
+def _edge_case():
+    """A set with a half-space exterior and a window that touches two
+    sides of the box, with its table."""
+    spec = GridSpec(2, (0.0, 0.0), (16, 16), 1.0 / 16)
+    x, y = spec.centers().T.reshape(2, 16, 16)
+    inside = (x < 0.55) ^ ((x - 0.6) ** 2 + (y - 0.4) ** 2 < 0.04)
+    E = CellSet(spec, inside, HalfSpaceExterior(0, 0.55))
+    mask = np.zeros(spec.extent, dtype=bool)
+    mask[:-3, 2:] = True
+    win = DomainWindow(spec, mask, TruncateAtRadius(0.25))
+    return E, win, table_for(spec, 0.5, win.complement_policy)
+
+
+class TestLadderPass:
+    """The ladder's one FFT pass against mollifying rung by rung."""
+
+    @pytest.mark.parametrize("cutoff", [False, True])
+    def test_rung_fields_match_mollify(self, cutoff):
+        E, win, _ = _edge_case()
+        h = E.spec.h
+        bumps = [MollifierSpec(e * h) for e in (8, 5.5, 3, 2, 1)]
+        wdist = np.abs(signed_distance(win).values) if cutoff else None
+        us = approx._ladder_fields(E, bumps, wdist, {})
+        assert len(us) == len(bumps)
+        for m, u in zip(bumps, us):
+            vals = E.inside if wdist is None else E.inside & (wdist >= 2.0 * m.eps)
+            ref = mollify(ScalarField(E.spec, vals.astype(float), E.exterior), m)
+            assert np.max(np.abs(u.values - ref.values)) <= 2e-15
+            assert u.exterior == E.exterior
+
+    def test_cutoff_ladder_matches_direct_route(self):
+        E, win, table = _edge_case()
+        h = E.spec.h
+        schedule = [8 * h, 4 * h, 3 * h, 2 * h, h]
+        steps = approximate_set_lipschitz(E, win, schedule, table)
+        # the route rung by rung: the direct convolution, then a scan of one
+        wdist = np.abs(signed_distance(win).values)
+        scan = approx._ThresholdScan(win, table, E.exterior)
+        target = perimeter(E, win, table).total
+        for eps, st in zip(schedule, steps, strict=True):
+            vals = (E.inside & (wdist >= 2.0 * eps)).astype(float)
+            u = direct_mollify(ScalarField(E.spec, vals, E.exterior), MollifierSpec(eps))
+            [(t, sup, bd)] = approx._pick_threshold([u], target, scan)
+            assert st.threshold == t
+            assert st.approximant.inside.tobytes() == sup.inside.tobytes()
+            assert _close(st.breakdown.total, bd.total)
+        assert len({st.threshold for st in steps}) > 1
+
+    @pytest.mark.parametrize("ladder", [approximate_set, approximate_set_lipschitz])
+    def test_warm_transforms_do_not_grow_with_rungs(self, monkeypatch, ladder):
+        E, win, table = _edge_case()
+        h = E.spec.h
+        short, long = [4 * h, 2 * h], [4 * h, 3.5 * h, 3 * h, 2 * h, h]
+        for schedule in (short, long):  # warm: spectra and exterior fields
+            ladder(E, win, schedule, table)
+        calls = []
+        original = np.fft.rfftn
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "rfftn", counted)
+        counts = []
+        for schedule in (short, long):
+            calls.clear()
+            ladder(E, win, schedule, table)
+            counts.append(len(calls))
+        assert counts[0] == counts[1]
 
 
 def _oracle_scan(u, target, window, table):
@@ -279,13 +390,13 @@ class TestThresholdScan:
             assert len({b.total for b in oracle}) > 2  # the scan has work
             # local, nonlocal and total at every grid threshold
             ref = np.array([(b.local, b.nonlocal_, b.total) for b in oracle]).T
-            local, nonlocal_ = scan.totals(u)
+            local, nonlocal_ = scan.totals([u])[0]
             got = np.array([local, nonlocal_, local + nonlocal_])
             assert np.all(np.abs(got - ref) <= 1e-12 * np.abs(ref)), (eps, got - ref)
             # E's own perimeter, and targets that pick other thresholds
             for goal in (target, 0.8 * target, 1.15 * target):
                 _, t, sup, bd = _oracle_scan(u, goal, win, table)
-                t_new, sup_new, bd_new = approx._pick_threshold(u, goal, scan)
+                [(t_new, sup_new, bd_new)] = approx._pick_threshold([u], goal, scan)
                 assert t_new == t
                 assert sup_new.inside.tobytes() == sup.inside.tobytes()
                 assert (sup_new.spec, sup_new.exterior) == (sup.spec, sup.exterior)

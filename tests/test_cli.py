@@ -161,6 +161,14 @@ class TestApprox:
         assert len(rows) == 3
         assert all(r[3] == "1" for r in rows)
 
+    @pytest.mark.parametrize("eps", ["inf", "nan", "inf,0.25"])
+    def test_non_finite_eps_is_a_diagnostic(self, runner, ball_grid, eps):
+        res = runner.invoke(main, ["approx", "--s", "0.5", "--grid", ball_grid,
+                                   "--eps", eps])
+        assert res.exit_code == 1
+        assert res.stdout == ""
+        assert json.loads(res.stderr)["kind"] == "InvalidRadius"
+
 
 class TestMinimize:
     def test_oracle_agreement(self, runner, tmp_path):

@@ -661,7 +661,7 @@ class TestEngineCache:
         perimeter(E, window, table)
         perimeter(E, inner, table)
         decomposition_check(E, inner, window, table)
-        scan.totals(u)
+        scan.totals([u])
         assert shapes and set(shapes) == {E.spec.extent}
         assert eng._exterior
         for fields in eng._exterior.values():

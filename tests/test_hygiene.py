@@ -1,6 +1,6 @@
 """Source hygiene: every name a module imports is used by that module,
-no module imports SciPy, and only the kernel reads the weight table's
-layout; importing the command line loads no SciPy
+no module imports SciPy or calls tensordot, and only the kernel reads
+the weight table's layout; importing the command line loads no SciPy
 module, and neither does any command while it runs, nor the cylinder
 perimeter with its one-cell constant, nor an exact minimization or the
 minimality-equivalence check called from Python."""
@@ -69,6 +69,15 @@ def test_table_layout_stays_in_kernel(path):
     # the weight table's flat layout is read through block, pairs and weight
     tree = ast.parse(path.read_text(), filename=str(path))
     assert _layout_reads(tree) == [], f"{path.name} reads the weight table's layout"
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_tensordot(path):
+    # mollification is the FFT pass; the direct convolution is the tests' oracle
+    tree = ast.parse(path.read_text(), filename=str(path))
+    calls = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr == "tensordot"]
+    assert calls == [], f"{path.name} calls tensordot (lines {calls})"
 
 
 def _fresh_python(*args: str) -> subprocess.CompletedProcess:
