@@ -16,31 +16,33 @@ one batched inverse.  The spectra are kept on the table's engine by
 
 The superlevel sets of one rung are nested, so a single scan gives the
 local and nonlocal perimeter at all 99 grid thresholds: the two box
-correlations of the smallest set, the row totals 1 (*) w and
-1_Omega (*) w and the exterior fields (once per ladder) and the weights
-among the switching cells S, gathered by flat offset
-(``InteractionTable.pairs``).  Every rung's smallest set takes its two
-fields from one batched correlation, so a ladder makes the same number
-of transforms whatever its number of rungs, plus each rung's S x S
-weights; the ladder's one ``perimeter`` call is its target's.
+correlations of the smallest set, the row totals 1 (*) w and the
+exterior fields (kept on the engine), 1_Omega (*) w, and the weights
+among the switching cells S, gathered by flat offset in value order
+(``functional._ordered_pair_blocks``, the relaxed energy's blocks).
+After the mollify pass, one batched correlation gives the target set's
+two fields, every rung's smallest set's two and 1_Omega (*) w when the
+window is not the box.  So a warm ladder makes two forward transforms
+whatever its number of rungs, plus each rung's S x S weights, and calls
+no ``perimeter``: the target's breakdown is ``_perimeter_sums`` of its
+fields.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .errors import EpsilonBelowResolution, InvalidRadius, InvalidSchedule
+from .errors import EpsilonBelowResolution, InvalidRadius, InvalidSchedule, SpecMismatch
 from .functional import (
     InteractionTable,
     PerimeterBreakdown,
-    _PAIR_CHUNK,
     _engine_for,
     _fast_len,
-    perimeter,
+    _ordered_pair_blocks,
+    _perimeter_sums,
     superlevel,
 )
 from .grid import (
@@ -223,12 +225,12 @@ _THRESHOLD_GRID = np.linspace(0.01, 0.99, 99)
 
 class _ThresholdScan:
     """Per-ladder constants of the threshold scan: the engine, the
-    exterior fields X_E and X_C of the sets' exterior model, and the row
-    totals 1 (*) w and 1_Omega (*) w over the universe, on the box (one
-    field when the window is the box).  ``exterior`` is the set's
-    exterior model, which every superlevel set of a rung shares.  Every
-    correlation runs on the box, and ``totals`` gives local and nonlocal
-    apart, so a rung needs no ``perimeter``.
+    exterior fields X_E and X_C of the sets' exterior model and the row
+    totals 1 (*) w, all kept on the engine, so building a warm scan
+    transforms nothing.  ``exterior`` is the set's exterior model, which
+    every superlevel set of a rung shares.  Every correlation runs on the
+    box, and ``totals`` gives local and nonlocal apart, so a rung needs
+    no ``perimeter``.
     """
 
     def __init__(self, window: DomainWindow, table: InteractionTable, exterior):
@@ -236,16 +238,13 @@ class _ThresholdScan:
         self.window = window
         self.engine = eng
         self.x_e, self.x_c = eng.exterior_fields(exterior)
-        om = window.omega
-        if om.all():
-            row_box = self.row_om = eng.fields(om)[0]
-        else:
-            row_box, self.row_om = eng.fields(np.ones(om.shape, dtype=bool), om)
-        self.row_all = row_box + self.x_e + self.x_c
+        self.row_box = eng.row_totals()
+        self.row_all = self.row_box + self.x_e + self.x_c
 
-    def totals(self, us: list[ScalarField]) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Per field u of ``us``, the (local, nonlocal) perimeter of
-        {u > t} at each grid threshold t.
+    def totals(self, us: list[ScalarField], *masks: np.ndarray
+               ) -> tuple[list[np.ndarray], list[tuple[np.ndarray, np.ndarray]]]:
+        """(the fields of ``masks``, per field u of ``us`` the (local,
+        nonlocal) perimeter of {u > t} at each grid threshold t).
 
         The sets are nested: each is the smallest, x0 = {u > 0.99}, plus a
         prefix of the switching cells S (0.01 < u <= 0.99) sorted by
@@ -254,18 +253,26 @@ class _ThresholdScan:
         adds row_om - 2 f_in, local for a in Omega and nonlocal outside,
         and for a in Omega row_all - row_om - 2 f_out to nonlocal: f_in
         and f_out are the fields of X inside and outside Omega, x0's (the
-        exterior's included) plus the earlier S x S weights by side.
-        Every field's x0 takes its two fields from one batched call.
+        exterior's included) plus the earlier S x S weights by side, and
+        row_om = 1_Omega (*) w.  One batched correlation takes ``masks``,
+        every x0's two masks and, when the window is not the box,
+        1_Omega (*) w (the row totals serve for a full window).
         """
         om = self.window.omega
         tops = [superlevel(u, float(_THRESHOLD_GRID[-1])).inside for u in us]
-        fields = self.engine.fields(*[m for top in tops for m in (top & om, top & ~om)])
-        return [self._scan(u, top, f_in, f_out)
-                for u, top, f_in, f_out in zip(us, tops, fields[::2], fields[1::2])]
+        rows = () if om.all() else (om,)
+        fields = self.engine.fields(*masks, *rows,
+                                    *[m for top in tops for m in (top & om, top & ~om)])
+        k = len(masks) + len(rows)
+        row_om = fields[k - 1] if rows else self.row_box
+        return fields[:len(masks)], [
+            self._scan(u, top, f_in, f_out, row_om)
+            for u, top, f_in, f_out in zip(us, tops, fields[k::2], fields[k + 1::2])]
 
     def _scan(self, u: ScalarField, inside: np.ndarray, f_in: np.ndarray,
-              f_out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``totals`` of one field, given x0 = ``inside`` and its fields."""
+              f_out: np.ndarray, row_om: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``totals`` of one field, given x0 = ``inside``, its fields and
+        1_Omega (*) w."""
         om = self.window.omega
         e_in, c_in = inside & om, ~inside & om
         f_out = f_out + self.x_e
@@ -280,7 +287,7 @@ class _ThresholdScan:
         idx = tuple(cells.T)
         in_om = om[idx]
         r_om, r_out = _earlier_pair_sums(cells, in_om, self.engine.table).T
-        row_om = self.row_om[idx]
+        row_om = row_om[idx]
         cut = row_om - 2.0 * (f_in[idx] + r_om)
         gains = np.cumsum([np.where(in_om, cut, 0.0),
                            np.where(in_om, self.row_all[idx] - row_om
@@ -290,56 +297,41 @@ class _ThresholdScan:
         return tuple(base + prefix[:, np.searchsorted(-vals, -_THRESHOLD_GRID)])
 
 
-@lru_cache(maxsize=1)
-def _strictly_lower(size: int) -> np.ndarray:
-    """The size x size strictly lower triangle of ones, read-only."""
-    tri = np.tri(size, k=-1)
-    tri.setflags(write=False)
-    return tri
-
-
 def _earlier_pair_sums(cells: np.ndarray, in_om: np.ndarray,
                        table: InteractionTable) -> np.ndarray:
     """Per cell a of ``cells``, the sums of w(b - a) over the cells b
     listed before it in the window and outside it: two columns.
 
-    Row chunks of about _PAIR_CHUNK pairs, gathered by ``table.pairs``,
-    each take one product with [1_Omega, 1_not Omega].
+    Every cell is a row of ``functional._ordered_pair_blocks``, whose
+    weights are then those of the earlier cells, and each row chunk takes
+    one product with [1_Omega, 1_not Omega].
     """
     sides = np.stack([in_om, ~in_om], axis=1).astype(float)
     out = np.empty((len(cells), 2))
-    step = max(1, _PAIR_CHUNK // max(1, len(cells)))
-    # a chunk's own square is at most isqrt(_PAIR_CHUNK) on a side
-    before = _strictly_lower(math.isqrt(_PAIR_CHUNK))  # b strictly before a
-    for lo in range(0, len(cells), step):
-        hi = lo + step
-        w = table.pairs(cells[lo:hi], cells[:hi])
-        w[:, lo:] *= before[:len(w), :len(w)]
-        out[lo:hi] = w @ sides[:hi]
+    for lo, hi, w, cols in _ordered_pair_blocks(cells, table):
+        out[lo:hi] = w @ sides[cols]
     return out
 
 
-def _pick_threshold(us: list[ScalarField], target: float,
+def _pick_threshold(us: list[ScalarField], totals, target: float,
                     scan: _ThresholdScan) -> list[tuple[float, CellSet, PerimeterBreakdown]]:
     """Per field of ``us``, the threshold whose superlevel perimeter is
     closest to the target, with that superlevel set and its perimeter.
 
-    One exact scan over the nested superlevel sets gives the local and
-    nonlocal perimeter at every grid threshold (``_ThresholdScan.totals``),
-    so the fields cost one batched correlation (every x0's two fields)
-    plus each field's S x S weights, and the chosen set's breakdown is
-    read off the scan with its truncation bound from the shared engine.
-    Ties break toward t = 1/2, then toward the first grid threshold.
+    ``totals`` are the fields' (local, nonlocal) at every grid threshold
+    (``_ThresholdScan.totals``), so the chosen set's breakdown is read
+    off the scan with its truncation bound from the shared engine.  Ties
+    break toward t = 1/2, then toward the first grid threshold.
     """
     om = scan.window.omega
     picks = []
-    for u, (local, nonlocal_) in zip(us, scan.totals(us)):
-        totals = local + nonlocal_
-        k = np.lexsort((np.abs(_THRESHOLD_GRID - 0.5), np.abs(totals - target)))[0]
+    for u, (local, nonlocal_) in zip(us, totals):
+        sums = local + nonlocal_
+        k = np.lexsort((np.abs(_THRESHOLD_GRID - 0.5), np.abs(sums - target)))[0]
         t = float(_THRESHOLD_GRID[k])
         sup = superlevel(u, t)
         picks.append((t, sup, PerimeterBreakdown(
-            float(local[k]), float(nonlocal_[k]), float(totals[k]),
+            float(local[k]), float(nonlocal_[k]), float(sums[k]),
             scan.engine.truncation_bound(om, sup), not om.any())))
     return picks
 
@@ -383,18 +375,24 @@ def _ladder(E: CellSet, window: DomainWindow, eps_schedule, table: InteractionTa
     cut-off: E's cells within 2 eps of the window boundary are dropped
     before mollifying, and boundary cells within 3 eps of it are exempt
     from the containment check.  The rungs' fields come from one FFT pass
-    (``_ladder_fields``, with the bump spectra kept on the engine) and
-    their base sets from one batched correlation (``_pick_threshold``).
+    (``_ladder_fields``, with the bump spectra kept on the engine).  Then
+    one batched correlation gives E's two fields, for the target
+    perimeter (``_perimeter_sums``), and every rung's base sets
+    (``_ThresholdScan.totals``).
     """
     bumps = [MollifierSpec(e) for e in _validate_schedule(eps_schedule, E.spec.h)]
+    if E.spec != window.spec:
+        raise SpecMismatch("cell set and window specs differ")
     scan = _ThresholdScan(window, table, E.exterior)
-    target = perimeter(E, window, table).total
     if not bumps:
         return []
     bdist = _boundary_distance(E)
     us = _ladder_fields(E, bumps, wdist, scan.engine.bumps)
+    om, inside = window.omega, E.inside
+    (f_in, f_out), totals = scan.totals(us, inside & om, inside & ~om)
+    target = sum(_perimeter_sums(inside, om, f_in, f_out, scan.x_e, scan.x_c))
     steps = []
-    for m, (t_star, approx, bd) in zip(bumps, _pick_threshold(us, target, scan)):
+    for m, (t_star, approx, bd) in zip(bumps, _pick_threshold(us, totals, target, scan)):
         exclude = None if wdist is None else (wdist < 3.0 * m.eps)
         contained = _containment(approx, bdist, m.eps, exclude=exclude)
         steps.append(ApproxStep(m.eps, t_star, approx, bd, contained))

@@ -264,6 +264,8 @@ def minimize_cmd(s, grid, exterior, extent, h, origin, omega, policy, tol,
 @_guard
 def coarea_cmd(s, extent, h, levels, seed, policy, tol, output):
     """Discrete coarea identity on a seeded random piecewise-constant field."""
+    if levels < 1:
+        raise ValueError(f"--levels must be at least 1, got {levels}")
     ext = tuple(int(v) for v in extent.split(","))
     spec = GridSpec(len(ext), (0.0,) * len(ext), ext, h)
     rng = np.random.default_rng(seed)

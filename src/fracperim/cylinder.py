@@ -144,7 +144,9 @@ def truncated_cylinder_perimeter(E, omega_base: DomainWindow, k: float,
     om = omega_base.omega[..., None] & (np.abs(z) < k)
     eng = _engine_for(DomainWindow(spec, om), table)
     x_e, x_c = _exterior_fields(spec, cell.exterior, table, None, eng.fields)
-    local, nonlocal_ = _perimeter_sums(cell.inside, om, eng.fields, x_e, x_c)
+    inside = cell.inside
+    local, nonlocal_ = _perimeter_sums(inside, om, *eng.fields(inside & om, inside & ~om),
+                                       x_e, x_c)
     return PerimeterBreakdown(
         local=local,
         nonlocal_=nonlocal_,

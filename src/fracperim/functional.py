@@ -28,12 +28,19 @@ AnalyticTail and for the cylinder perimeter; otherwise it is the box
 plus the policy's pad, m is a rectangle sum of the weight block, and the
 mass beyond U is bounded.
 
-The relaxed energy F(u, Omega) is an explicit pair sum, over (window
-cell, box cell) pairs in chunks of sliding-window weight rows
-(``_weight_rows``), plus the window's mass to the exterior cells
-of each exterior value (``PairEngine.pad_masses``: the same rule with
-explicit box sums, once per exterior).  It never touches the FFT, so the
-coarea identity compares two independent routes.
+The relaxed energy F(u, Omega) is an explicit pair sum in value order.
+With the window cells sorted by decreasing u, each unordered pair with a
+window cell is gathered once (``InteractionTable.pairs``), in the row of
+its later window cell: the row takes the window cells listed before it
+and every non-window cell (``_ordered_pair_blocks``).  The sign of
+u_a - u_j is then known (for a non-window cell, by a binary search in
+the non-window values, also sorted), so a row chunk's |u_a - u_j| sum is
+one product with the columns [u - c, 1], c a value of the chunk.  The
+exterior adds the window's mass to the exterior cells of each exterior
+value (``PairEngine.pad_masses``: the same rule with explicit box sums,
+once per exterior).  It never touches the FFT, so the coarea identity
+compares two independent routes.  The threshold scan of ``approx``
+gathers its earlier-cell sums through the same blocks.
 """
 
 from __future__ import annotations
@@ -160,36 +167,59 @@ def _fields(masks, table: InteractionTable, spectra: dict) -> list[np.ndarray]:
     return [out[k] if k in out else np.zeros(A.shape) for k, A in enumerate(masks)]
 
 
-def _weight_rows(cells: np.ndarray, shape: tuple[int, ...], table: InteractionTable):
-    """Yield (start, rows): the weight rows of ``cells`` in chunks of about
-    _PAIR_CHUNK cell pairs.
+@lru_cache(maxsize=1)
+def _strictly_lower(size: int) -> np.ndarray:
+    """The size x size strictly lower triangle of ones, read-only."""
+    tri = np.tri(size, k=-1)
+    tri.setflags(write=False)
+    return tri
 
-    Row k of a chunk holds w(j - a) over every cell j of a universe of
-    ``shape``, flattened, for its cell a.  It is the slice
-    block[reach - a : reach - a + shape] of the weight block, read from
-    one sliding window view of it, so no offset array is formed.
+
+def _ordered_pair_blocks(cells: np.ndarray, table: InteractionTable,
+                         split: np.ndarray | None = None):
+    """Yield (lo, hi, w, cols): the signed weights w(b - a) of the rows
+    a = cells[lo:hi] against the cells b = cells[cols], in chunks of
+    about _PAIR_CHUNK pairs.
+
+    The rows are the first len(split) cells (every cell without
+    ``split``), in order, and the rest are the others.  The sign is +1
+    for a row b listed before a and 0 for a row after it; the first
+    split[a] others (non-decreasing with a) take +1 and the rest -1.  So
+    a chunk gathers the rows up to its last and every other cell, with
+    one ``table.pairs`` call: its own square is a strictly lower
+    triangle, and only the others between its first and last split are
+    masked cell by cell.
     """
-    reach = np.asarray(shape) - 1
-    windows = np.lib.stride_tricks.sliding_window_view(table.block(tuple(reach)), shape)
-    size = math.prod(shape)
-    step = max(1, _PAIR_CHUNK // size)
-    for lo in range(0, len(cells), step):
-        corner = reach - cells[lo:lo + step]
-        yield lo, windows[tuple(corner.T)].reshape(len(corner), size)
+    n = len(cells)
+    m = n if split is None else len(split)
+    step = max(1, _PAIR_CHUNK // max(1, n))
+    # a chunk's own square is at most isqrt(_PAIR_CHUNK) on a side
+    before = _strictly_lower(math.isqrt(_PAIR_CHUNK))
+    for lo in range(0, m, step):
+        hi = min(lo + step, m)
+        cols = np.r_[0:hi, m:n] if m < n else slice(hi)
+        w = table.pairs(cells[lo:hi], cells[cols])
+        w[:, lo:hi] *= before[:hi - lo, :hi - lo]
+        if m < n:
+            s_lo, s_hi = split[lo], split[hi - 1]
+            others = w[:, hi:]
+            others[:, s_hi:] *= -1.0  # after every row of the chunk
+            k = np.arange(s_lo, s_hi)
+            others[:, s_lo:s_hi] *= np.where(k < split[lo:hi, None], 1.0, -1.0)
+        yield lo, hi, w, cols
 
 
-def _perimeter_sums(inside, om, fields, x_e, x_c) -> tuple[float, float]:
+def _perimeter_sums(inside, om, f_in, f_out, x_e, x_c) -> tuple[float, float]:
     """(local, nonlocal) of the box mask ``inside`` in the window ``om``.
 
-    With f_in = e_in (*) w and f_out = e_out (*) w from one call of
-    ``fields``, local is the sum of f_in over the window's complement
-    cells and nonlocal that of f_in over the complement outside the
-    window plus f_out over the window's complement cells.  The exterior
-    fields add X_C over e_in and X_E over c_in.
+    f_in = e_in (*) w and f_out = e_out (*) w are the fields of
+    inside & om and inside & ~om.  Local is the sum of f_in over the
+    window's complement cells and nonlocal that of f_in over the
+    complement outside the window plus f_out over the window's complement
+    cells.  The exterior fields add X_C over e_in and X_E over c_in.
     """
     e_in = inside & om
     c_in = ~inside & om
-    f_in, f_out = fields(e_in, inside & ~om)
     nonlocal_ = float(f_in[~inside & ~om].sum()) + float(f_out[c_in].sum())
     return float(f_in[c_in].sum()), math.fsum(
         [nonlocal_, float(x_c[e_in].sum()), float(x_e[c_in].sum())])
@@ -396,11 +426,11 @@ class PairEngine:
     else the box padded by ``pad`` cells, ceil(R/h) under TruncateAtRadius
     (AnalyticTail: twice the box's longest side), with the mass beyond in
     ``truncation_bound``.  ``exterior_fields`` (by FFT) and ``pad_masses``
-    (explicit) take the exterior in U by ``_exterior_parts``.  Spectra and
-    exterior data are made on first use and kept.  ``bumps`` keeps the
-    mollifier spectra of ``approx``'s ladders on this grid, by (eps, FFT
-    grid).  ``occupancy`` and ``embed`` place masks on ``padded_spec``
-    for explicit references.
+    (explicit) take the exterior in U by ``_exterior_parts``.  Spectra,
+    exterior data and the row totals 1 (*) w (``row_totals``) are made on
+    first use and kept.  ``bumps`` keeps the mollifier spectra of
+    ``approx``'s ladders on this grid, by (eps, FFT grid).  ``occupancy``
+    and ``embed`` place masks on ``padded_spec`` for explicit references.
     """
 
     def __init__(self, spec: GridSpec, policy, table: InteractionTable):
@@ -415,6 +445,7 @@ class PairEngine:
         self._spectra: dict = {}
         self._exterior: dict = {}
         self._pad_masses: dict = {}
+        self._rows = None
         self._tails = None
         self.bumps: dict = {}
 
@@ -433,6 +464,13 @@ class PairEngine:
         transform; an empty one gives zeros with none."""
         return _fields(masks, self.table, self._spectra)
 
+    def row_totals(self) -> np.ndarray:
+        """1 (*) w on the box, each box cell's mass to the whole box: one
+        transform on first use, then kept."""
+        if self._rows is None:
+            self._rows = self.fields(np.ones(self.spec.extent, dtype=bool))[0]
+        return self._rows
+
     def exterior_fields(self, exterior) -> tuple[np.ndarray, np.ndarray]:
         """(X_E, X_C) per box cell: the mass to the exterior in U inside E
         and outside E.  The rule's masses minus one batched box
@@ -446,16 +484,19 @@ class PairEngine:
         """(v, M_v) for each value v a field with this exterior (a constant
         or an occupancy model) takes in U beyond the box, M_v(a) the mass of
         box cell a to the cells holding v: the rule's masses minus one pass
-        of explicit box weight rows, no FFT, once per exterior."""
+        of explicit box weights, gathered by ``table.pairs`` in chunks, no
+        FFT, once per exterior."""
         if exterior not in self._pad_masses:
             extent = self.spec.extent
             parts = _exterior_parts(self.spec, exterior, self.table, self._universe)
             onehot = np.zeros((self.spec.n_cells, len(parts)))
             for k, (_, mask, _) in enumerate(parts):
                 onehot[:, k] = mask.ravel()
-            sums = np.empty(onehot.shape)  # rows @ onehot for every box cell
-            for lo, rows in _weight_rows(np.argwhere(np.ones(extent, bool)), extent, self.table):
-                sums[lo:lo + len(rows)] = rows @ onehot
+            cells = np.argwhere(np.ones(extent, dtype=bool))
+            step = max(1, _PAIR_CHUNK // len(cells))
+            sums = np.empty(onehot.shape)  # box weight rows @ onehot, per box cell
+            for lo in range(0, len(cells), step):
+                sums[lo:lo + step] = self.table.pairs(cells[lo:lo + step], cells) @ onehot
             self._pad_masses[exterior] = [
                 (v, m - col.reshape(extent)) for (v, _, m), col in zip(parts, sums.T)]
         return self._pad_masses[exterior]
@@ -508,7 +549,8 @@ def perimeter(E: CellSet, window: DomainWindow, table: InteractionTable) -> Peri
         raise SpecMismatch("cell set and window specs differ")
     eng = _engine_for(window, table)
     om = window.omega
-    local, nonlocal_ = _perimeter_sums(E.inside, om, eng.fields,
+    inside = E.inside
+    local, nonlocal_ = _perimeter_sums(inside, om, *eng.fields(inside & om, inside & ~om),
                                        *eng.exterior_fields(E.exterior))
     return PerimeterBreakdown(
         local=local,
@@ -519,20 +561,31 @@ def perimeter(E: CellSet, window: DomainWindow, table: InteractionTable) -> Peri
     )
 
 
-def _cross_terms(E: CellSet, inner: DomainWindow, outer: DomainWindow,
-                 eng: PairEngine) -> tuple[float, float]:
-    """L(E n strip, cE \\ inner) and L(E \\ outer, cE n strip), strip =
-    outer \\ inner: box pair sums from the fields of E n strip and
-    E \\ outer, plus X_C over E n strip and X_E over cE n strip."""
+def _decomposition_terms(E: CellSet, inner: DomainWindow, outer: DomainWindow,
+                         eng: PairEngine) -> tuple[float, float, float, float]:
+    """P(E, outer), P(E, inner), L(E n strip, cE \\ inner) and
+    L(E \\ outer, cE n strip), strip = outer \\ inner, both perimeters
+    under the outer window's policy.
+
+    The five distinct masks, E n outer, E \\ outer, E n inner, E \\ inner
+    and E n strip, share one batched correlation.  The perimeters are
+    ``_perimeter_sums`` of their two fields; the cross terms are box pair
+    sums from the fields of E n strip and E \\ outer, plus X_C over
+    E n strip and X_E over cE n strip.
+    """
     inside = E.inside
-    strip = outer.omega & ~inner.omega
+    om_in, om_out = inner.omega, outer.omega
+    strip = om_out & ~om_in
     x_e, x_c = eng.exterior_fields(E.exterior)
     e_strip = inside & strip
     c_strip = ~inside & strip
-    f_strip, f_out = eng.fields(e_strip, inside & ~outer.omega)
-    cross1 = float(f_strip[~inside & ~inner.omega].sum()) + float(x_c[e_strip].sum())
-    cross2 = float(f_out[c_strip].sum()) + float(x_e[c_strip].sum())
-    return cross1, cross2
+    f_out_in, f_out_out, f_in_in, f_in_out, f_strip = eng.fields(
+        inside & om_out, inside & ~om_out, inside & om_in, inside & ~om_in, e_strip)
+    p_outer = sum(_perimeter_sums(inside, om_out, f_out_in, f_out_out, x_e, x_c))
+    p_inner = sum(_perimeter_sums(inside, om_in, f_in_in, f_in_out, x_e, x_c))
+    cross1 = float(f_strip[~inside & ~om_in].sum()) + float(x_c[e_strip].sum())
+    cross2 = float(f_out_out[c_strip].sum()) + float(x_e[c_strip].sum())
+    return p_outer, p_inner, cross1, cross2
 
 
 def decomposition_check(E: CellSet, inner: DomainWindow, outer: DomainWindow,
@@ -543,46 +596,54 @@ def decomposition_check(E: CellSet, inner: DomainWindow, outer: DomainWindow,
     P(E, outer) = P(E, inner) + L(E n strip, cE \\ inner)
                 + L(E \\ outer, cE n strip) with strip = outer \\ inner;
     the second cross term excludes the strip itself so that strip-strip
-    pairs are not counted twice.
+    pairs are not counted twice.  Every term comes from one batched
+    correlation (``_decomposition_terms``).
     """
     if E.spec != inner.spec or E.spec != outer.spec:
         raise SpecMismatch("specs differ")
     if np.any(inner.omega & ~outer.omega):
         raise NotNested("inner window must be contained in the outer window")
-    eng = _engine_for(outer, table)
-    inner_same = DomainWindow(inner.spec, inner.omega, outer.complement_policy)
-    p_outer = perimeter(E, outer, table).total
-    p_inner = perimeter(E, inner_same, table).total
-    rhs = math.fsum([p_inner, *_cross_terms(E, inner, outer, eng)])
-    return abs(p_outer - rhs)
+    p_outer, *rhs = _decomposition_terms(E, inner, outer, _engine_for(outer, table))
+    return abs(p_outer - math.fsum(rhs))
 
 
 def relaxed_energy(u: ScalarField, window: DomainWindow, table: InteractionTable) -> float:
     """F(u, Omega): half the within-window seminorm plus the cross term.
 
-    Explicitly, the sum over window cells a and box cells j of
-    w(j - a) |u_a - u_j|, halved when j lies in the window, one chunk of
-    weight rows at a time; plus, over the distinct values v the exterior
-    takes beyond the box, the sum of |u_a - v| M_v(a) with M_v(a) the mass
-    of a to the exterior cells holding v (``PairEngine.pad_masses``).  For
-    an indicator field this reproduces perimeter(...).total exactly.
+    Explicitly, the sum of w(j - a) |u_a - u_j| over the unordered pairs
+    of box cells {a, j} with a in the window, each pair once.  The window
+    cells are the rows, sorted by decreasing u, and a pair of two sits in
+    the row of the later; a pair with a non-window cell j sits in the row
+    of its window cell a, and gives u_j - u_a when u_j is larger, else
+    u_a - u_j (``_ordered_pair_blocks``).  A chunk of rows is one product
+    of its signed weights with [u - c, 1], c the value of its first row:
+    the sums B1 and B0, and the row's energy is B1 - (u_a - c) B0, with no
+    cancellation against the common offset of the values.  The exterior
+    adds, over the distinct values v it takes beyond the box, the sum of
+    |u_a - v| M_v(a) with M_v(a) the mass of a to the exterior cells
+    holding v (``PairEngine.pad_masses``).  For an indicator field this
+    reproduces perimeter(...).total exactly.
     """
     if u.spec != window.spec:
         raise SpecMismatch("field and window specs differ")
     eng = _engine_for(window, table)
     om = window.omega
     vals = u.values
-    vflat = vals.ravel()
-    half = np.where(om.ravel(), 0.5, 1.0)
-    v_om = vals[om]
+    cells, v = [], []
+    for side in (om, ~om):  # window cells, then the others, each by decreasing u
+        order = np.argsort(-vals[side], kind="stable")
+        cells.append(np.argwhere(side)[order])
+        v.append(vals[side][order])
+    # the others before each window cell: those of larger u (ties add 0)
+    split = np.searchsorted(-v[1], -v[0])
+    cells, v = np.concatenate(cells), np.concatenate(v)
     parts = []
-    for lo, rows in _weight_rows(np.argwhere(om), vals.shape, eng.table):
-        terms = v_om[lo:lo + len(rows), None] - vflat
-        np.abs(terms, out=terms)
-        terms *= half
-        terms *= rows
-        parts.append(float(terms.sum()))
-    parts += [float(np.abs(v_om - v) @ mass[om]) for v, mass in eng.pad_masses(u.exterior)]
+    for lo, hi, w, cols in _ordered_pair_blocks(cells, eng.table, split):
+        c = v[lo]
+        b1, b0 = (w @ np.stack((v[cols] - c, np.ones(w.shape[1])), axis=1)).T
+        parts.append(float(np.sum(b1 - (v[lo:hi] - c) * b0)))
+    v_om = vals[om]
+    parts += [float(np.abs(v_om - x) @ mass[om]) for x, mass in eng.pad_masses(u.exterior)]
     return math.fsum(parts)
 
 

@@ -392,9 +392,14 @@ def brute_force_minimum(p: MinimizationProblem) -> tuple[CellSet, float]:
     rows = max(1, _ORACLE_CHUNK // len(X_L))
     best_e = math.inf
     best_bits = None
+    # E and X @ B in one buffer that every chunk reuses: a chunk's three
+    # temporaries made the allocator trim and re-fault the heap each call
+    buf = np.empty((2, min(rows, len(X_H)), len(X_L)))
     for start in range(0, len(X_H), rows):
         X = X_H[start:start + rows]
-        E = a_H[start:start + rows, None] + a_L[None, :] - X @ B
+        E, XB = buf[:, :len(X)]
+        np.add(a_H[start:start + rows, None], a_L[None, :], out=E)
+        E -= np.matmul(X, B, out=XB)
         i, j = np.unravel_index(int(np.argmin(E)), E.shape)
         if E[i, j] < best_e - 1e-15:
             best_e = float(E[i, j])

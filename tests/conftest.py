@@ -65,6 +65,25 @@ def box_table(spec: GridSpec, s: float) -> InteractionTable:
     return _TABLE_CACHE[key]
 
 
+def weight_rows(cells: np.ndarray, shape: tuple[int, ...], table: InteractionTable):
+    """Yield (start, rows): the weight rows of ``cells`` in chunks of about
+    ``functional._PAIR_CHUNK`` cell pairs.
+
+    Row k of a chunk holds w(j - a) over every cell j of a universe of
+    ``shape``, flattened, for its cell a.  It is the slice
+    block[reach - a : reach - a + shape] of the weight block, read from
+    one sliding window view of it, so no offset array is formed: a route
+    to the weights apart from ``InteractionTable.pairs``' flat gather.
+    """
+    reach = np.asarray(shape) - 1
+    windows = np.lib.stride_tricks.sliding_window_view(table.block(tuple(reach)), shape)
+    size = math.prod(shape)
+    step = max(1, functional._PAIR_CHUNK // size)
+    for lo in range(0, len(cells), step):
+        corner = reach - cells[lo:lo + step]
+        yield lo, windows[tuple(corner.T)].reshape(len(corner), size)
+
+
 def explicit_interaction(A: np.ndarray, B: np.ndarray, table: InteractionTable) -> float:
     """L_s(A, B) with the table weight of every cell pair summed
     explicitly, one chunk of weight rows at a time: the independent
@@ -72,7 +91,30 @@ def explicit_interaction(A: np.ndarray, B: np.ndarray, table: InteractionTable) 
     A = np.asarray(A, dtype=bool)
     b = np.asarray(B, dtype=bool).ravel().astype(float)
     return math.fsum(float(rows.dot(b).sum())
-                     for _, rows in functional._weight_rows(np.argwhere(A), A.shape, table))
+                     for _, rows in weight_rows(np.argwhere(A), A.shape, table))
+
+
+def explicit_relaxed_energy(u: ScalarField, window, table: InteractionTable) -> float:
+    """F(u, Omega) as the sum over (window cell a, box cell j) pairs of
+    w(j - a) |u_a - u_j|, halved when j lies in the window, one chunk of
+    weight rows at a time, plus the engine's exterior terms: the oracle
+    of ``functional.relaxed_energy``'s value-ordered route, which counts
+    each pair once."""
+    eng = functional._engine_for(window, table)
+    om = window.omega
+    vals = u.values
+    vflat = vals.ravel()
+    half = np.where(om.ravel(), 0.5, 1.0)
+    v_om = vals[om]
+    parts = []
+    for lo, rows in weight_rows(np.argwhere(om), vals.shape, table):
+        terms = v_om[lo:lo + len(rows), None] - vflat
+        np.abs(terms, out=terms)
+        terms *= half
+        terms *= rows
+        parts.append(float(terms.sum()))
+    parts += [float(np.abs(v_om - v) @ mass[om]) for v, mass in eng.pad_masses(u.exterior)]
+    return math.fsum(parts)
 
 
 def direct_mollify(u, m: MollifierSpec) -> ScalarField:

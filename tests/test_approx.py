@@ -16,7 +16,12 @@ from fracperim.approx import (
     smooth_at_grid_scale,
     superlevel,
 )
-from fracperim.errors import EpsilonBelowResolution, InvalidRadius, InvalidSchedule
+from fracperim.errors import (
+    EpsilonBelowResolution,
+    InvalidRadius,
+    InvalidSchedule,
+    SpecMismatch,
+)
 from fracperim.functional import perimeter
 from fracperim.grid import (
     AnalyticTail,
@@ -30,7 +35,7 @@ from fracperim.grid import (
     full_window,
     signed_distance,
 )
-from tests.conftest import direct_mollify, table_for
+from tests.conftest import direct_mollify, table_for, weight_rows
 
 
 def _ball(n=16, r=0.3):
@@ -246,7 +251,7 @@ class TestLadderPass:
         for eps, st in zip(schedule, steps, strict=True):
             vals = (E.inside & (wdist >= 2.0 * eps)).astype(float)
             u = direct_mollify(ScalarField(E.spec, vals, E.exterior), MollifierSpec(eps))
-            [(t, sup, bd)] = approx._pick_threshold([u], target, scan)
+            [(t, sup, bd)] = approx._pick_threshold([u], scan.totals([u])[1], target, scan)
             assert st.threshold == t
             assert st.approximant.inside.tobytes() == sup.inside.tobytes()
             assert _close(st.breakdown.total, bd.total)
@@ -273,6 +278,37 @@ class TestLadderPass:
             ladder(E, win, schedule, table)
             counts.append(len(calls))
         assert counts[0] == counts[1]
+
+
+    @pytest.mark.parametrize("ladder", [approximate_set, approximate_set_lipschitz])
+    def test_window_on_another_grid_raises(self, ladder):
+        E, win, table = _edge_case()
+        shifted = GridSpec(2, (0.5, 0.0), E.spec.extent, E.spec.h)
+        other = DomainWindow(shifted, win.omega, win.complement_policy)
+        with pytest.raises(SpecMismatch):
+            ladder(E, other, [2 * E.spec.h], table)
+
+    @pytest.mark.parametrize("full", [False, True], ids=["partial", "full"])
+    @pytest.mark.parametrize("ladder", [approximate_set, approximate_set_lipschitz])
+    def test_warm_ladder_makes_two_transforms(self, monkeypatch, ladder, full):
+        # the mollify pass, then one batch: the target's fields, every
+        # rung's base sets and 1_Omega (*) w
+        E, win, table = _edge_case()
+        if full:
+            win = full_window(E.spec, win.complement_policy)
+        h = E.spec.h
+        schedule = [4 * h, 3 * h, 2 * h, h]
+        ladder(E, win, schedule, table)  # warm: spectra, exterior fields, row totals
+        calls = []
+        original = np.fft.rfftn
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "rfftn", counted)
+        ladder(E, win, schedule, table)
+        assert len(calls) == 2
 
 
 def _oracle_scan(u, target, window, table):
@@ -334,7 +370,7 @@ def _box_row_pair_sums(cells, in_om, shape, table):
     the window, read from whole box-shaped weight rows."""
     flat = np.ravel_multi_index(tuple(cells.T), shape)
     out = np.empty(len(cells))
-    for lo, rows in functional._weight_rows(cells, tuple(shape), table):
+    for lo, rows in weight_rows(cells, tuple(shape), table):
         hi = lo + len(rows)
         keep = np.arange(hi) < np.arange(lo, hi)[:, None]
         keep &= in_om[lo:hi, None] | in_om[:hi]
@@ -365,7 +401,7 @@ class TestThresholdScan:
         for sub, chunk in ((cells, None), (cells[:0], None), (cells[:1], None),
                            (cells, 3 * len(cells))):
             if chunk:
-                monkeypatch.setattr(approx, "_PAIR_CHUNK", chunk)
+                monkeypatch.setattr(functional, "_PAIR_CHUNK", chunk)
             in_om = win.omega[tuple(sub.T)]
             sums = approx._earlier_pair_sums(sub, in_om, table)
             assert sums.shape == (len(sub), 2)
@@ -390,13 +426,14 @@ class TestThresholdScan:
             assert len({b.total for b in oracle}) > 2  # the scan has work
             # local, nonlocal and total at every grid threshold
             ref = np.array([(b.local, b.nonlocal_, b.total) for b in oracle]).T
-            local, nonlocal_ = scan.totals([u])[0]
+            local, nonlocal_ = scan.totals([u])[1][0]
             got = np.array([local, nonlocal_, local + nonlocal_])
             assert np.all(np.abs(got - ref) <= 1e-12 * np.abs(ref)), (eps, got - ref)
             # E's own perimeter, and targets that pick other thresholds
             for goal in (target, 0.8 * target, 1.15 * target):
                 _, t, sup, bd = _oracle_scan(u, goal, win, table)
-                [(t_new, sup_new, bd_new)] = approx._pick_threshold([u], goal, scan)
+                [(t_new, sup_new, bd_new)] = approx._pick_threshold(
+                    [u], scan.totals([u])[1], goal, scan)
                 assert t_new == t
                 assert sup_new.inside.tobytes() == sup.inside.tobytes()
                 assert (sup_new.spec, sup_new.exterior) == (sup.spec, sup.exterior)
@@ -409,8 +446,9 @@ class TestThresholdScan:
 
     @pytest.mark.parametrize("ladder", [approximate_set, approximate_set_lipschitz])
     def test_one_perimeter_per_ladder(self, monkeypatch, ladder):
-        # the target's; each rung reads its breakdown off the scan, where
-        # the per-threshold loop made up to 99 calls a rung
+        # none: the target's breakdown comes from the ladder's one batched
+        # correlation and each rung reads its own off the scan, where the
+        # per-threshold loop made up to 99 calls a rung
         calls = []
         original = functional.perimeter
 
@@ -419,7 +457,7 @@ class TestThresholdScan:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(functional, "perimeter", counted)
-        monkeypatch.setattr(approx, "perimeter", counted)
+        monkeypatch.setattr(approx, "perimeter", counted, raising=False)
         E = _ball()
         mask = np.zeros(E.spec.extent, dtype=bool)
         mask[2:-2, 2:-2] = True
@@ -428,4 +466,4 @@ class TestThresholdScan:
         h = E.spec.h
         steps = ladder(E, win, [4 * h, 2 * h, h], table)
         assert len(steps) == 3
-        assert len(calls) == 1
+        assert len(calls) == 0

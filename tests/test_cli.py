@@ -210,6 +210,18 @@ class TestIdentityChecks:
         doc = json.loads(res.output)
         assert doc["residual"] <= 1e-10
 
+    @pytest.mark.parametrize("levels", ["0", "-3"])
+    def test_coarea_levels_below_one_is_a_diagnostic(self, runner, levels):
+        res = runner.invoke(main, [
+            "coarea-check", "--s", "0.5", "--extent", "8,8", "--h", "0.125",
+            "--levels", levels,
+        ])
+        assert res.exit_code == 1
+        assert res.stdout == ""
+        diag = json.loads(res.stderr)
+        assert diag["kind"] == "ValueError"
+        assert "--levels" in diag["message"]
+
     def test_decomposition(self, runner, ball_grid):
         res = runner.invoke(main, [
             "decomposition-check", "--s", "0.5", "--grid", ball_grid,

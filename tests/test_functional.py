@@ -41,7 +41,13 @@ from fracperim.grid import (
     full_window,
 )
 from fracperim.kernel import InteractionTable, interval_pair_exact, interval_ray_exact
-from tests.conftest import explicit_interaction, table_for, universe_table
+from tests.conftest import (
+    explicit_interaction,
+    explicit_relaxed_energy,
+    table_for,
+    universe_table,
+    weight_rows,
+)
 
 
 def _random_instance(rng, dim=2, n=8, s=0.5, policy=None):
@@ -191,8 +197,8 @@ class TestExplicitOracle:
         strip = eng.embed(outer & ~inner)
         inner_win = DomainWindow(spec, inner, policy)
         outer_win = DomainWindow(spec, outer, policy)
-        cross = functional._cross_terms(E, inner_win, outer_win,
-                                        functional._engine_for(outer_win, table))
+        cross = functional._decomposition_terms(E, inner_win, outer_win,
+                                                functional._engine_for(outer_win, table))[2:]
         # the cross terms also hold the strip's mass to the 1D exterior
         box_strip = outer & ~inner
         for A, B, got, ray in ((occ & strip, ~occ & ~eng.embed(inner), cross[0],
@@ -394,7 +400,7 @@ class TestBoxRoute:
         self._close(bd.nonlocal_, exact(occ & om_out, ~occ & ~om_out)
                     + exact(occ & ~om_out, ~occ & om_out))
         eng_route = functional._engine_for(outer, table)
-        cross = functional._cross_terms(E, inner, outer, eng_route)
+        cross = functional._decomposition_terms(E, inner, outer, eng_route)[2:]
         self._close(cross[0], exact(occ & strip, ~occ & ~om_in))
         self._close(cross[1], exact(occ & ~om_out, ~occ & strip))
         assert decomposition_check(E, inner, outer, table) <= 1e-12 * bd.total
@@ -443,7 +449,7 @@ def _padded_pad_masses(eng, exterior):
     levels = np.unique(vals[~box])
     onehot = ((vals[..., None] == levels) & ~box[..., None]).reshape(-1, len(levels))
     masses = np.empty((int(box.sum()), len(levels)))
-    for lo, rows in functional._weight_rows(np.argwhere(box), vals.shape, eng.table):
+    for lo, rows in weight_rows(np.argwhere(box), vals.shape, eng.table):
         masses[lo:lo + len(rows)] = rows @ onehot
     return {float(v): m.reshape(extent) for v, m in zip(levels, masses.T)}
 
@@ -640,6 +646,21 @@ class TestEngineCache:
         assert calls == []
         engine = functional._engine_for(window, table)
         assert functional._engine_for(inner, table) is engine
+
+    def test_warm_decomposition_makes_one_transform(self, monkeypatch):
+        # the masks of both perimeters and the cross terms in one batch
+        E, inner, window, table = self._fresh_case()
+        first = decomposition_check(E, inner, window, table)
+        calls = []
+        original = np.fft.rfftn
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "rfftn", counted)
+        assert decomposition_check(E, inner, window, table) == first
+        assert len(calls) == 1
 
     def test_warm_calls_correlate_box_masks_only(self, monkeypatch):
         from fracperim import approx
@@ -868,7 +889,7 @@ def _padded_pair_sum_energy(u, window, table):
     v_om = vals[om]
     total = math.fsum(
         float((np.abs(v_om[lo:lo + len(rows), None] - vflat) * half * rows).sum())
-        for lo, rows in functional._weight_rows(np.argwhere(om), vals.shape, table))
+        for lo, rows in weight_rows(np.argwhere(om), vals.shape, table))
     return total + _exterior_energy(u, eng, window.omega)
 
 
@@ -926,6 +947,84 @@ class TestRelaxedEnergyOnTheBox:
         table = universe_table(spec, 0.3, AnalyticTail())
         assert PairEngine(spec, AnalyticTail(), table).pad == 0
         self._check(u, win, table)
+
+
+def _value_order_case(dim, where, exterior, field):
+    """(u, window, table) of one value-order case: a 1D, 2D or 3D box;
+    the full window, an interior block or a window of 10 % of the box;
+    a constant or half-space exterior; a 4-level, random continuous or
+    near-constant field."""
+    n = {1: 40, 2: 12, 3: 6}[dim]
+    spec = GridSpec(dim, (0.0,) * dim, (n,) * dim, 1.0 / n)
+    rng = np.random.default_rng(dim * 100 + len(where) * 10 + len(field))
+    if where == "full":
+        omega = np.ones(spec.extent, dtype=bool)
+    elif where == "interior":
+        omega = np.zeros(spec.extent, dtype=bool)
+        omega[(slice(1, n - 2),) * dim] = True
+    else:
+        omega = np.zeros(spec.n_cells, dtype=bool)
+        omega[rng.choice(spec.n_cells, spec.n_cells // 10, replace=False)] = True
+        omega = omega.reshape(spec.extent)
+    ext = 0.5 if exterior == "constant" else HalfSpaceExterior(dim - 1, 0.45)
+    if field == "levels":
+        vals = rng.integers(0, 4, spec.extent) / 3.0
+    elif field == "random":
+        vals = rng.random(spec.extent)
+    else:
+        vals = 0.5 + 1e-6 * rng.random(spec.extent)
+    policy = TruncateAtRadius(0.25)
+    return (ScalarField(spec, vals, ext), DomainWindow(spec, omega, policy),
+            table_for(spec, 0.4, policy))
+
+
+def _pairs_gathered(monkeypatch):
+    """A list that receives the number of weights of every
+    ``InteractionTable.pairs`` call from now on."""
+    sizes = []
+    original = InteractionTable.pairs
+
+    def counted(self, a, b):
+        sizes.append(len(a) * len(b))
+        return original(self, a, b)
+
+    monkeypatch.setattr(InteractionTable, "pairs", counted)
+    return sizes
+
+
+class TestRelaxedEnergyValueOrder:
+    """Each pair once, in value order, against the explicit sum over every
+    (window cell, box cell) pair (``explicit_relaxed_energy``)."""
+
+    @pytest.mark.parametrize("field", ["levels", "random", "near-constant"])
+    @pytest.mark.parametrize("exterior", ["constant", "halfspace"])
+    @pytest.mark.parametrize("where", ["full", "interior", "tenth"])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_matches_the_explicit_sum(self, dim, where, exterior, field):
+        u, win, table = _value_order_case(dim, where, exterior, field)
+        ref = explicit_relaxed_energy(u, win, table)
+        assert ref > 0.0
+        assert abs(relaxed_energy(u, win, table) - ref) <= 1e-12 * ref
+
+    def test_full_window_gathers_each_pair_once(self, monkeypatch):
+        # 900 cells: chunks of 72 rows
+        spec = GridSpec(2, (0.0, 0.0), (30, 30), 1.0 / 30)
+        u = ScalarField(spec, np.random.default_rng(3).random(spec.extent), 0.5)
+        win = full_window(spec, TruncateAtRadius(0.1))
+        table = table_for(spec, 0.4, win.complement_policy)
+        relaxed_energy(u, win, table)  # warm: the pad masses gather every box pair
+        sizes = _pairs_gathered(monkeypatch)
+        relaxed_energy(u, win, table)
+        n = spec.n_cells
+        assert len(sizes) > 1
+        assert n * (n - 1) // 2 <= sum(sizes) <= n * (n - 1) // 2 + functional._PAIR_CHUNK
+
+    def test_small_window_gathers_no_more_than_its_rows(self, monkeypatch):
+        u, win, table = _value_order_case(2, "tenth", "halfspace", "random")
+        relaxed_energy(u, win, table)
+        sizes = _pairs_gathered(monkeypatch)
+        relaxed_energy(u, win, table)
+        assert 0 < sum(sizes) <= int(win.omega.sum()) * u.spec.n_cells
 
 
 class TestDivergenceProbe:

@@ -1,7 +1,7 @@
 """Source hygiene: every name a module imports is used by that module,
-no module imports SciPy or calls tensordot, and only the kernel reads
-the weight table's layout; importing the command line loads no SciPy
-module, and neither does any command while it runs, nor the cylinder
+no module imports SciPy, calls tensordot or uses sliding_window_view,
+and only the kernel reads the weight table's layout; importing the
+command line loads no SciPy module, and neither does any command while it runs, nor the cylinder
 perimeter with its one-cell constant, nor an exact minimization or the
 minimality-equivalence check called from Python."""
 
@@ -78,6 +78,18 @@ def test_no_tensordot(path):
     calls = [node.lineno for node in ast.walk(tree)
              if isinstance(node, ast.Attribute) and node.attr == "tensordot"]
     assert calls == [], f"{path.name} calls tensordot (lines {calls})"
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_sliding_window_view(path):
+    # pair sums gather through InteractionTable.pairs; the sliding-window
+    # weight rows are the tests' oracle
+    tree = ast.parse(path.read_text(), filename=str(path))
+    uses = [node.lineno for node in ast.walk(tree)
+            if (isinstance(node, ast.Attribute) and node.attr == "sliding_window_view")
+            or (isinstance(node, ast.Name) and node.id == "sliding_window_view")
+            or (isinstance(node, ast.alias) and node.name == "sliding_window_view")]
+    assert uses == [], f"{path.name} uses sliding_window_view (lines {uses})"
 
 
 def _fresh_python(*args: str) -> subprocess.CompletedProcess:
