@@ -6,13 +6,16 @@ matches the original perimeter.  A variant first multiplies by a cut-off
 vanishing near the window boundary, which trades a little boundary
 accuracy for convergence on windows whose closure meets the set.
 
-Mollification is a numpy.fft convolution on the box padded by the
-bump's reach, its pad filled by the exterior model (``_mollify_stack``).
-A ladder mollifies every rung in one batched pass padded by its largest
-reach: one forward transform of the indicator (one per rung under the
-cut-off, which changes with eps), times each rung's bump spectrum, and
-one batched inverse.  The spectra are kept on the table's engine by
-(eps, FFT grid), so a warm ladder samples no bump.
+Mollification is an FFT convolution on the box padded by the bump's
+reach, its pad filled by the exterior model (``_ladder_fields``, through
+``functional._even_spectra`` and ``functional._convolve``, the pair
+fields' transform; this module touches no FFT itself).  A ladder
+mollifies every rung in one batched pass padded by its largest reach:
+one forward transform of the indicator (one per rung under the cut-off,
+which changes with eps), times each rung's bump spectrum, and one
+batched inverse; ``mollify`` is its one-radius case.  The spectra are
+kept on the table's engine by (eps, FFT grid), so a warm ladder samples
+no bump.
 
 The superlevel sets of one rung are nested, so a single scan gives the
 local and nonlocal perimeter at all 99 grid thresholds: the two box
@@ -39,7 +42,9 @@ from .errors import EpsilonBelowResolution, InvalidRadius, InvalidSchedule, Spec
 from .functional import (
     InteractionTable,
     PerimeterBreakdown,
+    _convolve,
     _engine_for,
+    _even_spectra,
     _fast_len,
     _ordered_pair_blocks,
     _perimeter_sums,
@@ -103,60 +108,16 @@ def _as_field(u) -> ScalarField:
     return u
 
 
-def _bump_spectra(bumps: list[MollifierSpec], spec: GridSpec, fast: tuple[int, ...],
-                  cache: dict) -> np.ndarray:
-    """The real spectra of the bumps' sampled kernels on the FFT grid
-    ``fast``, stacked.
-
-    The kernel of reach r sits with offset d at index d mod N, as
-    ``functional._weight_spectrum`` places the weights; it is even, so
-    its spectrum is real.  ``cache`` keeps each spectrum by (eps, grid),
-    and the missing ones share one batched transform.
-    """
-    missing = [m for m in dict.fromkeys(bumps) if (m.eps, fast) not in cache]
-    if missing:
-        wrapped = np.zeros((len(missing),) + fast)
-        for k, m in enumerate(missing):
-            r = m.reach(spec)
-            idx = [np.r_[0:r + 1, f - r:f] for f in fast]
-            wrapped[k][np.ix_(*idx)] = np.fft.ifftshift(m.sampled(spec))
-        spectra = np.fft.rfftn(wrapped, axes=tuple(range(1, wrapped.ndim))).real
-        cache.update(((m.eps, fast), sp) for m, sp in zip(missing, spectra))
-    return np.array([cache[m.eps, fast] for m in bumps])
-
-
-def _mollify_stack(spec: GridSpec, padded: np.ndarray, bumps: list[MollifierSpec],
-                   pad: int, cache: dict) -> np.ndarray:
-    """The box values of u (*) k for each bump k of ``bumps``, stacked:
-    one batched r2c / c2r pass.
-
-    ``padded`` holds u on the box padded by ``pad`` cells, at least every
-    bump's reach: one array that every bump mollifies, or a stack with
-    one array per bump.  On a grid of N >= n + 2 pad cells per axis the
-    circular convolution of a box cell sees only offsets within the
-    reach, so it is the linear one.
-    """
-    axes = tuple(range(-spec.dim, 0))
-    fast = tuple(_fast_len(n) for n in padded.shape[-spec.dim:])
-    F = np.fft.rfftn(padded, fast, axes) * _bump_spectra(bumps, spec, fast, cache)
-    out = np.fft.irfftn(F, fast, axes)
-    return out[(slice(None),) + tuple(slice(pad, pad + n) for n in spec.extent)]
-
-
 def mollify(u, m: MollifierSpec) -> ScalarField:
     """Convolve a field or indicator with the sampled bump kernel.
 
     Values outside the box are supplied by the exterior model, so the
     output is exact wherever the true convolution only sees grid-aligned
     data (in particular deep inside / outside a set).  The one-radius
-    case of a ladder's pass (``_mollify_stack``): one FFT round trip on
+    case of a ladder's pass (``_ladder_fields``): one FFT round trip on
     the box padded by the bump's reach, with the spectrum made afresh.
     """
-    field = _as_field(u)
-    spec = field.spec
-    reach = m.reach(spec)
-    padded = field.values_on(spec.padded(reach))
-    return ScalarField(spec, _mollify_stack(spec, padded, [m], reach, {})[0], field.exterior)
+    return _ladder_fields(u, [m], None, {})[0]
 
 
 def boundary_cells(E: CellSet) -> np.ndarray:
@@ -248,15 +209,16 @@ class _ThresholdScan:
 
         The sets are nested: each is the smallest, x0 = {u > 0.99}, plus a
         prefix of the switching cells S (0.01 < u <= 0.99) sorted by
-        decreasing u.  Base and gains split as ``_perimeter_sums`` splits
-        a perimeter.  Adding cell a to X = x0 plus the cells of S before a
-        adds row_om - 2 f_in, local for a in Omega and nonlocal outside,
-        and for a in Omega row_all - row_om - 2 f_out to nonlocal: f_in
-        and f_out are the fields of X inside and outside Omega, x0's (the
-        exterior's included) plus the earlier S x S weights by side, and
-        row_om = 1_Omega (*) w.  One batched correlation takes ``masks``,
-        every x0's two masks and, when the window is not the box,
-        1_Omega (*) w (the row totals serve for a full window).
+        decreasing u.  The base is x0's ``_perimeter_sums``, and the gains
+        split the same way.  Adding cell a to X = x0 plus the cells of S
+        before a adds row_om - 2 f_in, local for a in Omega and nonlocal
+        outside, and for a in Omega row_all - row_om - 2 f_out to
+        nonlocal: f_in and f_out are the fields of X inside and outside
+        Omega, x0's (the exterior's included) plus the earlier S x S
+        weights by side, and row_om = 1_Omega (*) w.  One batched
+        correlation takes ``masks``, every x0's two masks and, when the
+        window is not the box, 1_Omega (*) w (the row totals serve for a
+        full window).
         """
         om = self.window.omega
         tops = [superlevel(u, float(_THRESHOLD_GRID[-1])).inside for u in us]
@@ -274,11 +236,7 @@ class _ThresholdScan:
         """``totals`` of one field, given x0 = ``inside``, its fields and
         1_Omega (*) w."""
         om = self.window.omega
-        e_in, c_in = inside & om, ~inside & om
-        f_out = f_out + self.x_e
-        base = [[float(f_in[c_in].sum())],
-                [math.fsum([float(f_in[~inside & ~om].sum()), float(self.x_c[e_in].sum()),
-                            float(f_out[c_in].sum())])]]
+        base = np.array(_perimeter_sums(inside, om, f_in, f_out, self.x_e, self.x_c))
 
         switch = (u.values > _THRESHOLD_GRID[0]) & ~inside
         order = np.argsort(-u.values[switch], kind="stable")
@@ -289,12 +247,13 @@ class _ThresholdScan:
         r_om, r_out = _earlier_pair_sums(cells, in_om, self.engine.table).T
         row_om = row_om[idx]
         cut = row_om - 2.0 * (f_in[idx] + r_om)
+        f_out = f_out[idx] + self.x_e[idx]
         gains = np.cumsum([np.where(in_om, cut, 0.0),
                            np.where(in_om, self.row_all[idx] - row_om
-                                    - 2.0 * (f_out[idx] + r_out), cut)], axis=1)
+                                    - 2.0 * (f_out + r_out), cut)], axis=1)
         prefix = np.concatenate((np.zeros((2, 1)), gains), axis=1)
         # {u > t} takes the cells of S with u > t, a prefix of the order
-        return tuple(base + prefix[:, np.searchsorted(-vals, -_THRESHOLD_GRID)])
+        return tuple(base[:, None] + prefix[:, np.searchsorted(-vals, -_THRESHOLD_GRID)])
 
 
 def _earlier_pair_sums(cells: np.ndarray, in_om: np.ndarray,
@@ -345,26 +304,37 @@ def _validate_schedule(eps_schedule, h: float) -> list[float]:
     return eps
 
 
-def _ladder_fields(E: CellSet, bumps: list[MollifierSpec], wdist: np.ndarray | None,
-                   cache: dict) -> list[ScalarField]:
-    """Every rung's mollified field, from one batched FFT pass on the box
-    padded by the largest reach (``_mollify_stack``).
+def _ladder_fields(E: CellSet | ScalarField, bumps: list[MollifierSpec],
+                   wdist: np.ndarray | None, cache: dict) -> list[ScalarField]:
+    """Every rung's mollified field of E (a cell set or a field), from one
+    batched FFT pass (``functional._convolve``) on the box padded by the
+    largest reach, its pad filled by the exterior model.
 
-    Without a cut-off every rung mollifies the indicator of E, one
-    forward transform; with one, rung eps mollifies E less its cells
-    within 2 eps of the window boundary, one batched forward transform.
-    ``cache`` keeps the bump spectra.
+    Without a cut-off every rung mollifies E, one forward transform; with
+    one, rung eps mollifies E less its cells within 2 eps of the window
+    boundary, one batched forward transform.  On a grid of N >= n + 2 pad
+    cells per axis the circular convolution of a box cell sees only
+    offsets within the reach, so it is the linear one.  ``cache`` keeps
+    the bump spectra by (eps, FFT grid), and the missing ones share one
+    ``functional._even_spectra`` transform.
     """
-    spec = E.spec
+    field = _as_field(E)
+    spec = field.spec
     pad = max(m.reach(spec) for m in bumps)
-    padded = _as_field(E).values_on(spec.padded(pad))
+    padded = field.values_on(spec.padded(pad))
+    box = tuple(slice(pad, pad + n) for n in spec.extent)
     if wdist is not None:
         keep = np.ones((len(bumps),) + padded.shape)
-        keep[(slice(None),) + tuple(slice(pad, pad + n) for n in spec.extent)] = [
-            wdist >= 2.0 * m.eps for m in bumps]
+        keep[(slice(None),) + box] = [wdist >= 2.0 * m.eps for m in bumps]
         padded = padded * keep
-    return [ScalarField(spec, v, E.exterior)
-            for v in _mollify_stack(spec, padded, bumps, pad, cache)]
+    fast = tuple(_fast_len(n) for n in padded.shape[-spec.dim:])
+    missing = [m for m in dict.fromkeys(bumps) if (m.eps, fast) not in cache]
+    if missing:
+        spectra = _even_spectra([m.sampled(spec) for m in missing], fast)
+        cache.update(((m.eps, fast), sp) for m, sp in zip(missing, spectra))
+    spectra = np.array([cache[m.eps, fast] for m in bumps])
+    return [ScalarField(spec, v, field.exterior)
+            for v in _convolve(padded, spectra, fast, box)]
 
 
 def _ladder(E: CellSet, window: DomainWindow, eps_schedule, table: InteractionTable,

@@ -333,6 +333,8 @@ def strip_scan(s_list, strip_cells, deltas, output):
     widths.  Exit code 2 unless every row lies under its bound line and
     every exponent lies within 0.1 of 1-s.
     """
+    if strip_cells < 1:
+        raise ValueError(f"--strip-cells must be at least 1, got {strip_cells}")
     svals = [float(v) for v in s_list.split(",")]
     dvals = [float(v) for v in deltas.split(",")]
     geometric_ratio(dvals)  # reject a bad schedule before building tables
@@ -458,6 +460,8 @@ def davila_scan(ssched, nsched, k, output):
     """Scaled local energy vs classical graph area across (s, h) pairs."""
     svals = [float(v) for v in ssched.split(",")]
     nvals = [int(v) for v in nsched.split(",")]
+    if min(nvals) < 1:
+        raise ValueError(f"--n-schedule entries must be at least 1, got {nsched}")
     specs = [GridSpec(1, (0.0,), (n,), 1.0 / n) for n in nvals]
     rows = cyl.graph_area_asymptotics(
         lambda sp: ScalarField(sp, np.zeros(sp.extent), 0.0),

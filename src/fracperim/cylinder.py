@@ -25,9 +25,9 @@ from .errors import (
 )
 from .functional import (
     PerimeterBreakdown,
+    _breakdown,
     _engine_for,
     _exterior_fields,
-    _perimeter_sums,
     interaction,
 )
 from .grid import CellSet, DomainWindow, GridSpec, ScalarField, SubgraphExterior
@@ -125,7 +125,8 @@ def truncated_cylinder_perimeter(E, omega_base: DomainWindow, k: float,
     {t < farfield} (its complement {t >= farfield}), so the window's mass
     to E and to its complement beyond the box is exact: the exterior rule
     of ``functional._exterior_fields``, closed-form half-space masses
-    minus box correlations.  Nothing is truncated, so
+    minus box correlations, with the window's sums by
+    ``functional._breakdown``.  Nothing is truncated, so
     ``truncation_error_bound`` is 0 and the total does not depend on the
     vertical box height T.  The table must reach across the box.
     """
@@ -143,17 +144,8 @@ def truncated_cylinder_perimeter(E, omega_base: DomainWindow, k: float,
     z = spec.axis_centers(-1, np.arange(spec.extent[-1]))
     om = omega_base.omega[..., None] & (np.abs(z) < k)
     eng = _engine_for(DomainWindow(spec, om), table)
-    x_e, x_c = _exterior_fields(spec, cell.exterior, table, None, eng.fields)
-    inside = cell.inside
-    local, nonlocal_ = _perimeter_sums(inside, om, *eng.fields(inside & om, inside & ~om),
-                                       x_e, x_c)
-    return PerimeterBreakdown(
-        local=local,
-        nonlocal_=nonlocal_,
-        total=local + nonlocal_,
-        truncation_error_bound=0.0,
-        degenerate=not om.any(),
-    )
+    return _breakdown(cell.inside, om, eng,
+                      *_exterior_fields(spec, cell.exterior, table, None, eng.fields), 0.0)
 
 
 def local_part_bound(omega_base: DomainWindow, k: float,

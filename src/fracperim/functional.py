@@ -11,15 +11,20 @@ floating-point accumulation.
 
 A pair sum L(A, B) is the inner product <B, A (*) w>: a numpy.fft
 correlation of the mask A against the spectrum of the weight block, on a
-5-smooth grid (``_fast_len``).  Every caller takes its fields in pairs,
-so ``PairEngine.fields`` stacks the non-empty masks into one batched
-transform.  The exterior data are fixed, so they enter as two fields on
-the box per exterior model: X_E and X_C, the mass of each box cell to the
-exterior inside E and to the exterior outside it.  A PairEngine computes
-them once and caches them with its weight spectra, and the table keeps
-one engine per (spec, policy).  Every correlation runs on the box.  A
-perimeter takes the two box fields of one batch, and ``interaction`` is
-the same correlation at every size.  The module imports no SciPy.
+5-smooth grid (``_fast_len``).  Every transform of the package runs in
+this module: ``_even_spectra`` places an even kernel (the weight block,
+or an ``approx`` mollifier bump) with offset d at index d mod N, and
+``_convolve`` makes one batched r2c / c2r pass and crops.  Every caller
+takes its fields in pairs, so ``PairEngine.fields`` stacks the non-empty
+masks into one batched transform.  The exterior data are fixed, so they
+enter as two fields on the box per exterior model: X_E and X_C, the mass
+of each box cell to the exterior inside E and to the exterior outside
+it.  A PairEngine computes them once and caches them with its weight
+spectra, and the table keeps one engine per (spec, policy).  Every
+correlation runs on the box.  A perimeter, the cylinder's too, is
+``_breakdown``: ``_perimeter_sums`` of the two box fields of one batch.
+``interaction`` is the same correlation at every size.  The module
+imports no SciPy.
 
 Beyond the box every exterior model is a lattice set H, so in a universe
 U, X_E = m(. -> H n U) - (1_(H n box) (*) w) and X_C likewise with H^c
@@ -124,36 +129,51 @@ def _fast_len(n: int) -> int:
         m += 1
 
 
-def _weight_spectrum(table: InteractionTable, shape: tuple[int, ...]):
-    """(fast grid, spectrum of the weight block) for grids of ``shape``.
+def _even_spectra(blocks, fast: tuple[int, ...]) -> np.ndarray:
+    """The real spectra on the FFT grid ``fast`` of centred blocks of odd
+    side, stacked.
 
-    The block of offsets up to S-1 per axis sits on a grid of at least
-    2S-1 with offset d at index d mod N, so a circular convolution with it
-    is the linear one on the grid.  The block is even, so its spectrum
-    is real.
+    A block sits with offset d at index d mod N, so a circular
+    convolution with it is the linear one on every cell whose reach
+    does not wrap around the grid.  Each block is even, so its spectrum
+    is real.  The blocks share one batched transform.
     """
-    fast = tuple(_fast_len(2 * n - 1) for n in shape)
-    wrapped = np.zeros(fast)
-    idx = [np.r_[0:n, f - n + 1:f] for n, f in zip(shape, fast)]
-    wrapped[np.ix_(*idx)] = np.fft.ifftshift(table.block(tuple(n - 1 for n in shape)))
-    return fast, np.fft.rfftn(wrapped).real
+    wrapped = np.zeros((len(blocks),) + fast)
+    for k, block in enumerate(blocks):
+        idx = [np.r_[0:(n + 1) // 2, f - n // 2:f] for n, f in zip(block.shape, fast)]
+        wrapped[k][np.ix_(*idx)] = np.fft.ifftshift(block)
+    return np.fft.rfftn(wrapped, axes=tuple(range(1, wrapped.ndim))).real
+
+
+def _convolve(stack: np.ndarray, spectra: np.ndarray, fast: tuple[int, ...],
+              crop: tuple[slice, ...]) -> np.ndarray:
+    """The ``crop`` of stack (*) k over the trailing axes, k the kernels
+    of ``spectra`` (from ``_even_spectra``, broadcast against the stack):
+    one batched r2c / c2r round trip on the grid ``fast``."""
+    axes = tuple(range(-len(fast), 0))
+    F = np.fft.rfftn(stack, fast, axes)
+    if np.broadcast_shapes(F.shape, spectra.shape) == F.shape:
+        F *= spectra
+    else:
+        F = F * spectra
+    return np.fft.irfftn(F, fast, axes)[(Ellipsis,) + crop]
 
 
 def _correlate(stack: np.ndarray, table: InteractionTable, spectra: dict) -> np.ndarray:
     """f[k] = stack[k] (*) w for each array of a stack, on its grid:
     f[k][j] = sum_i stack[k][i] w(j - i).
 
-    One batched r2c / c2r round trip over the trailing axes against the
-    weight spectrum, which ``spectra`` caches per grid shape.
+    ``_convolve`` against the weight block of offsets up to S-1 per axis
+    on a grid of at least 2S-1, whose spectrum ``spectra`` caches per
+    grid shape.
     """
     shape = stack.shape[1:]
     if shape not in spectra:
-        spectra[shape] = _weight_spectrum(table, shape)
+        fast = tuple(_fast_len(2 * n - 1) for n in shape)
+        block = table.block(tuple(n - 1 for n in shape))
+        spectra[shape] = fast, _even_spectra([block], fast)[0]
     fast, spectrum = spectra[shape]
-    axes = tuple(range(1, stack.ndim))
-    F = np.fft.rfftn(stack, fast, axes)
-    F *= spectrum
-    return np.fft.irfftn(F, fast, axes)[(slice(None),) + tuple(slice(n) for n in shape)]
+    return _convolve(stack, spectrum, fast, tuple(slice(n) for n in shape))
 
 
 def _fields(masks, table: InteractionTable, spectra: dict) -> list[np.ndarray]:
@@ -223,6 +243,15 @@ def _perimeter_sums(inside, om, f_in, f_out, x_e, x_c) -> tuple[float, float]:
     nonlocal_ = float(f_in[~inside & ~om].sum()) + float(f_out[c_in].sum())
     return float(f_in[c_in].sum()), math.fsum(
         [nonlocal_, float(x_c[e_in].sum()), float(x_e[c_in].sum())])
+
+
+def _breakdown(inside, om, eng: PairEngine, x_e, x_c, bound: float) -> PerimeterBreakdown:
+    """The breakdown of the box mask ``inside`` in the window ``om``:
+    ``_perimeter_sums`` of one ``eng.fields`` batch of its two masks,
+    with the exterior fields (X_E, X_C) and the truncation bound given."""
+    local, nonlocal_ = _perimeter_sums(inside, om, *eng.fields(inside & om, inside & ~om),
+                                       x_e, x_c)
+    return PerimeterBreakdown(local, nonlocal_, local + nonlocal_, bound, not om.any())
 
 
 def _tail_terms(dist: np.ndarray, h: float, params: KernelParams) -> np.ndarray:
@@ -542,23 +571,15 @@ def _engine_for(window: DomainWindow, table: InteractionTable) -> PairEngine:
 def perimeter(E: CellSet, window: DomainWindow, table: InteractionTable) -> PerimeterBreakdown:
     """s-perimeter of E in the window: local + nonlocal three-term sum,
     from one batched FFT correlation of two box masks (none for an empty
-    one) and the exterior fields (``_perimeter_sums``,
+    one) and the exterior fields (``_breakdown``,
     ``PairEngine.exterior_fields``).
     """
     if E.spec != window.spec:
         raise SpecMismatch("cell set and window specs differ")
     eng = _engine_for(window, table)
     om = window.omega
-    inside = E.inside
-    local, nonlocal_ = _perimeter_sums(inside, om, *eng.fields(inside & om, inside & ~om),
-                                       *eng.exterior_fields(E.exterior))
-    return PerimeterBreakdown(
-        local=local,
-        nonlocal_=nonlocal_,
-        total=local + nonlocal_,
-        truncation_error_bound=eng.truncation_bound(om, E),
-        degenerate=not om.any(),
-    )
+    return _breakdown(E.inside, om, eng, *eng.exterior_fields(E.exterior),
+                      eng.truncation_bound(om, E))
 
 
 def _decomposition_terms(E: CellSet, inner: DomainWindow, outer: DomainWindow,
@@ -692,6 +713,7 @@ def divergence_probe_1d(beta, m: int, s: float, total_length: float | None = Non
     Omega = (0, M); M defaults to the sum of the lengths actually used plus
     a margin so all intervals are strictly inside Omega.
     """
+    KernelParams(s, 1)  # s in (0, 1), else the kernel's ValueError
     if m < 1:
         raise InvalidSequence("m must be >= 1")
     n_terms = 2 * m + 2

@@ -506,6 +506,8 @@ def _kind_occupancy(kind: str, doc: dict, pts: np.ndarray):
         level = float(doc.get("level", 0.0))
         if type(axis) is not int or not 0 <= axis < pts.shape[1]:
             raise InvalidShape(f"a half-space axis is an integer in [0, {pts.shape[1]}): {doc!r}")
+        if np.isnan(level):
+            raise InvalidShape(f"a half-space level is a number or +-Infinity: {doc!r}")
         occ = pts[:, axis] < level
         return occ, HalfSpaceExterior(axis, level)
     if kind == "empty":

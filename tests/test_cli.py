@@ -93,15 +93,25 @@ class TestCompute:
         ('{"shape": "ball", "center": [NaN, 0.5], "radius": 0.2}', "InvalidShape"),
         ('{"shape": "halfspace", "axis": 1.7, "level": 0.5}', "InvalidShape"),
         ('{"shape": "halfspace", "axis": true, "level": 0.5}', "InvalidShape"),
+        ('{"shape": "halfspace", "axis": 0, "level": NaN}', "InvalidShape"),
     ], ids=["short-center", "negative-radius", "null-radius", "int-heights",
             "axis-beyond", "axis-negative", "inf-radius", "overflow-radius",
-            "nan-center", "float-axis", "bool-axis"])
+            "nan-center", "float-axis", "bool-axis", "nan-level"])
     def test_bad_shape_value_is_a_diagnostic(self, runner, shape, kind):
         res = runner.invoke(main, ["compute", "--s", "0.5", "--shape", shape,
                                    "--extent", "4,4", "--h", "0.25"])
         assert res.exit_code == 1
         assert res.stdout == ""
         assert json.loads(res.stderr)["kind"] == kind
+
+    @pytest.mark.parametrize("level,total", [("Infinity", 0.0), ("-Infinity", 0.0)])
+    def test_infinite_half_space_level_is_valid(self, runner, level, total):
+        # H is the whole lattice or empty, so the full or empty box has no boundary
+        res = runner.invoke(main, ["compute", "--s", "0.5", "--shape",
+                                   f'{{"shape": "halfspace", "axis": 0, "level": {level}}}',
+                                   "--extent", "4,4", "--h", "0.25"])
+        assert res.exit_code == 0, res.output
+        assert json.loads(res.stdout)["total"] == total
 
     def test_malformed_grid_header(self, runner, tmp_path):
         path = tmp_path / "short.fracgrid"
@@ -337,6 +347,24 @@ class TestScans:
                 if ln and not ln.startswith("#")][1:]
         vals = [float(r[1]) for r in rows]
         assert vals == sorted(vals)
+
+    @pytest.mark.parametrize("args,flag", [
+        (["diverge-1d", "--s", "0"], "(0, 1)"),
+        (["diverge-1d", "--s", "1"], "(0, 1)"),
+        (["diverge-1d", "--s", "1.2"], "(0, 1)"),
+        (["diverge-1d", "--s", "-0.5", "--m-schedule", "8"], "(0, 1)"),
+        (["davila-scan", "--n-schedule", "8,0"], "--n-schedule"),
+        (["strip-scan", "--strip-cells", "0"], "--strip-cells"),
+        (["strip-scan", "--strip-cells", "-3"], "--strip-cells"),
+    ], ids=["diverge-s0", "diverge-s1", "diverge-s1.2", "diverge-s-neg", "davila-n0",
+            "strip-cells0", "strip-cells-neg"])
+    def test_bad_scan_parameter_is_a_diagnostic(self, runner, args, flag):
+        res = runner.invoke(main, args)
+        assert res.exit_code == 1
+        assert res.stdout == ""
+        diag = json.loads(res.stderr)
+        assert diag["kind"] == "ValueError"
+        assert flag in diag["message"]
 
 
 class TestConfinement:

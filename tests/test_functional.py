@@ -630,13 +630,13 @@ class TestEngineCache:
     def test_second_call_builds_no_spectrum(self, monkeypatch):
         E, inner, window, table = self._fresh_case()
         calls = []
-        original = functional._weight_spectrum
+        original = functional._even_spectra
 
         def counted(*args):
             calls.append(args[1])
             return original(*args)
 
-        monkeypatch.setattr(functional, "_weight_spectrum", counted)
+        monkeypatch.setattr(functional, "_even_spectra", counted)
         first = perimeter(E, window, table)
         assert calls  # the cold call builds the box spectrum
         calls.clear()

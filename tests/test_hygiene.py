@@ -1,7 +1,8 @@
 """Source hygiene: every name a module imports is used by that module,
 no module imports SciPy, calls tensordot or uses sliding_window_view,
-and only the kernel reads the weight table's layout; importing the
-command line loads no SciPy module, and neither does any command while it runs, nor the cylinder
+only the kernel reads the weight table's layout and only the functional
+module reads numpy.fft; importing the command line loads no SciPy
+module, and neither does any command while it runs, nor the cylinder
 perimeter with its one-cell constant, nor an exact minimization or the
 minimality-equivalence check called from Python."""
 
@@ -90,6 +91,21 @@ def test_no_sliding_window_view(path):
             or (isinstance(node, ast.Name) and node.id == "sliding_window_view")
             or (isinstance(node, ast.alias) and node.name == "sliding_window_view")]
     assert uses == [], f"{path.name} uses sliding_window_view (lines {uses})"
+
+
+def _fft_reads(tree: ast.Module) -> list[int]:
+    return [node.lineno for node in ast.walk(tree)
+            if (isinstance(node, ast.Attribute) and node.attr == "fft")
+            or (isinstance(node, ast.alias) and "fft" in node.name.split("."))
+            or (isinstance(node, ast.ImportFrom) and "fft" in (node.module or "").split("."))]
+
+
+@pytest.mark.parametrize("path", sorted(p for p in SRC.glob("*.py") if p.name != "functional.py"),
+                         ids=lambda p: p.name)
+def test_fft_stays_in_functional(path):
+    # every convolution is functional._convolve against functional._even_spectra
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert _fft_reads(tree) == [], f"{path.name} reads .fft (lines {_fft_reads(tree)})"
 
 
 def _fresh_python(*args: str) -> subprocess.CompletedProcess:
