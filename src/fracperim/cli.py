@@ -325,7 +325,8 @@ def strip_scan(s_list, strip_cells, deltas, output):
     delta gets its own grid with the strip resolved by --strip-cells
     cells so the relative discretization error is uniform across rows.
 
-    The --deltas schedule must be geometric.  Each ``fitted_exponent`` is
+    The --deltas schedule must be geometric, with every width below 1/2,
+    where the core is not empty.  Each ``fitted_exponent`` is
     the least-squares slope of log|M_k| against log delta_k, where
     M_k = r L(delta_{k+1}) - L(delta_k) and r = delta_k / delta_{k+1}:
     the difference removes the term linear in delta and keeps the
@@ -338,6 +339,10 @@ def strip_scan(s_list, strip_cells, deltas, output):
     svals = [float(v) for v in s_list.split(",")]
     dvals = [float(v) for v in deltas.split(",")]
     geometric_ratio(dvals)  # reject a bad schedule before building tables
+    wide = [d for d in dvals if not d < 0.5]
+    if wide:
+        # the core [delta, 1 - delta]^2 is empty from 1/2 on
+        raise ValueError(f"--deltas widths must be below 1/2, got {wide[0]:g}")
 
     geo = {}
     for d in dvals:

@@ -102,6 +102,7 @@ __all__ = [
 ]
 
 _PAIR_CHUNK = 1 << 16  # cell pairs (512 KB of float64) per explicit-sum chunk
+_LEVEL_BATCH = 16  # level sets per batched correlation of ``coarea_check``
 
 
 @dataclass(frozen=True)
@@ -149,14 +150,22 @@ def _convolve(stack: np.ndarray, spectra: np.ndarray, fast: tuple[int, ...],
               crop: tuple[slice, ...]) -> np.ndarray:
     """The ``crop`` of stack (*) k over the trailing axes, k the kernels
     of ``spectra`` (from ``_even_spectra``, broadcast against the stack):
-    one batched r2c / c2r round trip on the grid ``fast``."""
+    one batched r2c / c2r round trip on the grid ``fast``.
+
+    The inverse runs one axis at a time in ``irfftn``'s order and crops
+    each axis before the next: a line's transform is the same whatever
+    the others are, so this is ``irfftn`` then the crop, bit for bit,
+    without transforming the lines the crop drops.
+    """
     axes = tuple(range(-len(fast), 0))
     F = np.fft.rfftn(stack, fast, axes)
     if np.broadcast_shapes(F.shape, spectra.shape) == F.shape:
         F *= spectra
     else:
         F = F * spectra
-    return np.fft.irfftn(F, fast, axes)[(Ellipsis,) + crop]
+    for axis, n, keep in zip(axes[:-1], fast, crop):
+        F = np.fft.ifft(F, n, axis)[(Ellipsis, keep) + (slice(None),) * (-axis - 1)]
+    return np.fft.irfft(F, fast[-1], -1)[..., crop[-1]]
 
 
 def _correlate(stack: np.ndarray, table: InteractionTable, spectra: dict) -> np.ndarray:
@@ -673,17 +682,27 @@ def coarea_check(u: ScalarField, window: DomainWindow,
     """Discrete coarea: F(u, Omega) vs the level-weighted perimeter sum.
 
     The levels are the field's box values and the values its exterior
-    takes beyond the box (those of ``PairEngine.pad_masses``).
+    takes beyond the box (those of ``PairEngine.pad_masses``).  Each
+    level set's perimeter is ``_perimeter_sums`` of its two masks' fields,
+    and the masks of up to ``_LEVEL_BATCH`` level sets share one
+    ``PairEngine.fields`` batch.
     """
     lhs = relaxed_energy(u, window, table)
+    eng = _engine_for(window, table)
     level_values = set(np.unique(u.values).tolist())
-    level_values.update(v for v, _ in _engine_for(window, table).pad_masses(u.exterior))
+    level_values.update(v for v, _ in eng.pad_masses(u.exterior))
     levels = sorted(level_values)
+    steps = list(zip(levels[:-1], levels[1:]))
+    om = window.omega
     parts = []
-    for t_low, t_high in zip(levels[:-1], levels[1:]):
-        sup = superlevel(u, t_low)
-        p = perimeter(sup, window, table).total
-        parts.append((t_high - t_low) * p)
+    for start in range(0, len(steps), _LEVEL_BATCH):
+        batch = steps[start:start + _LEVEL_BATCH]
+        sups = [superlevel(u, t_low) for t_low, _ in batch]
+        fields = eng.fields(*[m for sup in sups for m in (sup.inside & om, sup.inside & ~om)])
+        for (t_low, t_high), sup, f_in, f_out in zip(batch, sups, fields[::2], fields[1::2]):
+            local, nonlocal_ = _perimeter_sums(sup.inside, om, f_in, f_out,
+                                               *eng.exterior_fields(sup.exterior))
+            parts.append((t_high - t_low) * (local + nonlocal_))
     return lhs, math.fsum(parts)
 
 

@@ -315,36 +315,43 @@ def full_window(spec: GridSpec, policy=None) -> DomainWindow:
 
 def _squared_distance_to(features: np.ndarray) -> np.ndarray:
     """Squared distance, in units of (h/2)^2, from every cell centre to the
-    nearest closed cell of ``features`` (a nonempty mask).
+    nearest closed cell of ``features``, for each mask of a stack
+    (k, *shape) of nonempty masks.
 
     Along one axis a centre and a closed cell d >= 1 cells away are
     (2d - 1) h/2 apart, and 0 apart when d = 0, so the squared distance to
     cell k is the sum over axes of c(|a_i - k_i|), with c(0) = 0 and
     c(d) = (2d - 1)^2.  That sum separates, one axis at a time
-    (Saito-Toriwaki): axis 0 takes c of the nearest feature's offset on
-    each line; every later axis takes min over k of c(|k|) + the previous
-    axis shifted by k, sweeping k = 1, 2, ... until c(k) reaches the
-    largest value left, beyond which no shift can lower any entry.
+    (Saito-Toriwaki): the first grid axis takes c of the nearest feature's
+    offset on each line, for the whole stack at once; every later axis
+    takes min over k of c(|k|) + the previous axis shifted by k, sweeping
+    k = 1, 2, ... until c(k) reaches the largest value left, beyond which
+    no shift can lower any entry.  Each mask sweeps alone, so one that
+    stops early (the in-cells of a full window) costs the other nothing,
+    and a large grid's sweep stays within one mask's memory.
     """
     # a line with no feature gets an offset longer than any distance in
     # the grid, so its entries stay above every finite sum until replaced
-    far = sum(features.shape)
-    j = np.arange(features.shape[0]).reshape((-1,) + (1,) * (features.ndim - 1))
-    left = np.maximum.accumulate(np.where(features, j, -far), axis=0)
-    right = np.minimum.accumulate(np.where(features, j, far + j.size)[::-1], axis=0)[::-1]
+    far = sum(features.shape[1:])
+    j = np.arange(features.shape[1]).reshape((-1,) + (1,) * (features.ndim - 2))
+    left = np.maximum.accumulate(np.where(features, j, -far), axis=1)
+    right = np.minimum.accumulate(np.where(features, j, far + j.size)[:, ::-1],
+                                  axis=1)[:, ::-1]
     d = np.minimum(j - left, right - j)
-    dist = np.where(d > 0, (2 * d - 1) ** 2, 0)
-    for axis in range(1, features.ndim):
-        g = np.moveaxis(dist, axis, 0)
-        dist = g.copy()
-        k = 1
-        while k < len(g) and (2 * k - 1) ** 2 < dist.max():
-            ck = (2 * k - 1) ** 2
-            np.minimum(dist[k:], g[:-k] + ck, out=dist[k:])
-            np.minimum(dist[:-k], g[k:] + ck, out=dist[:-k])
-            k += 1
-        dist = np.moveaxis(dist, 0, axis)
-    return dist
+    out = []
+    for dist in np.where(d > 0, (2 * d - 1) ** 2, 0):
+        for axis in range(1, dist.ndim):
+            g = np.moveaxis(dist, axis, 0)
+            dist = g.copy()
+            k = 1
+            while k < len(g) and (2 * k - 1) ** 2 < dist.max():
+                ck = (2 * k - 1) ** 2
+                np.minimum(dist[k:], g[:-k] + ck, out=dist[k:])
+                np.minimum(dist[:-k], g[k:] + ck, out=dist[:-k])
+                k += 1
+            dist = np.moveaxis(dist, 0, axis)
+        out.append(dist)
+    return np.stack(out)
 
 
 def signed_distance(window: DomainWindow) -> ScalarField:
@@ -357,16 +364,20 @@ def signed_distance(window: DomainWindow) -> ScalarField:
     runs through its own phase, so that point is on the interface: the
     distance of an in-centre is its distance to the nearest closed
     out-cell, and of an out-centre to the nearest closed in-cell.  Both
-    are exact integer transforms (``_squared_distance_to``) on the box plus
-    one ring of out-cells, which stands for everything beyond the box.
+    are exact integer transforms on the box plus one ring of out-cells,
+    which stands for everything beyond the box, from one call on the
+    stacked pair (``_squared_distance_to``).
     """
     omega = window.omega
     if not omega.any():
         raise DegenerateDomain("omega must be nonempty")
-    cells = np.pad(omega, 1)  # one ring of out-cells beyond the box
-    box = (slice(1, -1),) * cells.ndim
-    to_out = _squared_distance_to(~cells)[box]
-    to_in = _squared_distance_to(cells)[box]
+    # the out-cells and the in-cells of the box plus one ring of out-cells
+    box = (slice(1, -1),) * omega.ndim
+    pair = np.zeros((2,) + tuple(n + 2 for n in omega.shape), dtype=bool)
+    pair[0] = True
+    pair[(0,) + box] = ~omega
+    pair[(1,) + box] = omega
+    to_out, to_in = _squared_distance_to(pair)[(slice(None),) + box]
     dist = np.sqrt(np.where(omega, to_out, to_in)) * (window.spec.h / 2)
     return ScalarField(window.spec, np.where(omega, -dist, dist))
 

@@ -14,12 +14,20 @@ to the minimum.
 An exhaustive oracle guards correctness up to 24 free cells: it splits
 the cells into two halves, tabulates each half's energy over its 2^(m/2)
 vectors and adds the cross term by one GEMM per chunk of rows.
+
+A problem builds its condensed energy once, on first use, and the solve,
+the thresholding and the oracle all read it.  A sub-window's energy is a
+fold of the window's: its cells outside the sub-window are held at the
+data's values and enter the kept cells' linear terms, as the cut's fixed
+cells do.  So the equivalence check builds one energy, for the window,
+and folds every window it tests out of it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -52,7 +60,8 @@ class MinimizationProblem:
     """Window, exterior data and kernel table defining one instance.
 
     Competitors agree with ``exterior_data`` on every cell outside the
-    window; the window cells are the free variables.
+    window; the window cells are the free variables.  The condensed
+    energy is built on first use and kept with the problem.
     """
 
     window: DomainWindow
@@ -62,6 +71,10 @@ class MinimizationProblem:
     @property
     def n_free(self) -> int:
         return int(self.window.omega.sum())
+
+    @cached_property
+    def _condensed(self) -> _Condensed:
+        return _Condensed(self)
 
 
 @dataclass(frozen=True)
@@ -105,11 +118,14 @@ class _Condensed:
     F(x) = sum_{a<b} W_ab |x_a - x_b| + sum_a [p_a (1 - x_a) + q_a x_a]
     where p_a (q_a) is the interaction mass between free cell a and the
     fixed part of E (of its complement): the fixed box cells' field plus
-    the exterior field X_E (X_C), exact in 1D by the lattice rule.
+    the exterior field X_E (X_C), exact in 1D by the lattice rule.  It
+    keeps the problem's window and exterior data, not the problem, which
+    keeps it.
     """
 
     def __init__(self, p: MinimizationProblem):
-        self.problem = p
+        self.window = p.window
+        self.exterior_data = p.exterior_data
         table = p.table
         eng = _engine_for(p.window, table)
         om = p.window.omega
@@ -140,10 +156,35 @@ class _Condensed:
         return float(self.p.sum()) + X @ (self.q - self.p + r) - quad
 
     def set_from(self, x_binary: np.ndarray) -> CellSet:
-        spec = self.problem.window.spec
-        inside = self.problem.exterior_data.inside.copy()
-        inside[self.problem.window.omega] = x_binary.astype(bool)
-        return CellSet(spec, inside, self.problem.exterior_data.exterior)
+        inside = self.exterior_data.inside.copy()
+        inside[self.window.omega] = x_binary.astype(bool)
+        return CellSet(self.window.spec, inside, self.exterior_data.exterior)
+
+    def fold(self, window: DomainWindow) -> _Condensed:
+        """The energy on a window within this one, with the same data.
+
+        The cells of this window outside ``window`` are held at the data's
+        values x: with ``keep`` the kept cells, W' = W[keep, keep],
+        p' = p[keep] + W[keep, ~keep] x and q' = q[keep] + W[keep, ~keep]
+        (1 - x).  The held cells' own terms are a constant, which a build
+        for ``window`` leaves out as well.  Keeping every cell gives this
+        energy itself.
+        """
+        om = self.window.omega
+        keep = window.omega[om]
+        if keep.all():
+            return self
+        x = self.exterior_data.inside[om][~keep].astype(float)
+        rows = self.W[keep]
+        cross = rows[:, ~keep]
+        sub = object.__new__(_Condensed)
+        sub.window, sub.exterior_data = window, self.exterior_data
+        sub.free_idx = self.free_idx[keep]
+        sub.m = len(sub.free_idx)
+        sub.W = rows[:, keep]
+        sub.p = self.p[keep] + cross @ x
+        sub.q = self.q[keep] + cross @ (1.0 - x)
+        return sub
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +332,7 @@ def _layers(adj: np.ndarray, root: int) -> np.ndarray:
 def solve_relaxed(p: MinimizationProblem, tol: float = 1e-9) -> ScalarField:
     """Minimizer of the relaxed convex energy: the 0/1 indicator of the
     minimum cut (``tol`` as in ``solve_and_threshold``)."""
-    cond = _Condensed(p)
+    cond = p._condensed
     bits, _, _ = _min_cut(cond.W, cond.p, cond.q, tol)
     E = cond.set_from(bits)
     return ScalarField(p.window.spec, E.inside.astype(float), E.exterior)
@@ -306,7 +347,7 @@ def threshold_minimizer(u: ScalarField, p: MinimizationProblem) -> SolverReport:
     smallest bitmask.  An arbitrary field carries no dual bound, so the
     reported ``gap`` is nan; no solver runs, so ``iterations`` is 0.
     """
-    cond = _Condensed(p)
+    cond = p._condensed
     if cond.m == 0:
         E = cond.set_from(np.zeros(0, dtype=bool))
         e = perimeter(E, p.window, p.table).total
@@ -339,7 +380,7 @@ def solve_and_threshold(p: MinimizationProblem, tol: float = 1e-9) -> SolverRepo
     ``tol=0`` runs the flow to completion.  The cut is 0/1, so any
     threshold in [0, 1) reproduces it; 0.5 is reported.
     """
-    cond = _Condensed(p)
+    cond = p._condensed
     bits, flow, pulses = _min_cut(cond.W, cond.p, cond.q, tol)
     relaxed = float(cond.energies_binary(bits[None, :])[0])
     minimizer = cond.set_from(bits)
@@ -377,7 +418,7 @@ def brute_force_minimum(p: MinimizationProblem) -> tuple[CellSet, float]:
     (H, L) is that order, a chunk keeps its first exact argmin, and a
     later chunk replaces the best only when lower by more than 1e-15.
     """
-    cond = _Condensed(p)
+    cond = p._condensed
     m = cond.m
     if m > _ORACLE_LIMIT:
         raise OracleTooLarge(f"{m} free cells exceed the oracle limit {_ORACLE_LIMIT}")
@@ -412,15 +453,24 @@ def brute_force_minimum(p: MinimizationProblem) -> tuple[CellSet, float]:
 # ---------------------------------------------------------------------------
 
 
+def _attains_minimum(cond: _Condensed, window: DomainWindow,
+                     rel_tol: float = 1e-9) -> bool:
+    """Whether the data attain the minimum on ``window`` (within cond's),
+    by the exact cut of cond's fold (``tol=0`` runs the flow to
+    completion); the cut's energy and the data's own are both the fold's."""
+    sub = cond.fold(window)
+    bits, _, _ = _min_cut(sub.W, sub.p, sub.q, 0.0)
+    best = float(sub.energies_binary(bits[None, :])[0])
+    own = float(sub.energies_binary(sub.exterior_data.inside[window.omega][None, :])[0])
+    return own <= best + rel_tol * (1.0 + abs(best))
+
+
 def _is_minimal_on(E: CellSet, window: DomainWindow, table: InteractionTable,
                    rel_tol: float = 1e-9) -> bool:
-    """Whether E attains the minimum on the given window, by the exact
-    cut (``tol=0`` runs the flow to completion)."""
-    cond = _Condensed(MinimizationProblem(window, E, table))
-    bits, _, _ = _min_cut(cond.W, cond.p, cond.q, 0.0)
-    best = float(cond.energies_binary(bits[None, :])[0])
-    own = float(cond.energies_binary(E.inside[window.omega][None, :])[0])
-    return own <= best + rel_tol * (1.0 + abs(best))
+    """Whether E attains the minimum on the given window: one build of the
+    window's energy and its fold with every cell kept."""
+    return _attains_minimum(_Condensed(MinimizationProblem(window, E, table)), window,
+                            rel_tol)
 
 
 def check_minimality_equivalence(E: CellSet, window: DomainWindow,
@@ -433,9 +483,14 @@ def check_minimality_equivalence(E: CellSet, window: DomainWindow,
     depth k*h, k >= 1.  Depth 1 is the window of (ii), so (iii) reuses its
     answer and checks from depth 2 on.  Classes (ii)/(iii) are vacuously
     true (and flagged degenerate) when no strictly interior cells exist.
+
+    The windows are nested, so the window's condensed energy is built
+    once and each smaller window's is its fold (``_Condensed.fold``): the
+    cells between the two windows held at E's values.
     """
     spec = window.spec
-    global_ok = _is_minimal_on(E, window, table)
+    cond = _Condensed(MinimizationProblem(window, E, table))
+    global_ok = _attains_minimum(cond, window)
     if not window.omega.any():
         return EquivalenceReport(global_ok, True, True, True)
 
@@ -446,7 +501,7 @@ def check_minimality_equivalence(E: CellSet, window: DomainWindow,
     if degenerate:
         return EquivalenceReport(global_ok, True, True, True)
     compact_win = DomainWindow(spec, interior, window.complement_policy)
-    compact_ok = _is_minimal_on(E, compact_win, table)
+    compact_ok = _attains_minimum(cond, compact_win)
 
     local_ok = compact_ok
     k = 2
@@ -455,7 +510,7 @@ def check_minimality_equivalence(E: CellSet, window: DomainWindow,
         if not shrunk.any():
             break
         sub = DomainWindow(spec, shrunk, window.complement_policy)
-        local_ok = _is_minimal_on(E, sub, table)
+        local_ok = _attains_minimum(cond, sub)
         k += 1
     return EquivalenceReport(global_ok, compact_ok, local_ok, False)
 

@@ -356,8 +356,12 @@ class TestScans:
         (["davila-scan", "--n-schedule", "8,0"], "--n-schedule"),
         (["strip-scan", "--strip-cells", "0"], "--strip-cells"),
         (["strip-scan", "--strip-cells", "-3"], "--strip-cells"),
+        (["strip-scan", "--s", "0.5", "--deltas", "0.6,0.3,0.15"], "--deltas"),
+        (["strip-scan", "--deltas", "1.2,0.6"], "--deltas"),
+        (["strip-scan", "--deltas", "0.5,0.25,0.125"], "--deltas"),
     ], ids=["diverge-s0", "diverge-s1", "diverge-s1.2", "diverge-s-neg", "davila-n0",
-            "strip-cells0", "strip-cells-neg"])
+            "strip-cells0", "strip-cells-neg", "strip-delta0.6", "strip-delta1.2",
+            "strip-delta-half"])
     def test_bad_scan_parameter_is_a_diagnostic(self, runner, args, flag):
         res = runner.invoke(main, args)
         assert res.exit_code == 1

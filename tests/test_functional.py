@@ -611,6 +611,34 @@ class TestFields:
                 assert abs(float(f[B].sum()) - ref) <= 1e-12 * ref
 
 
+class TestConvolve:
+    """``_convolve``'s per-axis inverse, cropped before each next axis,
+    against ``irfftn`` of the whole grid followed by the crop."""
+
+    @pytest.mark.parametrize("shape,crop", [
+        ((24,), (slice(24),)),
+        ((24,), (slice(5, 19),)),
+        ((9, 7), (slice(9), slice(7))),
+        ((9, 7), (slice(2, 8), slice(3, 5))),
+        ((5, 6, 4), (slice(5), slice(6), slice(4))),
+        ((5, 6, 4), (slice(1, 4), slice(2, 6), slice(0, 3))),
+    ])
+    def test_equals_the_irfftn_route(self, shape, crop):
+        rng = np.random.default_rng(len(shape))
+        fast = tuple(functional._fast_len(2 * n - 1) for n in shape)
+        blocks = []
+        for _ in range(3):
+            b = rng.random(tuple(2 * (n // 2) + 1 for n in shape))
+            blocks.append(b + np.flip(b))  # even
+        spectra = functional._even_spectra(blocks, fast)
+        stack = rng.random((3,) + shape)
+        axes = tuple(range(1, len(shape) + 1))
+        for sp in (spectra, spectra[0]):  # one kernel per array, and broadcast
+            ref = np.fft.irfftn(np.fft.rfftn(stack, fast, axes) * sp, fast, axes)
+            got = functional._convolve(stack, sp, fast, crop)
+            assert np.array_equal(got, ref[(Ellipsis,) + crop])
+
+
 class TestEngineCache:
     """One engine per (table, spec, policy): spectra and exterior fields
     are computed once, and after that every correlation is box-sized."""
@@ -776,6 +804,24 @@ class TestCoarea:
         u = ScalarField(win.spec, rng.random(win.spec.extent), 0.0)
         lhs, rhs = coarea_check(u, win, table)
         assert lhs == pytest.approx(rhs, rel=1e-11)
+
+    @pytest.mark.parametrize("policy", [AnalyticTail(), TruncateAtRadius(0.3)])
+    def test_batched_levels_equal_the_perimeters(self, rng, policy):
+        # more level sets than one batch takes, and an occupancy exterior,
+        # whose model changes with the level
+        _, win, table = _random_instance(rng, policy=policy)
+        spec = win.spec
+        n_levels = 2 * functional._LEVEL_BATCH + 3
+        vals = rng.integers(0, n_levels, spec.extent) / (n_levels - 1)
+        vals.flat[:2] = 0.0, 1.0  # the occupancy exterior's values
+        for ext in (0.25, HalfSpaceExterior(0, 0.5)):
+            u = ScalarField(spec, vals, ext)
+            levels = sorted(set(np.unique(vals).tolist()) | {0.0, 1.0}
+                            | ({ext} if isinstance(ext, float) else set()))
+            parts = [(hi - lo) * perimeter(functional.superlevel(u, lo), win, table).total
+                     for lo, hi in zip(levels[:-1], levels[1:])]
+            assert len(parts) > functional._LEVEL_BATCH
+            assert coarea_check(u, win, table)[1] == math.fsum(parts)
 
     def test_indicator_reduces_to_perimeter(self, rng):
         E, win, table = _random_instance(rng)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import ndimage
 
+from fracperim import grid
 from fracperim.errors import DegenerateDomain, InvalidRadius, InvalidShape, SpecMismatch
 from fracperim.grid import (
     AnalyticTail,
@@ -298,6 +299,20 @@ class TestSignedDistance:
     def test_matches_ndimage_route(self, rng):
         for spec, mask in self._cases(rng):
             _assert_matches_ndimage(_window(spec, mask))
+
+    @pytest.mark.parametrize("shape", [(30,), (23, 17), (40, 40), (9, 7, 8)])
+    def test_stacked_pass_equals_separate_passes(self, shape, rng):
+        # the pair signed_distance stacks, on random masks and on full ones,
+        # whose in-cells stop sweeping early, and a stack of three
+        full = np.pad(np.ones(shape, dtype=bool), 1)
+        stacks = [np.stack([~full, full]), np.stack([~full, full, ~full])]
+        for fill in (0.05, 0.5, 0.95):
+            cells = np.pad(rng.random(shape) < fill, 1)
+            cells.flat[len(cells.flat) // 2] = True
+            stacks.append(np.stack([~cells, cells]))
+        for stack in stacks:
+            alone = [grid._squared_distance_to(mask[None])[0] for mask in stack]
+            assert np.array_equal(grid._squared_distance_to(stack), np.stack(alone))
 
     @pytest.mark.parametrize("extent", [(128, 128), (20, 20, 20)])
     @pytest.mark.parametrize("fill", [0.05, 0.5, 0.95])

@@ -1,5 +1,8 @@
 """Convex relaxation, thresholding, and exhaustive oracles."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from scipy import optimize, signal, sparse
@@ -566,21 +569,61 @@ class TestCondensedEnergy:
         assert cond.m > 1
         assert np.array_equal(cond.W, ref)
 
-    def test_one_build_per_solve_and_per_window_check(self, rng, monkeypatch):
+    def test_one_build_per_problem_and_per_window_check(self, monkeypatch):
         builds = []
 
         class Counting(minimize._Condensed):
             def __init__(self, p):
-                builds.append(p)
+                builds.append(1)
                 super().__init__(p)
 
         monkeypatch.setattr(minimize, "_Condensed", Counting)
-        p = _problem_2d(rng)
+        p = _problem_1d(free=slice(2, 10))
         rep = solve_and_threshold(p)
+        brute_force_minimum(p)
+        minimize.threshold_minimizer(minimize.solve_relaxed(p), p)
         assert len(builds) == 1
         del builds[:]
         assert minimize._is_minimal_on(rep.minimizer, p.window, p.table)
         assert len(builds) == 1
+
+    def test_energy_is_freed_with_its_problem(self, rng):
+        # no reference cycle: with the collector off, dropping the problem
+        # frees its energy at once
+        gc.disable()
+        try:
+            p = _problem_2d(rng)
+            solve_and_threshold(p)
+            cond = weakref.ref(p._condensed)
+            assert cond() is p._condensed
+            del p
+            assert cond() is None
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_fold_matches_a_fresh_build(self, seed):
+        # every sub-window, the empty and the whole one included, against
+        # the condensed energy built for it
+        p = _random_small_problem(seed)
+        rng = np.random.default_rng(seed)
+        cond = minimize._Condensed(p)
+        om = p.window.omega
+        for keep in (np.zeros_like(om), om, om & (rng.random(om.shape) < 0.5)):
+            sub = DomainWindow(p.window.spec, keep, p.window.complement_policy)
+            fold = cond.fold(sub)
+            ref = minimize._Condensed(MinimizationProblem(sub, p.exterior_data, p.table))
+            assert fold.m == ref.m == int(keep.sum())
+            assert np.array_equal(fold.free_idx, ref.free_idx)
+            assert np.array_equal(fold.W, ref.W)
+            scale = 1.0 + max(np.abs(ref.p).max(initial=0.0), np.abs(ref.q).max(initial=0.0))
+            assert np.abs(fold.p - ref.p).max(initial=0.0) <= 1e-12 * scale
+            assert np.abs(fold.q - ref.q).max(initial=0.0) <= 1e-12 * scale
+            X = rng.random((4, ref.m)) < 0.5
+            assert np.allclose(fold.energies_binary(X), ref.energies_binary(X),
+                               rtol=1e-12, atol=0.0)
+            assert np.array_equal(fold.set_from(X[0]).inside, ref.set_from(X[0]).inside)
+        assert cond.fold(p.window) is cond
 
 
 class TestOracle:
@@ -763,7 +806,39 @@ class TestEquivalence:
                 assert (check_minimality_equivalence(E, win, table)
                         == _equivalence_every_depth(E, win, table))
 
-    def test_builds_once_per_window_from_depth_two(self, monkeypatch):
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_folds_match_checking_every_depth(self, dim):
+        # random windows (scattered ones have no interior: degenerate), over
+        # their minimizers, one-cell flips of them and random sets
+        rng = np.random.default_rng(70 + dim)
+        n = 24 if dim == 1 else 9
+        spec = GridSpec(dim, (0.0,) * dim, (n,) * dim, 1.0 / n)
+        table = table_for(spec, 0.5, AnalyticTail())
+        for trial in range(12):
+            omega = np.zeros(spec.extent, dtype=bool)
+            lo = rng.integers(0, n // 3, dim)
+            hi = lo + rng.integers(1 + dim, n - n // 3 + 1, dim)
+            omega[tuple(slice(a, b) for a, b in zip(lo, hi))] = True
+            if trial % 3 == 2:
+                omega &= rng.random(spec.extent) < 0.6
+            if trial % 4 == 3:
+                omega[:] = False
+            win = DomainWindow(spec, omega, AnalyticTail())
+            data = CellSet(spec, rng.random(spec.extent) < 0.5,
+                           HalfSpaceExterior(0, 0.5) if trial % 2 else EmptyExterior())
+            sets = [data]
+            if omega.any():
+                best = solve_and_threshold(MinimizationProblem(win, data, table),
+                                           tol=0.0).minimizer
+                flipped = best.inside.copy()
+                cell = tuple(rng.choice(np.argwhere(omega)))
+                flipped[cell] = ~flipped[cell]
+                sets += [best, CellSet(spec, flipped, best.exterior)]
+            for E in sets:
+                assert (check_minimality_equivalence(E, win, table)
+                        == _equivalence_every_depth(E, win, table))
+
+    def test_one_build_per_check(self, monkeypatch):
         builds = []
 
         class Counting(minimize._Condensed):
@@ -788,7 +863,7 @@ class TestEquivalence:
             sd = signed_distance(win).values
             deeper = sum(1 for k in range(2, 9)
                          if (win.omega & (sd < -k * win.spec.h)).any())
-            assert len(builds) == 2 + deeper
+            assert len(builds) == 1
             depths.append(deeper)
         assert depths[-1] == 1
 
