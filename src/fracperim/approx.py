@@ -187,11 +187,11 @@ _THRESHOLD_GRID = np.linspace(0.01, 0.99, 99)
 class _ThresholdScan:
     """Per-ladder constants of the threshold scan: the engine, the
     exterior fields X_E and X_C of the sets' exterior model and the row
-    totals 1 (*) w, all kept on the engine, so building a warm scan
-    transforms nothing.  ``exterior`` is the set's exterior model, which
-    every superlevel set of a rung shares.  Every correlation runs on the
-    box, and ``totals`` gives local and nonlocal apart, so a rung needs
-    no ``perimeter``.
+    totals 1 (*) w, kept on the engine and made by no transform, so
+    building a scan transforms nothing.  ``exterior`` is the set's
+    exterior model, which every superlevel set of a rung shares.  Every
+    correlation runs on the box, and ``totals`` gives local and nonlocal
+    apart, so a rung needs no ``perimeter``.
     """
 
     def __init__(self, window: DomainWindow, table: InteractionTable, exterior):

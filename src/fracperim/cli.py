@@ -266,6 +266,7 @@ def coarea_cmd(s, extent, h, levels, seed, policy, tol, output):
     """Discrete coarea identity on a seeded random piecewise-constant field."""
     if levels < 1:
         raise ValueError(f"--levels must be at least 1, got {levels}")
+    min_mod._check_tol(tol)
     ext = tuple(int(v) for v in extent.split(","))
     spec = GridSpec(len(ext), (0.0,) * len(ext), ext, h)
     rng = np.random.default_rng(seed)
@@ -292,6 +293,7 @@ def coarea_cmd(s, extent, h, levels, seed, policy, tol, output):
 @_guard
 def decomposition_cmd(s, grid, inner, outer, policy, tol, output):
     """Window-decomposition identity residual for a set from a grid file."""
+    min_mod._check_tol(tol)
     E = read_grid_file(grid)
     pol = _policy_from(policy)
     wi = window_from_shape(E.spec, json.loads(inner), pol)

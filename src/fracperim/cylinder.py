@@ -28,6 +28,7 @@ from .functional import (
     _breakdown,
     _engine_for,
     _exterior_fields,
+    _exterior_parts,
     interaction,
 )
 from .grid import CellSet, DomainWindow, GridSpec, ScalarField, SubgraphExterior
@@ -124,8 +125,8 @@ def truncated_cylinder_perimeter(E, omega_base: DomainWindow, k: float,
     Beyond the gridded box a subgraph is the lattice half-space
     {t < farfield} (its complement {t >= farfield}), so the window's mass
     to E and to its complement beyond the box is exact: the exterior rule
-    of ``functional._exterior_fields``, closed-form half-space masses
-    minus box correlations, with the window's sums by
+    of ``functional._exterior_parts``, closed-form half-space masses
+    minus box rectangle sums, with the window's sums by
     ``functional._breakdown``.  Nothing is truncated, so
     ``truncation_error_bound`` is 0 and the total does not depend on the
     vertical box height T.  The table must reach across the box.
@@ -144,8 +145,8 @@ def truncated_cylinder_perimeter(E, omega_base: DomainWindow, k: float,
     z = spec.axis_centers(-1, np.arange(spec.extent[-1]))
     om = omega_base.omega[..., None] & (np.abs(z) < k)
     eng = _engine_for(DomainWindow(spec, om), table)
-    return _breakdown(cell.inside, om, eng,
-                      *_exterior_fields(spec, cell.exterior, table, None, eng.fields), 0.0)
+    parts = _exterior_parts(spec, cell.exterior, table, None)
+    return _breakdown(cell.inside, om, eng, *_exterior_fields(parts, spec.extent), 0.0)
 
 
 def local_part_bound(omega_base: DomainWindow, k: float,

@@ -42,6 +42,10 @@ class InvalidSchedule(FracPerimError):
     """Schedule must be monotone."""
 
 
+class InvalidTolerance(FracPerimError):
+    """A solver's gap tolerance is not a number >= 0."""
+
+
 class OracleTooLarge(FracPerimError):
     """Too many free cells for exhaustive enumeration."""
 

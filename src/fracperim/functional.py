@@ -27,11 +27,11 @@ correlation runs on the box.  A perimeter, the cylinder's too, is
 imports no SciPy.
 
 Beyond the box every exterior model is a lattice set H, so in a universe
-U, X_E = m(. -> H n U) - (1_(H n box) (*) w) and X_C likewise with H^c
+U, X_E = m(. -> H n U) - m(. -> H n box) and X_C likewise with H^c
 (``_exterior_parts``).  U is Z^n, with closed-form m, in 1D under
 AnalyticTail and for the cylinder perimeter; otherwise it is the box
-plus the policy's pad, m is a rectangle sum of the weight block, and the
-mass beyond U is bounded.
+plus the policy's pad, and the mass beyond U is bounded.  The masses to
+rectangles (H n U, H n box, the box) are weight-block sums, no FFT.
 
 The relaxed energy F(u, Omega) is an explicit pair sum in value order.
 With the window cells sorted by decreasing u, each unordered pair with a
@@ -42,10 +42,11 @@ u_a - u_j is then known (for a non-window cell, by a binary search in
 the non-window values, also sorted), so a row chunk's |u_a - u_j| sum is
 one product with the columns [u - c, 1], c a value of the chunk.  The
 exterior adds the window's mass to the exterior cells of each exterior
-value (``PairEngine.pad_masses``: the same rule with explicit box sums,
-once per exterior).  It never touches the FFT, so the coarea identity
-compares two independent routes.  The threshold scan of ``approx``
-gathers its earlier-cell sums through the same blocks.
+value (``PairEngine.pad_masses``, whose M_1 and M_0 are X_E and X_C).
+Its box pairs never touch the FFT, so the coarea identity compares two
+independent routes for them; both share the one exterior rule, which the
+tests check against explicit padded-universe sums.  The threshold scan
+of ``approx`` gathers its earlier-cell sums through the same blocks.
 """
 
 from __future__ import annotations
@@ -278,8 +279,6 @@ def interaction(A: np.ndarray, B: np.ndarray, table: InteractionTable) -> float:
         raise SpecMismatch(f"mask shapes differ: {A.shape} vs {B.shape}")
     if np.any(A & B):
         raise NotDisjoint("interaction requires disjoint masks")
-    if not A.any() or not B.any():
-        return 0.0
     return float(_fields((A,), table, {})[0][B].sum())
 
 
@@ -349,7 +348,7 @@ def _half_space_masses(n: int, h: float, s: float, j) -> np.ndarray:
 def _rectangle_masses(table: InteractionTable, extent, pad: int, lo, hi) -> np.ndarray:
     """Per box cell c, the sum of w(j - c) over the box-relative rectangle
     lo <= j < hi of the box padded by ``pad``: prefix sums of the weight
-    block, one axis at a time."""
+    block, one axis at a time, returned as an owned array in C order."""
     m = table.block(tuple(n + pad - 1 for n in extent))
     for n, a, b in zip(extent, lo, hi):
         prefix = np.zeros((m.shape[0] + 1,) + m.shape[1:])
@@ -357,24 +356,25 @@ def _rectangle_masses(table: InteractionTable, extent, pad: int, lo, hi) -> np.n
         c = n + pad - 1 - np.arange(n)  # block index of offset -i, per box cell i
         # offsets a - i <= d < b - i; cycling the axes restores their order
         m = np.moveaxis(prefix[b + c] - prefix[a + c], 0, -1)
-    return m
+    return m.copy()
 
 
 def _exterior_parts(spec: GridSpec, exterior, table: InteractionTable,
-                    pad: int | None):
+                    pad: int | None) -> list[tuple[float, np.ndarray]]:
     """The exterior in a universe U (Z^n when ``pad`` is None, else the box
     padded by ``pad`` cells), one lattice set H per value v it holds on U
-    beyond the box: a list of (v, H & box, m), m(c) the mass of box cell c
-    to H & U, so c's mass to H & U beyond the box is m - (H & box) (*) w.
+    beyond the box: a list of (v, M_v), M_v(c) the mass of box cell c to
+    the cells of H & U beyond the box.
 
     Exteriors are sampled at cell centres: a constant (Empty is 0, Full
     is 1) holds v on all of U; a half-space model holds 1 on the cells
     whose centres (``GridSpec.axis_centers``) lie below its level, and 0
     on the rest.  A subgraph {t < v(x)} is H = {t < farfield} beyond the
     box when its heights lie in the box's vertical range over a height
-    grid inside the box's base (else WindowTooShort / SpecMismatch).  On
-    Z^n, m is C_n(s) h^(n-s) less ``_half_space_masses`` across H's edge;
-    in a padded U, H & U is a rectangle and m its ``_rectangle_masses``.
+    grid inside the box's base (else WindowTooShort / SpecMismatch).
+    M_v = m(H & U) - m(H & box): on Z^n, m(H) is C_n(s) h^(n-s) less
+    ``_half_space_masses`` across H's edge; the rest are rectangles
+    (H & box: all, none or the box cut at H's edge): ``_rectangle_masses``.
     """
     n, h, s = spec.dim, spec.h, table.params.s
     if isinstance(exterior, SubgraphExterior):
@@ -400,36 +400,32 @@ def _exterior_parts(spec: GridSpec, exterior, table: InteractionTable,
                         (float(not exterior.below), edge, math.inf)])
     else:
         raise SpecMismatch(f"unsupported exterior model: {exterior!r}")
-    i = np.arange(spec.extent[axis])
-    shape = tuple(-1 if k == axis else 1 for k in range(n))
+    width = spec.extent[axis]
+    i = np.arange(width)
     parts = []
     for v, a, b in sides:
-        mask = (a <= i) & (i < b)
         if pad is None:
             across = 0.0 if math.isinf(edge) else _half_space_masses(
                 n, h, s, np.abs(i - edge + 0.5) - 0.5)
-            m = np.where(mask, _cell_constant(n, s) * h ** (n - s) - across, across)
-            m = np.broadcast_to(m.reshape(shape), spec.extent)
+            m = np.where((a <= i) & (i < b), _cell_constant(n, s) * h ** (n - s) - across,
+                         across).reshape([-1 if k == axis else 1 for k in range(n)])
         else:
             lo, hi = [-pad] * n, [k + pad for k in spec.extent]
             lo[axis], hi[axis] = int(max(a, -pad)), int(min(b, hi[axis]))
-            if lo[axis] >= hi[axis] or (min(lo) >= 0 and hi[axis] <= spec.extent[axis]):
+            if lo[axis] >= hi[axis] or (min(lo) >= 0 and hi[axis] <= width):
                 continue  # v holds on no cell of U beyond the box
             m = _rectangle_masses(table, spec.extent, pad, lo, hi)
-        parts.append((v, np.broadcast_to(mask.reshape(shape), spec.extent), m))
+        lo, hi = [0] * n, list(spec.extent)  # H & box
+        lo[axis], hi[axis] = (int(t) for t in np.clip((a, b), 0, width))
+        parts.append((v, m - _rectangle_masses(table, spec.extent, 0, lo, hi)))
     return parts
 
 
-def _exterior_fields(spec: GridSpec, exterior, table: InteractionTable,
-                     pad: int | None, fields):
-    """(X_E, X_C) per box cell: the mass to the exterior in U inside E and
-    outside it, by ``_exterior_parts`` with the box sums taken by
-    ``fields`` (one batched transform)."""
-    parts = _exterior_parts(spec, exterior, table, pad)
-    out = [np.zeros(spec.extent), np.zeros(spec.extent)]
-    for (v, _, m), f in zip(parts, fields(*(mask for _, mask, _ in parts))):
-        out[int(v)] = m - f
-    return out[1], out[0]
+def _exterior_fields(parts, extent) -> tuple[np.ndarray, np.ndarray]:
+    """(X_E, X_C) per box cell of an exterior's ``_exterior_parts``: its
+    M_1 and M_0, zeros for a value held on no cell beyond the box."""
+    masses = dict(parts)
+    return tuple(masses[v] if v in masses else np.zeros(extent) for v in (1.0, 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -463,11 +459,11 @@ class PairEngine:
     The policy sets the exterior's universe U: Z^n for AnalyticTail in 1D,
     else the box padded by ``pad`` cells, ceil(R/h) under TruncateAtRadius
     (AnalyticTail: twice the box's longest side), with the mass beyond in
-    ``truncation_bound``.  ``exterior_fields`` (by FFT) and ``pad_masses``
-    (explicit) take the exterior in U by ``_exterior_parts``.  Spectra,
-    exterior data and the row totals 1 (*) w (``row_totals``) are made on
-    first use and kept.  ``bumps`` keeps the mollifier spectra of
-    ``approx``'s ladders on this grid, by (eps, FFT grid).  ``occupancy``
+    ``truncation_bound``.  ``pad_masses`` keeps ``_exterior_parts`` in U
+    per exterior model, and ``exterior_fields`` reads its M_1 and M_0.
+    Spectra, exterior parts and the row totals 1 (*) w (``row_totals``)
+    are made on first use and kept.  ``bumps`` keeps the mollifier spectra
+    of ``approx``'s ladders on this grid, by (eps, FFT grid).  ``occupancy``
     and ``embed`` place masks on ``padded_spec`` for explicit references.
     """
 
@@ -482,7 +478,6 @@ class PairEngine:
         self.padded_spec = spec.padded(self.pad)
         self._spectra: dict = {}
         self._exterior: dict = {}
-        self._pad_masses: dict = {}
         self._rows = None
         self._tails = None
         self.bumps: dict = {}
@@ -503,41 +498,27 @@ class PairEngine:
         return _fields(masks, self.table, self._spectra)
 
     def row_totals(self) -> np.ndarray:
-        """1 (*) w on the box, each box cell's mass to the whole box: one
-        transform on first use, then kept."""
+        """1 (*) w on the box, each box cell's mass to the whole box: its
+        rectangle sum, made on first use and kept."""
         if self._rows is None:
-            self._rows = self.fields(np.ones(self.spec.extent, dtype=bool))[0]
+            self._rows = _rectangle_masses(self.table, self.spec.extent, 0,
+                                           (0,) * self.spec.dim, self.spec.extent)
         return self._rows
 
     def exterior_fields(self, exterior) -> tuple[np.ndarray, np.ndarray]:
         """(X_E, X_C) per box cell: the mass to the exterior in U inside E
-        and outside E.  The rule's masses minus one batched box
-        correlation, computed once per exterior model."""
-        if exterior not in self._exterior:
-            self._exterior[exterior] = _exterior_fields(
-                self.spec, exterior, self.table, self._universe, self.fields)
-        return self._exterior[exterior]
+        and outside E, the M_1 and M_0 of ``pad_masses``."""
+        return _exterior_fields(self.pad_masses(exterior), self.spec.extent)
 
     def pad_masses(self, exterior) -> list[tuple[float, np.ndarray]]:
         """(v, M_v) for each value v a field with this exterior (a constant
         or an occupancy model) takes in U beyond the box, M_v(a) the mass of
-        box cell a to the cells holding v: the rule's masses minus one pass
-        of explicit box weights, gathered by ``table.pairs`` in chunks, no
-        FFT, once per exterior."""
-        if exterior not in self._pad_masses:
-            extent = self.spec.extent
-            parts = _exterior_parts(self.spec, exterior, self.table, self._universe)
-            onehot = np.zeros((self.spec.n_cells, len(parts)))
-            for k, (_, mask, _) in enumerate(parts):
-                onehot[:, k] = mask.ravel()
-            cells = np.argwhere(np.ones(extent, dtype=bool))
-            step = max(1, _PAIR_CHUNK // len(cells))
-            sums = np.empty(onehot.shape)  # box weight rows @ onehot, per box cell
-            for lo in range(0, len(cells), step):
-                sums[lo:lo + step] = self.table.pairs(cells[lo:lo + step], cells) @ onehot
-            self._pad_masses[exterior] = [
-                (v, m - col.reshape(extent)) for (v, _, m), col in zip(parts, sums.T)]
-        return self._pad_masses[exterior]
+        box cell a to the cells holding v: ``_exterior_parts``, made on
+        first use and kept."""
+        if exterior not in self._exterior:
+            self._exterior[exterior] = _exterior_parts(self.spec, exterior, self.table,
+                                                       self._universe)
+        return self._exterior[exterior]
 
     def truncation_bound(self, omega_box: np.ndarray, E: CellSet) -> float:
         """Neglected-mass bound: per-cell volume times the point tail mass.

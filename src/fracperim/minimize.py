@@ -31,7 +31,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InvalidSchedule, NotNested, OracleTooLarge
+from .errors import InvalidSchedule, InvalidTolerance, NotNested, OracleTooLarge, SpecMismatch
 from .functional import _engine_for, perimeter
 from .grid import CellSet, DomainWindow, ScalarField, signed_distance
 from .kernel import InteractionTable
@@ -60,13 +60,18 @@ class MinimizationProblem:
     """Window, exterior data and kernel table defining one instance.
 
     Competitors agree with ``exterior_data`` on every cell outside the
-    window; the window cells are the free variables.  The condensed
-    energy is built on first use and kept with the problem.
+    window; the window cells are the free variables, so the data must lie
+    on the window's grid (else SpecMismatch).  The condensed energy is
+    built on first use and kept with the problem.
     """
 
     window: DomainWindow
     exterior_data: CellSet
     table: InteractionTable
+
+    def __post_init__(self):
+        if self.exterior_data.spec != self.window.spec:
+            raise SpecMismatch("exterior data and window specs differ")
 
     @property
     def n_free(self) -> int:
@@ -329,9 +334,16 @@ def _layers(adj: np.ndarray, root: int) -> np.ndarray:
     return depth
 
 
+def _check_tol(tol: float) -> None:
+    """A tolerance is a number >= 0 (inf included), else InvalidTolerance."""
+    if not tol >= 0.0:
+        raise InvalidTolerance(f"tolerance must be >= 0, got {tol}")
+
+
 def solve_relaxed(p: MinimizationProblem, tol: float = 1e-9) -> ScalarField:
     """Minimizer of the relaxed convex energy: the 0/1 indicator of the
     minimum cut (``tol`` as in ``solve_and_threshold``)."""
+    _check_tol(tol)
     cond = p._condensed
     bits, _, _ = _min_cut(cond.W, cond.p, cond.q, tol)
     E = cond.set_from(bits)
@@ -355,21 +367,17 @@ def threshold_minimizer(u: ScalarField, p: MinimizationProblem) -> SolverReport:
     x = np.clip(u.values[p.window.omega], 0.0, 1.0)
     relaxed = cond.energy(x)
     vals = np.unique(x)
-    cuts = [vals[0] - 1.0]
-    cuts += [0.5 * (a + b) for a, b in zip(vals[:-1], vals[1:])]
-    cuts.append(vals[-1] + 1.0)
-    bits = x[None, :] > np.asarray(cuts)[:, None]
-    energies = cond.energies_binary(bits)
-    best = None
-    for t, b, e in zip(cuts, bits, energies):
-        cand = (float(e), tuple(b.astype(int)), float(min(max(t, 0.0), 1.0)), b)
-        if best is None or (cand[0] - best[0] < -1e-12) or (
-            abs(cand[0] - best[0]) <= 1e-12 and cand[1] < best[1]
-        ):
-            best = cand
-    minimizer = cond.set_from(best[3])
+    cuts = np.concatenate(([vals[0] - 1.0], 0.5 * (vals[:-1] + vals[1:]), [vals[-1] + 1.0]))
+    bits = x[None, :] > cuts[:, None]
+    e = cond.energies_binary(bits)
+    best = 0  # the sets shrink as the cut rises: a tie's latest is lexicographically smallest
+    for k in range(1, len(cuts)):
+        if e[k] <= e[best] + 1e-12:
+            best = k
+    minimizer = cond.set_from(bits[best])
     energy = perimeter(minimizer, p.window, p.table).total
-    return SolverReport(relaxed, best[2], minimizer, energy, 0, math.nan)
+    return SolverReport(relaxed, float(np.clip(cuts[best], 0.0, 1.0)), minimizer, energy, 0,
+                        math.nan)
 
 
 def solve_and_threshold(p: MinimizationProblem, tol: float = 1e-9) -> SolverReport:
@@ -377,9 +385,11 @@ def solve_and_threshold(p: MinimizationProblem, tol: float = 1e-9) -> SolverRepo
 
     Push-relabel pulses run until the flow is maximal, or until a global
     relabel finds a cut whose gap is at most ``tol`` (1 + |energy|);
-    ``tol=0`` runs the flow to completion.  The cut is 0/1, so any
-    threshold in [0, 1) reproduces it; 0.5 is reported.
+    ``tol=0`` runs the flow to completion; NaN or tol < 0 raises
+    InvalidTolerance.  The cut is 0/1, so any threshold in [0, 1)
+    reproduces it; 0.5 is reported.
     """
+    _check_tol(tol)
     cond = p._condensed
     bits, flow, pulses = _min_cut(cond.W, cond.p, cond.q, tol)
     relaxed = float(cond.energies_binary(bits[None, :])[0])

@@ -199,6 +199,30 @@ class TestMinimize:
         saved = read_grid_file(out_grid)
         assert saved.spec.extent == (8,)
 
+    @pytest.mark.parametrize("tol", ["nan", "-1"])
+    def test_tol_not_at_least_zero_is_a_diagnostic(self, runner, tol):
+        res = runner.invoke(main, [
+            "minimize", "--s", "0.5",
+            "--exterior", '{"shape": "halfspace", "axis": 0, "level": 0.5}',
+            "--extent", "8", "--h", "0.125",
+            "--omega", '{"shape": "ball", "center": [0.5], "radius": 0.2}',
+            "--tol", tol,
+        ])
+        assert res.exit_code == 1
+        assert res.stdout == ""
+        assert json.loads(res.stderr)["kind"] == "InvalidTolerance"
+
+    def test_infinite_tol_is_valid(self, runner):
+        res = runner.invoke(main, [
+            "minimize", "--s", "0.5",
+            "--exterior", '{"shape": "halfspace", "axis": 0, "level": 0.5}',
+            "--extent", "8", "--h", "0.125",
+            "--omega", '{"shape": "ball", "center": [0.5], "radius": 0.2}',
+            "--tol", "inf",
+        ])
+        assert res.exit_code == 0, res.output
+        assert json.loads(res.output)["gap"] >= 0.0
+
     def test_rejects_unknown_window_keys(self, runner):
         res = runner.invoke(main, [
             "minimize", "--s", "0.5",
@@ -231,6 +255,29 @@ class TestIdentityChecks:
         diag = json.loads(res.stderr)
         assert diag["kind"] == "ValueError"
         assert "--levels" in diag["message"]
+
+    @pytest.mark.parametrize("tol", ["nan", "-1e-10"])
+    def test_coarea_tol_not_at_least_zero_is_a_diagnostic(self, runner, tol):
+        res = runner.invoke(main, [
+            "coarea-check", "--s", "0.5", "--extent", "8,8", "--h", "0.125",
+            "--tol", tol,
+        ])
+        assert res.exit_code == 1
+        assert res.stdout == ""
+        assert json.loads(res.stderr)["kind"] == "InvalidTolerance"
+
+    @pytest.mark.parametrize("tol", ["nan", "-1e-10"])
+    def test_decomposition_tol_not_at_least_zero_is_a_diagnostic(self, runner, ball_grid,
+                                                                  tol):
+        res = runner.invoke(main, [
+            "decomposition-check", "--s", "0.5", "--grid", ball_grid,
+            "--inner", '{"shape": "ball", "center": [0.5, 0.5], "radius": 0.2}',
+            "--outer", '{"shape": "ball", "center": [0.5, 0.5], "radius": 0.45}',
+            "--tol", tol,
+        ])
+        assert res.exit_code == 1
+        assert res.stdout == ""
+        assert json.loads(res.stderr)["kind"] == "InvalidTolerance"
 
     def test_decomposition(self, runner, ball_grid):
         res = runner.invoke(main, [

@@ -186,7 +186,7 @@ class TestExplicitOracle:
         local = exact(occ & om, ~occ & om)
         nl = [exact(occ & om, ~occ & ~om), exact(occ & ~om, ~occ & om)]
         # in 1D the universe is the box and the exterior enters whole, here
-        # by the explicit route (closed forms minus explicit box row sums)
+        # by ``pad_masses`` (closed forms minus box rectangle sums)
         mass_e, mass_c = _beyond_universe(eng, E.exterior)
         nl += [math.fsum(mass_c[E.inside & outer]), math.fsum(mass_e[~E.inside & outer])]
         bd = perimeter(E, DomainWindow(spec, outer, policy), table)
@@ -288,17 +288,14 @@ class TestExteriorRule:
     ], ids=repr)
     def test_face_aligned_exteriors_match_the_rays(self, exterior, s):
         # on a cell face (or inside the box) the lattice half-space is the
-        # continuous one, so both routes of the rule equal the rays
+        # continuous one, so the rule's masses equal the rays
         table = table_for(self._SPEC, s, AnalyticTail())
         eng = PairEngine(self._SPEC, AnalyticTail(), table)
         ref_e, ref_c = _ray_masses_1d(self._SPEC, exterior, s)
-        pad = dict(eng.pad_masses(exterior))
-        zero = np.zeros(self._SPEC.extent)
-        routes = (eng.exterior_fields(exterior), (pad.get(1.0, zero), pad.get(0.0, zero)))
+        got_e, got_c = eng.exterior_fields(exterior)
         scale = functional._cell_constant(1, s) * self._SPEC.h ** (1.0 - s)
-        for got_e, got_c in routes:
-            assert np.abs(got_e - ref_e).max() <= 1e-13 * scale
-            assert np.abs(got_c - ref_c).max() <= 1e-13 * scale
+        assert np.abs(got_e - ref_e).max() <= 1e-13 * scale
+        assert np.abs(got_c - ref_c).max() <= 1e-13 * scale
 
     def test_off_face_level_outside_the_box_is_a_lattice_count(self):
         # level 1.3 beyond the box [0, 1]: the lattice cells with centres
@@ -325,9 +322,7 @@ class TestExteriorRule:
         routes = []
         for lv in (level, level - spec.h / 4):
             eng = PairEngine(spec, policy, table)
-            masses = dict(eng.pad_masses(HalfSpaceExterior(0, lv)))
-            routes.append((*eng.exterior_fields(HalfSpaceExterior(0, lv)),
-                           masses[1.0], masses[0.0]))
+            routes.append(eng.exterior_fields(HalfSpaceExterior(0, lv)))
         for got, ref in zip(*routes):
             assert np.abs(got - ref).max() <= 1e-13 * ref.max()
 
@@ -713,9 +708,41 @@ class TestEngineCache:
         scan.totals([u])
         assert shapes and set(shapes) == {E.spec.extent}
         assert eng._exterior
-        for fields in eng._exterior.values():
-            for arr in fields:
+        for parts in eng._exterior.values():
+            for _, arr in parts:
                 assert arr.shape == E.spec.extent and arr.base is None
+
+    @pytest.mark.parametrize("dim,policy", [(1, AnalyticTail()), (2, AnalyticTail()),
+                                            (2, TruncateAtRadius(0.25)),
+                                            (2, TruncateAtRadius(0.0))],
+                             ids=["1d-rays", "2d-analytic", "2d-truncate", "2d-no-pad"])
+    def test_cold_exterior_masses_and_row_totals_correlate_nothing(self, dim, policy,
+                                                                   monkeypatch):
+        n = 12 if dim == 1 else 6
+        spec = GridSpec(dim, (0.0,) * dim, (n,) * dim, 1.0 / n)
+        table = functional.table_for(spec, 0.4, policy)
+        rows_ref = functional._fields((np.ones(spec.extent, dtype=bool),), table, {})[0]
+        calls = []
+        original = functional._correlate
+
+        def counted(*args):
+            calls.append(1)
+            return original(*args)
+
+        monkeypatch.setattr(functional, "_correlate", counted)
+        arrays = []
+        for exterior in (EmptyExterior(), FullExterior(), HalfSpaceExterior(0, 0.45),
+                         HalfSpaceExterior(dim - 1, -0.3, below=False), 0.25):
+            eng = PairEngine(spec, policy, table)  # cold: nothing cached
+            masses = dict(eng.pad_masses(exterior))
+            x_e, x_c = eng.exterior_fields(exterior)
+            for v, x in ((1.0, x_e), (0.0, x_c)):
+                assert v not in masses or x is masses[v]  # one entry: M_1 and M_0
+            arrays += [x_e, x_c, *masses.values(), eng.row_totals()]
+        assert calls == []
+        assert np.abs(arrays[-1] - rows_ref).max() <= 1e-13 * rows_ref.max()
+        for arr in arrays:
+            assert arr.shape == spec.extent and arr.base is None and arr.flags.c_contiguous
 
 
 class TestTruncationBound:
@@ -854,9 +881,9 @@ def _offset_loop_energy(u, window, table):
 
 def _exterior_energy(u, eng, omega):
     """Sum over window cells a of |u_a - v| times the mass of a to the
-    exterior cells holding v beyond the engine's universe, by the FFT
-    route (``exterior_fields``): the whole exterior when the universe is
-    the box (1D under AnalyticTail), nothing where a pad carries it."""
+    exterior cells holding v beyond the engine's universe, by
+    ``exterior_fields``: the whole exterior when the universe is the box
+    (1D under AnalyticTail), nothing where a pad carries it."""
     if eng.pad:
         return 0.0
     ext = u.exterior

@@ -1,6 +1,7 @@
 """Convex relaxation, thresholding, and exhaustive oracles."""
 
 import gc
+import math
 import weakref
 
 import numpy as np
@@ -9,7 +10,7 @@ from scipy import optimize, signal, sparse
 from scipy.sparse.csgraph import breadth_first_order, maximum_flow
 
 from fracperim import minimize
-from fracperim.errors import NotNested, OracleTooLarge
+from fracperim.errors import InvalidTolerance, NotNested, OracleTooLarge, SpecMismatch
 from fracperim.functional import PairEngine
 from fracperim.grid import (
     AnalyticTail,
@@ -60,8 +61,7 @@ def _problem_2d(rng, n=6, s=0.5, policy=AnalyticTail(), tables=table_for):
 def _direct_linear_terms(p):
     """p and q by direct convolution over the padded universe (the
     reference for the FFT assembly), plus, when the universe is the box
-    (1D under AnalyticTail), the whole exterior by the explicit route
-    (``pad_masses``)."""
+    (1D under AnalyticTail), the whole exterior by ``pad_masses``."""
     eng = PairEngine(p.window.spec, p.window.complement_policy, p.table)
     om = eng.embed(p.window.omega)
     occ = eng.occupancy(p.exterior_data)
@@ -132,6 +132,36 @@ class TestSolver:
         full = solve_and_threshold(p, tol=0.0)
         rep = solve_and_threshold(p)
         assert rep.energy <= full.energy + 1e-9 * (1.0 + abs(full.energy))
+
+    @pytest.mark.parametrize("tol", [math.nan, -1.0, -1e-300])
+    def test_tol_below_zero_or_nan_raises(self, tol):
+        p = _problem_1d()
+        for solve in (solve_and_threshold, minimize.solve_relaxed):
+            with pytest.raises(InvalidTolerance):
+                solve(p, tol=tol)
+        with pytest.raises(InvalidTolerance):
+            solve_locally_minimal(p, [p.window], tol=tol)
+
+    def test_infinite_tol_is_valid(self):
+        p = _problem_1d()
+        rep = solve_and_threshold(p, tol=math.inf)
+        assert math.isfinite(rep.energy) and rep.gap >= 0.0
+        minimize.solve_relaxed(p, tol=math.inf)
+
+    def test_data_on_another_grid_raise(self):
+        # same extent and cell size, origin shifted by half a unit
+        spec = GridSpec(2, (0.0, 0.0), (6, 6), 1.0 / 6)
+        shifted = GridSpec(2, (0.5, 0.5), (6, 6), 1.0 / 6)
+        omega = np.zeros(spec.extent, dtype=bool)
+        omega[1:5, 1:5] = True
+        win = DomainWindow(spec, omega, AnalyticTail())
+        E0 = cellset_from_shape(shifted, {"shape": "ball", "center": [0.9, 0.9],
+                                          "radius": 0.3})
+        table = table_for(spec, 0.5, AnalyticTail())
+        with pytest.raises(SpecMismatch):
+            MinimizationProblem(win, E0, table)
+        with pytest.raises(SpecMismatch):
+            check_minimality_equivalence(E0, win, table)
 
     def test_empty_window(self):
         spec = GridSpec(1, (0.0,), (6,), 1.0 / 6)
@@ -696,6 +726,21 @@ class TestThreshold:
         assert np.array_equal(got.minimizer.inside, rep.minimizer.inside)
         assert got.energy == rep.energy
         assert got.relaxed_energy == pytest.approx(rep.relaxed_energy, rel=1e-12)
+
+    def test_exact_tie_takes_the_smaller_set(self):
+        # reflected about x = 1/2 and complemented, the data (cells 0-3 and
+        # the half-line below 1/2) map to themselves and the filled window
+        # {3, 4} to the empty one, so both superlevel sets of a constant
+        # field have one energy: the later, smaller bitmask wins the tie
+        p = _problem_1d(n=8, free=slice(3, 5))
+        filled, empty = p._condensed.energies_binary(np.array([[1, 1], [0, 0]]))
+        assert abs(filled - empty) <= 1e-14 * filled
+        u = ScalarField(p.window.spec, p.window.omega.astype(float),
+                        p.exterior_data.exterior)
+        rep = minimize.threshold_minimizer(u, p)
+        assert not rep.minimizer.inside[p.window.omega].any()
+        assert rep.threshold == 1.0
+        assert rep.relaxed_energy == filled
 
     @pytest.mark.parametrize("seed", range(4))
     def test_best_superlevel_set_of_a_fractional_field(self, seed):
